@@ -36,7 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .digraph import Digraph, Path, PathSystem, is_tournament
-from .flows import local_cut
+from .flows import _sample_pairs, local_cut
 
 MIN_WIDTH = 42  # smallest k for which the sizing margins of the family close
 
@@ -667,12 +667,7 @@ def sampled_connectivity_check(d: Digraph, target: int, pairs: int, seed: int,
     """
     if target < 1:
         raise ValueError("target must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    sampled: list[tuple[int, int]] = []
-    while len(sampled) < pairs:
-        u, v = map(int, rng.integers(0, d.n, size=2))
-        if u != v:
-            sampled.append((u, v))
+    sampled = list(_sample_pairs(d.n, pairs, seed))
 
     def value(pair: tuple[int, int]) -> int:
         return local_cut(d, pair[0], pair[1]).value

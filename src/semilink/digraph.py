@@ -13,6 +13,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+# Largest order the arc-list parser accepts, far above the paper's n = 1764.
+# Its adjacency matrix takes 400 MB, and each flow query allocates two more
+# matrices of that size.
+_MAX_ORDER = 20_000
+
 
 class Digraph:
     """A simple digraph (no loops, at most one arc per ordered pair)."""
@@ -192,18 +197,27 @@ def spanning_tournament(d: Digraph, seed: int | None = None) -> Digraph:
     """
     if not is_semicomplete(d):
         raise ValueError("spanning_tournament requires a semicomplete digraph")
-    adj = d.adjacency.copy()
-    both = adj & adj.T
-    iu, iv = np.nonzero(np.triu(both, 1))
+    return Digraph(_one_arc_per_pair(d.adjacency, seed), origin=d.origin, copy=False)
+
+
+def _one_arc_per_pair(adj: np.ndarray, seed: int | None) -> np.ndarray:
+    """Copy of a square adjacency matrix keeping one arc of every bidirected pair.
+
+    With ``seed=None`` the arc from the lower to the higher index survives;
+    a seed picks one of the two uniformly per pair (one PCG64 draw per pair,
+    in row-major order of the upper triangle).
+    """
+    single = adj.copy()
+    iu, iv = np.nonzero(np.triu(adj & adj.T, 1))
     if iu.size:
         if seed is None:
-            adj[iv, iu] = False
+            single[iv, iu] = False
         else:
             rng = np.random.Generator(np.random.PCG64(seed))
             keep_low = rng.integers(0, 2, size=iu.size).astype(bool)
-            adj[iv[keep_low], iu[keep_low]] = False
-            adj[iu[~keep_low], iv[~keep_low]] = False
-    return Digraph(adj, origin=d.origin, copy=False)
+            single[iv[keep_low], iu[keep_low]] = False
+            single[iu[~keep_low], iv[~keep_low]] = False
+    return single
 
 
 class Path:
@@ -343,7 +357,8 @@ def reduce_to_minimal_path(d: Digraph, p: Path) -> Path:
 def digraph_from_arc_list(text: str) -> Digraph:
     """Parse the arc-list format: first line ``n m``, then m lines ``u v``.
 
-    Rejects loops, duplicate arcs, out-of-range ids and malformed lines.
+    Rejects loops, duplicate arcs, out-of-range ids, malformed lines and
+    orders above ``_MAX_ORDER``.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -355,6 +370,8 @@ def digraph_from_arc_list(text: str) -> Digraph:
     n, m = int(head[0]), int(head[1])
     if n < 0 or m < 0:
         raise ValueError("negative n or m")
+    if n > _MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the supported maximum {_MAX_ORDER}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arc lines, got {len(lines) - 1}")
     tokens = " ".join(lines[1:]).split()

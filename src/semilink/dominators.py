@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _one_arc_per_pair
 
 
 def _pool_mask(d: Digraph, within: Iterable[int] | None) -> np.ndarray:
@@ -86,6 +86,12 @@ def goodness_scores(d: Digraph, u: int, direction: str,
     return scores
 
 
+def _bad_counts(candidate_scores: np.ndarray, explicit: int) -> np.ndarray:
+    """Entry c-1 counts the candidates that are not c-good, for c = 1..explicit."""
+    return np.searchsorted(np.sort(candidate_scores), np.arange(1, explicit + 1),
+                           side="left")
+
+
 @dataclass(frozen=True)
 class DominationProfile:
     """Bad-vertex counts per c for one candidate dominating vertex."""
@@ -118,9 +124,7 @@ def _profile(d: Digraph, u: int, direction: str, c_max: int | None,
     # Once 2c >= pool_size the condition cannot fail; counting stops there.
     vacuous_from = pool_size // 2 + 1
     explicit = min(c_max, vacuous_from)
-    candidate_scores = np.sort(scores[scores >= 0])
-    bad = tuple(int(np.searchsorted(candidate_scores, c, side="left"))
-                for c in range(1, explicit + 1))
+    bad = tuple(int(b) for b in _bad_counts(scores[scores >= 0], explicit))
     bad += tuple(bad[-1] if bad else 0 for _ in range(explicit + 1, c_max + 1))
     return DominationProfile(u, direction, pool_size, bad, vacuous_from)
 
@@ -157,17 +161,7 @@ def _find(d: Digraph, direction: str, within: Iterable[int] | None,
         # operate on the reversed subgraph so that the tie rule and the
         # degree argmax match find_nearly_out_dominating(reverse(d)) exactly
         sub = sub.T
-    both = sub & sub.T
-    single = sub.copy()
-    if both.any():
-        iu, iv = np.nonzero(np.triu(both, 1))
-        if seed is None:
-            single[iv, iu] = False
-        else:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            keep_low = rng.integers(0, 2, size=iu.size).astype(bool)
-            single[iv[keep_low], iu[keep_low]] = False
-            single[iu[~keep_low], iv[~keep_low]] = False
+    single = _one_arc_per_pair(sub, seed)
     if not (single | single.T | np.eye(ids.size, dtype=bool)).all():
         raise ValueError("digraph is not semicomplete on the pool")
     degs = single.sum(axis=1)
@@ -231,11 +225,10 @@ def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int],
     if c_max is None:
         c_max = d.n
     full = np.ones(d.n, dtype=bool)
+    explicit = min(c_max, n_out // 2 + 1)
+    allowed = 2 * np.arange(1, explicit + 1)
     for u in ids:
         scores = goodness_scores(d, u, "in", full)
-        cand = np.sort(scores[outside & (scores >= 0)])
-        explicit = min(c_max, n_out // 2 + 1)
-        for c in range(1, explicit + 1):
-            if int(np.searchsorted(cand, c, side="left")) > 2 * c:
-                return False
+        if (_bad_counts(scores[outside & (scores >= 0)], explicit) > allowed).any():
+            return False
     return True

@@ -16,7 +16,7 @@ shared immutable digraph are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,9 +54,16 @@ class FlowInfeasible(Exception):
 
 
 class _SplitFlow:
-    """Unit-vertex-capacity flow state for one query."""
+    """Unit-vertex-capacity flow state for one query.
 
-    def __init__(self, d: Digraph, forbidden: Iterable[int] = ()):
+    Flow paths run from the out-copy of a source to the in-copy of a sink;
+    terminals never use their internal arcs.  Each terminal carries at most
+    ``cap`` paths: 1 for a set query, ``d.n`` (no limit) for a pair query.
+    Sources and sinks come sorted, disjoint and outside ``forbidden``.
+    """
+
+    def __init__(self, d: Digraph, sources: Sequence[int], sinks: Sequence[int],
+                 cap: int, forbidden: Iterable[int] = ()):
         n = d.n
         allowed = np.ones(n, dtype=bool)
         fb = np.asarray(sorted(set(int(v) for v in forbidden)), dtype=np.int64)
@@ -65,148 +72,112 @@ class _SplitFlow:
                 raise ValueError("forbidden vertex out of range")
             allowed[fb] = False
         self.n = n
+        self.cap = cap
         self.allowed = allowed
-        self.adj = d.adjacency & allowed[:, None] & allowed[None, :]
-        self.arc_flow = np.zeros((n, n), dtype=bool)
-        self.internal_flow = np.zeros(n, dtype=bool)
-        self.mode = ""
-        self._vis_in = np.zeros(n, dtype=bool)
-        self._vis_out = np.zeros(n, dtype=bool)
-
-    # -- configuration -----------------------------------------------------
-
-    def setup_sets(self, sources: Sequence[int], sinks: Sequence[int]) -> None:
-        self.mode = "sets"
-        self.sources = np.asarray(sorted(sources), dtype=np.int64)
-        self.sinks = np.asarray(sorted(sinks), dtype=np.int64)
-        # Paths touch sources/sinks only at their endpoints: nothing may
+        self.sources = np.asarray(sources, dtype=np.int64)
+        self.sinks = np.asarray(sinks, dtype=np.int64)
+        self.open_src, self.open_snk = self.sources, self.sinks
+        self.load: dict[int, int] = {}
+        # Paths touch sources and sinks only at their endpoints: nothing may
         # enter a source or leave a sink.
+        self.adj = d.adjacency.copy()
+        self.adj[fb, :] = False
+        self.adj[:, fb] = False
         self.adj[:, self.sources] = False
         self.adj[self.sinks, :] = False
-        self.src_free = np.zeros(self.n, dtype=bool)
-        self.src_free[self.sources] = True
-        self.sink_free = np.zeros(self.n, dtype=bool)
-        self.sink_free[self.sinks] = True
-
-    def setup_pair(self, u: int, v: int, drop_direct: bool) -> None:
-        self.mode = "pair"
-        self.src = int(u)
-        self.sink = int(v)
-        if drop_direct:
-            self.adj[u, v] = False
+        self.passable = allowed.copy()
+        self.passable[self.sources] = False
+        self.passable[self.sinks] = False
+        self.arc_flow = np.zeros((n, n), dtype=bool)
+        self.internal_flow = np.zeros(n, dtype=bool)
 
     # -- breadth-first search over the residual graph ----------------------
 
-    def _bfs(self, early_exit: bool, dist_in=None, dist_out=None):
+    def _bfs(self, dist_in=None, dist_out=None):
         """One BFS; returns the augmenting node sequence or None.
 
-        With dist arrays given, only cost-tight residual arcs are used, so
-        the augmenting path is a cheapest one.  The visited sets of the last
-        call remain available for cut extraction.
+        The search stops at the level where it first reaches an open sink and
+        takes the lowest-id one.  With dist arrays given, only cost-tight
+        residual arcs are used and only the nearest open sinks count, so the
+        augmenting path is a cheapest one.  The visited sets of a search that
+        finds no path remain available for cut extraction.
         """
+        # Frontier tests use count_nonzero and ndarray.nonzero rather than
+        # any() and flatnonzero: the latter go through Python-level wrappers
+        # that cost more than the work itself on small frontiers.
         n = self.n
-        par_in = np.full(n, -1, dtype=np.int64)
-        par_out = np.full(n, -1, dtype=np.int64)
+        par_in = np.full(n, -1)
+        par_out = np.full(n, -1)
         vis_in = np.zeros(n, dtype=bool)
         vis_out = np.zeros(n, dtype=bool)
         tight = dist_in is not None
-        if self.mode == "sets":
-            seeds = self.src_free.copy()
-            if tight:
-                seeds &= dist_in == 0
-            vis_in |= seeds
-            par_in[seeds] = -2
-            f_in, f_out = seeds, np.zeros(n, dtype=bool)
-            if tight:
-                free = self.sink_free & (dist_out < _INF)
-                best = dist_out[free].min() if free.any() else _INF
-                target_mask = free & (dist_out == best) \
-                    if best < _INF else np.zeros(n, dtype=bool)
-            else:
-                target_mask = self.sink_free
-        else:
-            vis_out[self.src] = True
-            par_out[self.src] = -2
-            f_in = np.zeros(n, dtype=bool)
-            f_out = np.zeros(n, dtype=bool)
-            f_out[self.src] = True
+        seeds, targets = self.open_src, self.open_snk
+        if tight:
+            seeds = seeds[dist_out[seeds] == 0]
+            reach = dist_in[targets]
+            targets = targets[reach == reach.min()]
+        vis_out[seeds] = True
+        par_out[seeds] = -2
+        f_in, f_out = np.zeros(n, dtype=bool), vis_out.copy()
+        any_in, any_out = False, seeds.size > 0
+        internal_ok = self.passable & ~self.internal_flow
 
-        hit = -1
-        while f_in.any() or f_out.any():
+        while any_in or any_out:
             new_in = np.zeros(n, dtype=bool)
             new_out = np.zeros(n, dtype=bool)
-            if f_in.any():
-                m = f_in & self.allowed & ~self.internal_flow & ~vis_out
+            if any_in:
+                m = f_in & internal_ok & ~vis_out
                 if tight:
                     m &= dist_out == dist_in + 1
-                if m.any():
-                    idx = np.flatnonzero(m)
+                idx = m.nonzero()[0]
+                if idx.size:
                     par_out[idx] = idx
                     new_out |= m
-                cols = np.flatnonzero(f_in)
+                cols = f_in.nonzero()[0]
                 sub = self.arc_flow[:, cols]
                 if tight:
                     sub = sub & (dist_out[:, None] == dist_in[cols][None, :])
                 cand = sub.any(axis=1) & ~vis_out & ~new_out
-                if cand.any():
-                    ci = np.flatnonzero(cand)
+                ci = cand.nonzero()[0]
+                if ci.size:
                     par_out[ci] = cols[np.argmax(sub[ci], axis=1)]
                     new_out |= cand
-            if f_out.any():
-                rows = np.flatnonzero(f_out)
+            if any_out:
+                rows = f_out.nonzero()[0]
                 sub = self.adj[rows]
                 if tight:
                     sub = sub & (dist_in[None, :] == dist_out[rows][:, None])
                 cand = sub.any(axis=0) & ~vis_in
-                if cand.any():
-                    ci = np.flatnonzero(cand)
+                ci = cand.nonzero()[0]
+                if ci.size:
                     par_in[ci] = rows[np.argmax(sub[:, ci], axis=0)]
                     new_in |= cand
+                    reached = targets[new_in[targets]]
+                    if reached.size:
+                        return _trace(par_in, par_out, int(reached[0]))
                 m = f_out & self.internal_flow & ~vis_in & ~new_in
                 if tight:
                     m &= dist_in == dist_out - 1
-                if m.any():
-                    idx = np.flatnonzero(m)
+                idx = m.nonzero()[0]
+                if idx.size:
                     par_in[idx] = idx
                     new_in |= m
             vis_in |= new_in
             vis_out |= new_out
-            if self.mode == "sets":
-                reached = new_out & target_mask
-                if reached.any():
-                    hit = int(np.flatnonzero(reached)[0])
-                    if early_exit:
-                        break
-            else:
-                if new_in[self.sink]:
-                    hit = self.sink
-                    if early_exit:
-                        break
             f_in, f_out = new_in, new_out
+            any_in, any_out = np.count_nonzero(new_in) > 0, np.count_nonzero(new_out) > 0
 
         self._vis_in, self._vis_out = vis_in, vis_out
-        if hit < 0:
-            return None
-        seq = []
-        kind, v = ("out", hit) if self.mode == "sets" else ("in", hit)
-        while True:
-            seq.append((kind, v))
-            p = par_in[v] if kind == "in" else par_out[v]
-            if p == -2:
-                break
-            if kind == "in":
-                kind = "out"
-                v = int(p)  # p == v means backward internal, else forward arc p->v
-            else:
-                kind = "in"
-                v = int(p)
-        seq.reverse()
-        return seq
+        return None
 
     def _augment(self, seq) -> None:
-        if self.mode == "sets":
-            self.src_free[seq[0][1]] = False
-            self.sink_free[seq[-1][1]] = False
+        s, t = seq[0][1], seq[-1][1]
+        self.load[s] = self.load.get(s, 0) + 1
+        self.load[t] = self.load.get(t, 0) + 1
+        if self.load[s] == self.cap:
+            self.open_src = self.open_src[self.open_src != s]
+        if self.load[t] == self.cap:
+            self.open_snk = self.open_snk[self.open_snk != t]
         for (k1, v1), (k2, v2) in zip(seq, seq[1:]):
             if k1 == "in":
                 if v1 == v2:
@@ -226,7 +197,7 @@ class _SplitFlow:
     def run_max(self, cap: int) -> int:
         flow = 0
         while flow < cap:
-            seq = self._bfs(early_exit=True)
+            seq = self._bfs()
             if seq is None:
                 return flow
             self._augment(seq)
@@ -234,18 +205,17 @@ class _SplitFlow:
         return flow
 
     def cut_certificate(self) -> CutCertificate:
-        """Cut from the visited sets of the last (failed) BFS."""
-        self._bfs(early_exit=False)
+        """Cut from the visited sets of a BFS that reaches no open sink.
+
+        A non-terminal is cut when only its in-copy is reachable, a source
+        when its out-copy is unreachable, and a sink when its in-copy is
+        reachable.
+        """
+        seq = self._bfs()
+        assert seq is None, "cut requested while an augmenting path exists"
         vin, vout = self._vis_in, self._vis_out
         sep = vin & ~vout
-        if self.mode == "sets":
-            sep = sep.copy()
-            sep[self.sources[~vin[self.sources]]] = True
-            sep[self.sinks[vout[self.sinks]]] = True
-        else:
-            sep = sep.copy()
-            sep[self.src] = False
-            sep[self.sink] = False
+        sep[self.sources[~vout[self.sources]]] = True
         sep_ids = frozenset(int(v) for v in np.flatnonzero(sep))
         src_side = frozenset(int(v) for v in np.flatnonzero(self.allowed & ~sep & vout))
         sink_side = frozenset(int(v) for v in np.flatnonzero(self.allowed & ~sep & ~vout))
@@ -257,11 +227,8 @@ class _SplitFlow:
         n = self.n
         dist_in = np.full(n, _INF)
         dist_out = np.full(n, _INF)
-        if self.mode == "sets":
-            dist_in[self.src_free] = 0.0
-        else:
-            dist_out[self.src] = 0.0
-        internal_ok = self.allowed & ~self.internal_flow
+        dist_out[self.open_src] = 0.0
+        internal_ok = self.passable & ~self.internal_flow
         for _ in range(2 * n + 4):
             changed = False
             cand = np.where(internal_ok, dist_in + 1, _INF)
@@ -292,46 +259,45 @@ class _SplitFlow:
         """Push ``count`` units along successive cheapest paths."""
         for achieved in range(count):
             dist_in, dist_out = self._bellman()
-            if not (self.sink_free & (dist_out < _INF)).any():
+            if not (dist_in[self.open_snk] < _INF).any():
                 cut = self.cut_certificate()
                 raise FlowInfeasible(achieved, cut)
-            seq = self._bfs(early_exit=True, dist_in=dist_in, dist_out=dist_out)
+            seq = self._bfs(dist_in, dist_out)
             assert seq is not None, "tight BFS must reach a cheapest sink"
             self._augment(seq)
 
     # -- decomposition -------------------------------------------------------
 
-    def _walk(self, start: int) -> list[int]:
-        path = [start]
-        cur = start
-        while True:
-            if self.mode == "pair" and cur == self.sink:
-                break
-            nxt = np.flatnonzero(self.arc_flow[cur])
-            if nxt.size == 0:
-                break
-            cur = int(nxt[0])
-            path.append(cur)
-        return path
-
-    def paths_from_sets(self, d: Digraph) -> list[Path]:
+    def paths(self, d: Digraph) -> list[Path]:
+        """Every flow path, by source and then by first vertex, lowest ids first."""
         out = []
-        for u in self.sources:
-            if self.src_free[u]:
-                continue
-            verts = self._walk(int(u))
-            assert not self.sink_free[verts[-1]]
-            out.append(Path(d, verts))
+        for s in self.sources:
+            for w in self.arc_flow[s].nonzero()[0]:
+                verts = [int(s), int(w)]
+                while True:
+                    nxt = self.arc_flow[verts[-1]].nonzero()[0]
+                    if nxt.size == 0:
+                        break
+                    verts.append(int(nxt[0]))
+                assert verts[-1] in self.load, "flow path must end at a sink"
+                out.append(Path(d, verts))
         return out
 
-    def paths_from_pair(self, d: Digraph, direct_arc: bool) -> list[Path]:
-        out = []
-        if direct_arc:
-            out.append(Path(d, (self.src, self.sink)))
-        for w in np.flatnonzero(self.arc_flow[self.src]):
-            verts = [self.src] + self._walk(int(w))
-            out.append(Path(d, verts))
-        return out
+
+def _trace(par_in: np.ndarray, par_out: np.ndarray, hit: int) -> list[tuple[str, int]]:
+    """The augmenting node sequence from a seed to the in-copy of ``hit``.
+
+    A parent equal to the node itself is its internal arc (forward into an
+    out-copy, backward into an in-copy); -2 marks a seed.
+    """
+    seq = [("in", hit)]
+    while True:
+        kind, v = seq[-1]
+        p = par_in[v] if kind == "in" else par_out[v]
+        if p == -2:
+            seq.reverse()
+            return seq
+        seq.append(("out" if kind == "in" else "in", int(p)))
 
 
 def _validate_terminals(d: Digraph, sources, sinks, forbidden) -> tuple[list[int], list[int]]:
@@ -371,10 +337,9 @@ def max_disjoint_paths(d: Digraph, sources: Iterable[int], sinks: Iterable[int],
     paths: list[Path] = list(trivial)
     certificate = None
     if budget > 0 and rest_src and rest_snk:
-        fl = _SplitFlow(d, forbidden=list(forbidden) + overlap)
-        fl.setup_sets(rest_src, rest_snk)
+        fl = _SplitFlow(d, rest_src, rest_snk, 1, forbidden + overlap)
         got = fl.run_max(budget)
-        paths.extend(fl.paths_from_sets(d))
+        paths.extend(fl.paths(d))
         if got < budget:
             cut = fl.cut_certificate()
             certificate = CutCertificate(cut.separator | frozenset(overlap),
@@ -408,8 +373,7 @@ def min_weight_disjoint_paths(d: Digraph, sources: Iterable[int], sinks: Iterabl
         if not rest_src or not rest_snk:
             raise FlowInfeasible(len(paths), CutCertificate(
                 frozenset(overlap), frozenset(rest_src), frozenset(rest_snk)))
-        fl = _SplitFlow(d, forbidden=list(forbidden) + overlap)
-        fl.setup_sets(rest_src, rest_snk)
+        fl = _SplitFlow(d, rest_src, rest_snk, 1, forbidden + overlap)
         try:
             fl.run_min_cost(budget)
         except FlowInfeasible as exc:
@@ -417,7 +381,7 @@ def min_weight_disjoint_paths(d: Digraph, sources: Iterable[int], sinks: Iterabl
                 exc.cut.separator | frozenset(overlap),
                 exc.cut.source_side, exc.cut.sink_side)) from None
         blocked = set(forbidden)
-        for p in fl.paths_from_sets(d):
+        for p in fl.paths(d):
             paths.append(_minimal_within(d, p, blocked))
     paths.sort(key=lambda p: p.first)
     return PathSystem(paths)
@@ -440,23 +404,39 @@ def local_cut(d: Digraph, u: int, v: int, cap: int | None = None,
     """
     if u == v:
         raise ValueError("local_cut requires distinct vertices")
+    forbidden = list(forbidden)
+    (u,), (v,) = _validate_terminals(d, (u,), (v,), forbidden)
     direct = d.has_arc(u, v)
     bonus = 1 if direct else 0
     value = bonus
-    paths: list[Path] = []
+    paths = [Path(d, (u, v))] if direct else []
     separator = None
     inner_cap = d.n if cap is None else max(cap - bonus, 0)
     if inner_cap > 0:
-        fl = _SplitFlow(d, forbidden=forbidden)
-        fl.setup_pair(u, v, drop_direct=direct)
+        fl = _SplitFlow(d, (u,), (v,), d.n, forbidden)
+        fl.adj[u, v] = False
         got = fl.run_max(inner_cap)
         value += got
-        paths = fl.paths_from_pair(d, direct)
+        paths += fl.paths(d)
         if got < inner_cap:
             separator = fl.cut_certificate().separator
-    elif direct:
-        paths = [Path(d, (u, v))]
     return LocalCut(value, separator, tuple(paths), direct)
+
+
+def _sample_pairs(n: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
+    """``count`` seeded ordered pairs u != v, drawn lazily.
+
+    Each draw takes two PCG64 integers in [0, n); a draw with u == v is
+    redrawn, so exactly ``count`` pairs come out.
+    """
+    if n < 2 and count > 0:
+        raise ValueError("sampling pairs needs at least two vertices")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    while count > 0:
+        u, v = map(int, rng.integers(0, n, size=2))
+        if u != v:
+            count -= 1
+            yield u, v
 
 
 def vertex_connectivity(d: Digraph) -> int:

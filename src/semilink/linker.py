@@ -34,7 +34,8 @@ from .certificates import CertificateError, verify_linkage_certificate
 from .digraph import Digraph, Path, PathSystem, is_semicomplete, reduce_to_minimal_path
 from .dominators import find_nearly_in_dominating, find_nearly_out_dominating, \
     goodness_scores, is_nearly_in_dominating_set
-from .flows import FlowInfeasible, is_k_connected, local_cut, min_weight_disjoint_paths
+from .flows import FlowInfeasible, _sample_pairs, is_k_connected, local_cut, \
+    min_weight_disjoint_paths
 
 
 @dataclass(frozen=True)
@@ -175,10 +176,7 @@ def classify_terminals(d: Digraph, starts: Sequence[int], targets: Sequence[int]
     """
     pool_arr = np.asarray(sorted(pool), dtype=np.int64)
     dominator = d.adjacency[:, pool_arr].sum(axis=1) >= 2 * k + 1
-    off = np.ones(d.n, dtype=bool)
-    off[list(starts)] = False
-    off[list(targets)] = False
-    off[pool_arr] = False
+    off = _off_terminals(d.n, starts, targets, pool)
     reach: dict[int, tuple[int, ...]] = {}
     for x in starts:
         ids = np.flatnonzero(d.adjacency[x] & dominator & off)
@@ -196,6 +194,24 @@ def classify_terminals(d: Digraph, starts: Sequence[int], targets: Sequence[int]
                   rich=list(rich), lean=list(lean), reach_union=len(reach_union),
                   spare_target=spare)
     return TerminalSplit(reach, rich, lean, reach_union, spare)
+
+
+def _off_terminals(n: int, starts, targets, pool) -> np.ndarray:
+    """Mask of the vertices that are neither terminals nor pool members."""
+    off = np.ones(n, dtype=bool)
+    off[list(starts)] = False
+    off[list(targets)] = False
+    off[list(pool)] = False
+    return off
+
+
+def _anchored_off(d: Digraph, starts, targets, pool,
+                  deliveries: Mapping[int, Path]) -> np.ndarray:
+    """Off-terminal vertices beaten by a pool vertex that starts no delivery."""
+    inits = {p.first for p in deliveries.values()}
+    anchors = np.asarray(sorted(set(pool) - inits), dtype=np.int64)
+    anchored = d.adjacency[anchors].any(axis=0) if anchors.size else np.zeros(d.n, bool)
+    return _off_terminals(d.n, starts, targets, pool) & anchored
 
 
 def initial_path_system(d: Digraph, starts: Sequence[int], targets: Sequence[int],
@@ -591,16 +607,10 @@ def build_launches(d: Digraph, starts, targets, pool, split: TerminalSplit,
     _check(not overlap, "launches", "launches collide with deliveries",
            overlap=sorted(overlap))
 
-    inits = {p.first for p in deliveries.values()}
-    anchors = np.asarray(sorted(set(pool) - inits), dtype=np.int64)
-    off = np.ones(d.n, dtype=bool)
-    off[list(starts)] = False
-    off[list(targets)] = False
-    off[list(pool)] = False
-    anchored = d.adjacency[anchors].any(axis=0) if anchors.size else np.zeros(d.n, bool)
+    anchored = _anchored_off(d, starts, targets, pool, deliveries)
     for x, p in launches.items():
         terminal = p.last
-        count = int(np.count_nonzero(d.adjacency[terminal] & off & anchored))
+        count = int(np.count_nonzero(d.adjacency[terminal] & anchored))
         _check(count >= 25 * k, "launches",
                "launch terminal has too few anchored out-neighbours",
                start=int(x), terminal=int(terminal), count=count,
@@ -650,13 +660,7 @@ def build_bridges(d: Digraph, pairs, launches: Mapping[int, Path],
     """
     blocked = {v for p in deliveries.values() for v in p.vertices}
     blocked |= {v for p in launches.values() for v in p.vertices}
-    inits = {p.first for p in deliveries.values()}
-    anchors = np.asarray(sorted(set(pool) - inits), dtype=np.int64)
-    off_sets = np.ones(d.n, dtype=bool)
-    off_sets[list(starts)] = False
-    off_sets[list(targets)] = False
-    off_sets[list(pool)] = False
-    anchored = d.adjacency[anchors].any(axis=0) if anchors.size else np.zeros(d.n, bool)
+    anchored = _anchored_off(d, starts, targets, pool, deliveries)
     bridges: dict[int, Path] = {}
     adj = d.adjacency
     for x, y in pairs:
@@ -664,7 +668,7 @@ def build_bridges(d: Digraph, pairs, launches: Mapping[int, Path],
         allowed = np.ones(d.n, dtype=bool)
         allowed[sorted(blocked)] = False
         stats = {
-            "anchored_out": int(np.count_nonzero(adj[p] & off_sets & anchored)),
+            "anchored_out": int(np.count_nonzero(adj[p] & anchored)),
             "free_middles": int(np.count_nonzero(adj[p] & adj[:, q] & allowed)),
         }
         bridge = None
@@ -701,11 +705,7 @@ def _hypothesis_post_mortem(d: Digraph, k: int, sample_pairs: int = 30) -> str:
     if degree < need_degree:
         return (f"hypothesis violated: min out-degree {degree} < {need_degree}")
     need_conn = 2 * k + 1
-    rng = np.random.Generator(np.random.PCG64(0))
-    for _ in range(sample_pairs):
-        u, v = map(int, rng.integers(0, d.n, size=2))
-        if u == v:
-            continue
+    for u, v in _sample_pairs(d.n, sample_pairs, seed=0):
         cut = local_cut(d, u, v, cap=need_conn)
         if cut.value < need_conn:
             return (f"hypothesis violated: pair ({u}, {v}) has cut "
@@ -728,15 +728,9 @@ def check_hypotheses(d: Digraph, k: int, mode: str = "exact",
         return True, f"min out-degree {degree}, {need}-connected (exact)"
     if mode.startswith("sample:"):
         pairs = int(mode.split(":", 1)[1])
-        rng = np.random.Generator(np.random.PCG64(seed))
-        checked = 0
-        while checked < pairs:
-            u, v = map(int, rng.integers(0, d.n, size=2))
-            if u == v:
-                continue
+        for u, v in _sample_pairs(d.n, pairs, seed):
             if local_cut(d, u, v, cap=need).value < need:
                 return False, f"pair ({u}, {v}) has cut below {need}"
-            checked += 1
         return True, f"min out-degree {degree}, {need}-connectivity sampled ok"
     raise ValueError(f"unknown hypothesis-check mode {mode!r}")
 
@@ -809,8 +803,5 @@ def link(instance: LinkageInstance, check: str | None = None,
 
 def _relabel(d: Digraph, starts, targets, pool) -> list[int]:
     """Map pool ids into the id space of d minus the terminals."""
-    removed = sorted(set(starts) | set(targets))
-    shift = np.zeros(d.n, dtype=np.int64)
-    for r in removed:
-        shift[r + 1:] += 1
-    return [int(v - shift[v]) for v in pool]
+    kept = np.setdiff1d(np.arange(d.n), list(starts) + list(targets))
+    return [int(i) for i in np.searchsorted(kept, pool)]

@@ -15,6 +15,18 @@ def complete_digraph(n: int) -> Digraph:
     return Digraph(~np.eye(n, dtype=bool), copy=False)
 
 
+@pytest.fixture
+def no_large_allocation(monkeypatch):
+    """Make ``np.zeros`` fail on shapes above a million entries."""
+    real_zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 10**6, f"allocation of shape {shape}"
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+
+
 @pytest.fixture(scope="session")
 def reference_counterexample():
     from semilink.counterexample import build_counterexample

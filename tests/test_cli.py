@@ -203,6 +203,11 @@ class TestUsageErrors:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
 
+    def test_huge_order_header_is_usage_error(self, tmp_path, capsys, no_large_allocation):
+        f = tmp_path / "huge.txt"
+        f.write_text("1000000 0\n")
+        assert main(["connectivity", "--in", str(f), "--exact"]) == 2
+
 
 class TestReportStability:
     def test_reports_byte_stable_modulo_timings(self, tmp_path, capsys):

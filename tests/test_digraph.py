@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semilink.digraph import (Digraph, Path, PathSystem, digraph_from_arc_list,
+from semilink.digraph import (_MAX_ORDER, Digraph, Path, PathSystem, digraph_from_arc_list,
                               digraph_to_arc_list, dominates_set,
                               is_semicomplete, is_tournament,
                               reduce_to_minimal_path, spanning_tournament)
@@ -241,6 +241,11 @@ class TestArcListFormat:
 
     def test_empty_digraph(self):
         assert digraph_from_arc_list("3 0\n").n == 3
+
+    def test_reject_huge_order_before_allocating(self, no_large_allocation):
+        for text in ("1000000 0\n", f"{_MAX_ORDER + 1} 0\n"):
+            with pytest.raises(ValueError, match="order"):
+                digraph_from_arc_list(text)
 
 
 class TestImmutability:

@@ -211,6 +211,11 @@ class TestLocalCut:
     def test_identical_vertices_rejected(self):
         with pytest.raises(ValueError):
             local_cut(complete_digraph(3), 1, 1)
+        d = rotational_tournament(7)
+        with pytest.raises(ValueError, match="forbidden"):
+            local_cut(d, 0, 3, forbidden=[3])
+        with pytest.raises(ValueError, match="range"):
+            local_cut(d, 0, 9)
 
     def test_paths_are_internally_disjoint_and_valid(self):
         d = random_tournament(10, seed=9)
@@ -305,3 +310,56 @@ def test_menger_equality_property(seed, n):
     assert len(system) == max_disjoint_ST_paths_bruteforce(
         d, [0, 1], [n - 2, n - 1])
     assert cert is not None and len(cert.separator) == len(system)
+
+
+def _kernel_outputs(count: int = 300) -> list:
+    """Every output of the three flow entry points on a seeded corpus.
+
+    Values, separators, cut sides and path vertex tuples, so any change in
+    the kernel's lowest-id tie-breaking shows up.  Forbidden sets never
+    contain a query's terminals.
+    """
+    def cut(c):
+        return None if c is None else (
+            tuple(sorted(c.separator)), tuple(sorted(c.source_side)),
+            tuple(sorted(c.sink_side)))
+
+    out = []
+    for i in range(count):
+        rng = np.random.Generator(np.random.PCG64(7_000 + i))
+        n = int(rng.integers(2, 16))
+        if i % 3 == 0:
+            d = random_tournament(n, seed=7_000 + i)
+        else:
+            d = random_digraph(n, float(rng.choice([0.2, 0.4, 0.6, 0.8])), seed=7_000 + i)
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        fb = [w for w in range(n) if w not in (u, v) and rng.random() < 0.2]
+        cap = int(rng.integers(1, n + 1))
+        for kw in ({}, {"cap": cap}, {"forbidden": fb}, {"cap": cap, "forbidden": fb}):
+            r = local_cut(d, u, v, **kw)
+            out.append(("cut", r.value,
+                        None if r.separator is None else tuple(sorted(r.separator)),
+                        tuple(p.vertices for p in r.paths), r.direct_arc))
+        src = [int(x) for x in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        snk = [int(x) for x in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        fb = [w for w in range(n) if w not in src and w not in snk and rng.random() < 0.2]
+        for kw in ({"forbidden": fb}, {"cap": cap}):
+            system, cert = max_disjoint_paths(d, src, snk, **kw)
+            out.append(("max", tuple(p.vertices for p in system), cut(cert)))
+        for want in (int(rng.integers(1, min(len(src), len(snk)) + 1)),
+                     min(len(src), len(snk))):
+            try:
+                system = min_weight_disjoint_paths(d, src, snk, want, forbidden=fb)
+                out.append(("min", tuple(p.vertices for p in system)))
+            except FlowInfeasible as exc:
+                out.append(("infeasible", exc.achieved, cut(exc.cut)))
+    return out
+
+
+def test_kernel_tie_breaks_golden():
+    import hashlib
+    outputs = _kernel_outputs()
+    # the corpus exercises FlowInfeasible cuts
+    assert sum(1 for r in outputs if r[0] == "infeasible") > 20
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == "cda34d852482881513de4ee645b33370f32ba21eb27ba369d9c585757365ebd7"

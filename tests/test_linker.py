@@ -3,6 +3,7 @@ import pytest
 
 from semilink.certificates import CertificateError, verify_linkage_certificate
 from semilink.digraph import Digraph, Path
+from semilink.flows import local_cut
 from semilink.generators import near_regular_tournament, random_tournament
 from semilink.instances import adjustment_stress_instance, planted_cut_instance
 from semilink.linker import (FailureReport, LinkageCertificate,
@@ -305,6 +306,19 @@ class TestHypothesisChecks:
     def test_sampled_mode(self):
         ok, note = check_hypotheses(complete_digraph(130), 1, "sample:20")
         assert ok and "sampled" in note
+
+    def test_post_mortem_samples_pairs_not_draws(self, monkeypatch):
+        import semilink.linker as linker
+        calls = []
+
+        def counting_cut(d, u, v, **kwargs):
+            calls.append((u, v))
+            return local_cut(d, u, v, **kwargs)
+
+        monkeypatch.setattr(linker, "local_cut", counting_cut)
+        note = linker._hypothesis_post_mortem(complete_digraph(50), 1, sample_pairs=200)
+        assert "hold" in note
+        assert len(calls) == 200 and all(u != v for u, v in calls)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
