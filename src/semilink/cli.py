@@ -142,12 +142,15 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
+    if args.target is not None and args.target < 1:
+        raise ValueError("target must be >= 1")
     d = _read_digraph(args.input)
     t0 = time.monotonic()
     if args.sample is None:
         if args.target is not None:
-            # Deciding a threshold only needs capped cut queries, which is
-            # far cheaper than the full exact value on large digraphs.
+            # A threshold is decided from semidegrees and c-goodness: only
+            # pairs with no arc and fewer than target two-arc paths get a
+            # capped cut, far cheaper than the full exact value.
             from .flows import is_k_connected
             ok = is_k_connected(d, args.target)
             print(_report("connectivity",

@@ -73,13 +73,13 @@ def goodness_scores(d: Digraph, u: int, direction: str,
     Direct arcs count as infinitely good (score n); the score of u itself
     and of vertices outside the pool is -1 so they never count as bad.
     """
-    a = d.adjacency.astype(np.int64)
+    a = d.adjacency
     if direction == "out":
-        two = a[u] @ (a * mask[:, None])  # two[v] = #{m in pool: u->m->v}
-        direct = d.adjacency[u]
+        two = a[a[u] & mask].sum(axis=0)  # two[v] = #{m in pool: u->m->v}
+        direct = a[u]
     else:
-        two = a @ (a[:, u] * mask)  # two[v] = #{m in pool: v->m->u}
-        direct = d.adjacency[:, u]
+        two = a[:, a[:, u] & mask].sum(axis=1)  # two[v] = #{m in pool: v->m->u}
+        direct = a[:, u]
     scores = np.where(direct, d.n, two)
     scores = np.where(mask, scores, -1)
     scores[u] = -1

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .digraph import Digraph, Path, PathSystem, reduce_to_minimal_path
+from .dominators import goodness_scores
 
 _INF = np.inf
 
@@ -189,7 +190,8 @@ class _SplitFlow:
                     self.internal_flow[v1] = False
                 else:
                     # unit internal capacities keep every arc's flow at 0/1
-                    assert not self.arc_flow[v1, v2]
+                    if self.arc_flow[v1, v2]:
+                        raise AssertionError(f"arc {v1}->{v2} would carry two units")
                     self.arc_flow[v1, v2] = True
 
     # -- maximum flow -------------------------------------------------------
@@ -211,8 +213,8 @@ class _SplitFlow:
         when its out-copy is unreachable, and a sink when its in-copy is
         reachable.
         """
-        seq = self._bfs()
-        assert seq is None, "cut requested while an augmenting path exists"
+        if self._bfs() is not None:
+            raise AssertionError("cut requested while an augmenting path exists")
         vin, vout = self._vis_in, self._vis_out
         sep = vin & ~vout
         sep[self.sources[~vout[self.sources]]] = True
@@ -263,7 +265,8 @@ class _SplitFlow:
                 cut = self.cut_certificate()
                 raise FlowInfeasible(achieved, cut)
             seq = self._bfs(dist_in, dist_out)
-            assert seq is not None, "tight BFS must reach a cheapest sink"
+            if seq is None:
+                raise AssertionError("tight BFS must reach a cheapest sink")
             self._augment(seq)
 
     # -- decomposition -------------------------------------------------------
@@ -279,7 +282,8 @@ class _SplitFlow:
                     if nxt.size == 0:
                         break
                     verts.append(int(nxt[0]))
-                assert verts[-1] in self.load, "flow path must end at a sink"
+                if verts[-1] not in self.load:
+                    raise AssertionError("flow path must end at a sink")
                 out.append(Path(d, verts))
         return out
 
@@ -390,7 +394,8 @@ def min_weight_disjoint_paths(d: Digraph, sources: Iterable[int], sinks: Iterabl
 def _minimal_within(d: Digraph, p: Path, forbidden: set[int]) -> Path:
     # Shortcutting only ever drops vertices of the path itself, so it cannot
     # break disjointness or wander into forbidden territory.
-    assert not forbidden.intersection(p.vertices)
+    if forbidden.intersection(p.vertices):
+        raise AssertionError("flow path enters a forbidden vertex")
     return reduce_to_minimal_path(d, p)
 
 
@@ -442,9 +447,14 @@ def _sample_pairs(n: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
 def vertex_connectivity(d: Digraph) -> int:
     """Exact vertex connectivity.
 
-    Runs full local-cut stars from successive candidate vertices; once the
-    first kappa+1 candidates have been processed, some candidate avoids a
-    minimum separator and its star has witnessed the exact value.
+    Runs local-cut stars from successive candidate vertices; once the first
+    kappa+1 candidates have been processed, some candidate i avoids a
+    minimum separator S, and some w has no i->w (or no w->i) path in D-S.
+    That pair has no arc, so pairs joined by an arc are never cut: no
+    separator splits them.  Distinct middles give internally disjoint
+    paths, so a pair whose two-arc count (its c-goodness score) exceeds the
+    current best cannot lower it and is skipped as well.  The best value
+    only shrinks, so every star is screened against the current one.
     """
     n = d.n
     if n < 2:
@@ -453,13 +463,20 @@ def vertex_connectivity(d: Digraph) -> int:
     sd = d.min_semidegree()
     if sd < n - 1:
         best = min(best, sd)
+    full = np.ones(n, dtype=bool)
     i = 0
     while i < n and i <= best:
-        for w in range(n):
+        out = goodness_scores(d, i, "out", full)
+        inn = goodness_scores(d, i, "in", full)
+        # An arc scores n > best and i itself -1; best only shrinks, so the
+        # star's open pairs are among those open at its start.
+        for w in np.flatnonzero((out <= best) | (inn <= best)):
             if w == i:
                 continue
-            best = min(best, local_cut(d, i, w, cap=best + 1).value)
-            best = min(best, local_cut(d, w, i, cap=best + 1).value)
+            if out[w] <= best:
+                best = min(best, local_cut(d, i, w, cap=best + 1).value)
+            if inn[w] <= best:
+                best = min(best, local_cut(d, w, i, cap=best + 1).value)
             if best == 0:
                 return 0
         i += 1
@@ -469,19 +486,31 @@ def vertex_connectivity(d: Digraph) -> int:
 def is_k_connected(d: Digraph, k: int) -> bool:
     """True iff the digraph has at least k+1 vertices and connectivity >= k.
 
-    Decided with capped local cuts: any separator smaller than k misses one
-    of the first k candidate vertices, so k full stars suffice.
+    A vertex of out- or in-degree below k is cut off by its neighbourhood,
+    since n >= k+1.  Otherwise any separator smaller than k misses one of
+    the first k candidate vertices i, and some w is then cut from i (or i
+    from w) with no arc between them, so k stars of non-adjacent pairs
+    suffice.  A pair with at least k two-arc paths (distinct middles, so
+    internally disjoint) is k-good and needs no flow; only the rest get a
+    local cut capped at k.
     """
-    if d.n < k + 1:
+    n = d.n
+    if n < k + 1:
         return False
     if k <= 0:
         return True
-    for i in range(min(k, d.n)):
-        for w in range(d.n):
+    if d.min_semidegree() < k:
+        return False
+    full = np.ones(n, dtype=bool)
+    for i in range(k):
+        out = goodness_scores(d, i, "out", full)
+        inn = goodness_scores(d, i, "in", full)
+        # An arc scores n >= k+1 and i itself -1.
+        for w in np.flatnonzero((out < k) | (inn < k)):
             if w == i:
                 continue
-            if local_cut(d, i, w, cap=k).value < k:
+            if out[w] < k and local_cut(d, i, w, cap=k).value < k:
                 return False
-            if local_cut(d, w, i, cap=k).value < k:
+            if inn[w] < k and local_cut(d, w, i, cap=k).value < k:
                 return False
     return True

@@ -69,6 +69,16 @@ class TestConnectivity:
         code, _ = run(capsys, "connectivity", "--in", str(f), "--sample", "4")
         assert code == 2
 
+    def test_target_below_one_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "r9.txt"
+        run(capsys, "gen", "--kind", "rotational", "--n", "9", "--out", str(f))
+        for target in ("-3", "0"):
+            code, out = run(capsys, "connectivity", "--in", str(f), "--target", target)
+            assert code == 2 and "target_met" not in out
+            code, _ = run(capsys, "connectivity", "--in", str(f), "--sample", "4",
+                          "--target", target)
+            assert code == 2
+
 
 class TestPaths:
     def test_minimized_paths(self, tmp_path, capsys):

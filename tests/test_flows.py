@@ -1,13 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semilink.flows as flows
 from semilink.digraph import Digraph
 from semilink.flows import (FlowInfeasible, is_k_connected, local_cut,
                             max_disjoint_paths, min_weight_disjoint_paths,
                             vertex_connectivity)
-from semilink.generators import (random_tournament, rotational_tournament,
+from semilink.generators import (near_regular_tournament, random_semicomplete,
+                                 random_tournament, rotational_tournament,
                                  transitive_tournament)
 from semilink.oracle import max_disjoint_ST_paths_bruteforce
 
@@ -363,3 +369,105 @@ def test_kernel_tie_breaks_golden():
     assert sum(1 for r in outputs if r[0] == "infeasible") > 20
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digest == "cda34d852482881513de4ee645b33370f32ba21eb27ba369d9c585757365ebd7"
+
+
+# -- the goodness screen in the connectivity deciders ---------------------------
+
+def plain_vertex_connectivity(d):
+    """The star loop with a capped cut on every ordered pair, no screen."""
+    best = min(d.n - 1, d.min_semidegree())
+    i = 0
+    while i < d.n and i <= best:
+        for w in range(d.n):
+            if w != i:
+                best = min(best, flows.local_cut(d, i, w, cap=best + 1).value)
+                best = min(best, flows.local_cut(d, w, i, cap=best + 1).value)
+        i += 1
+    return best
+
+
+def plain_is_k_connected(d, k):
+    """k full stars of capped cuts, no semidegree test and no screen."""
+    if d.n < k + 1:
+        return False
+    if k <= 0:
+        return True
+    return all(flows.local_cut(d, i, w, cap=k).value >= k
+               and flows.local_cut(d, w, i, cap=k).value >= k
+               for i in range(k) for w in range(d.n) if w != i)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 8), st.booleans(),
+       st.sampled_from([0.3, 0.6, 0.85, 0.95]))
+@settings(max_examples=120, deadline=None)
+def test_deciders_match_separator_enumeration(seed, n, semicomplete, density):
+    d = random_semicomplete(n, density, seed) if semicomplete else random_digraph(n, density, seed)
+    kappa = brute_vertex_connectivity(d)
+    assert vertex_connectivity(d) == kappa
+    for k in range(-1, n + 2):
+        assert is_k_connected(d, k) == (n >= k + 1 and kappa >= k)
+
+
+@pytest.fixture
+def cut_calls(monkeypatch):
+    """Every (u, v) handed to ``flows.local_cut``, in call order."""
+    calls = []
+    real = flows.local_cut
+
+    def counting(d, u, v, *args, **kwargs):
+        calls.append((u, v))
+        return real(d, u, v, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "local_cut", counting)
+    return calls
+
+
+def test_deciders_match_plain_star_loop(cut_calls):
+    for seed, n, p in ((1, 20, 0.6), (2, 24, 0.8), (3, 30, 0.5), (6, 40, 0.3)):
+        d = random_semicomplete(n, p, seed)
+        del cut_calls[:]
+        kappa = vertex_connectivity(d)
+        screened = len(cut_calls)
+        del cut_calls[:]
+        assert plain_vertex_connectivity(d) == kappa
+        assert screened < len(cut_calls) // 2  # the two-arc count settles pairs too
+        for k in (kappa // 2, kappa + 1):
+            assert is_k_connected(d, k) == plain_is_k_connected(d, k)
+        for k in range(1, kappa + 2):
+            assert is_k_connected(d, k) == (kappa >= k)
+
+
+def test_pinned_cut_counts(cut_calls):
+    d = near_regular_tournament(251, seed=1)
+    assert is_k_connected(d, 5) and cut_calls == []
+    adj = d.adjacency.copy()
+    flip = np.flatnonzero(adj[125])[4:]  # out-degree 4
+    adj[125, flip], adj[flip, 125] = False, True
+    assert not is_k_connected(Digraph(adj), 5) and cut_calls == []
+    r = rotational_tournament(21)
+    assert vertex_connectivity(r) == 10 and len(cut_calls) == 220
+    del cut_calls[:]
+    assert plain_vertex_connectivity(r) == 10 and len(cut_calls) == 440
+    del cut_calls[:]
+    assert is_k_connected(r, 10) and len(cut_calls) == 180
+
+
+def test_flow_invariants_survive_optimize():
+    script = """
+from semilink.digraph import Digraph, Path
+from semilink.flows import _SplitFlow, _minimal_within
+assert False, "assert statements must be stripped"
+d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
+for check in (lambda: _SplitFlow(d, [0], [2], 1).cut_certificate(),
+              lambda: _minimal_within(d, Path(d, (0, 1, 2)), {1})):
+    try:
+        check()
+    except AssertionError:
+        continue
+    raise SystemExit("invariant check skipped")
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
