@@ -28,7 +28,7 @@ from .digraph import Digraph, digraph_from_arc_list, digraph_to_arc_list
 from .dominators import (find_nearly_in_dominating, find_nearly_out_dominating,
                          nearly_in_dominating_profile,
                          nearly_out_dominating_profile)
-from .flows import FlowInfeasible, max_disjoint_paths, \
+from .flows import FlowInfeasible, is_k_connected, max_disjoint_paths, \
     min_weight_disjoint_paths, vertex_connectivity
 from .generators import GenSpec
 from .linker import (FailureReport, LinkageCertificate, LinkageInstance,
@@ -148,10 +148,9 @@ def _cmd_connectivity(args) -> int:
     t0 = time.monotonic()
     if args.sample is None:
         if args.target is not None:
-            # A threshold is decided from semidegrees and c-goodness: only
-            # pairs with no arc and fewer than target two-arc paths get a
-            # capped cut, far cheaper than the full exact value.
-            from .flows import is_k_connected
+            # A threshold runs the star search at the target itself: it stops
+            # at the first cut below target, and pairs settled by an arc or
+            # by target two-arc paths get no cut.
             ok = is_k_connected(d, args.target)
             print(_report("connectivity",
                           {"in": args.input, "mode": "exact-threshold",
@@ -336,9 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("connectivity", help="exact or sampled connectivity")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--sample", type=int, default=None,
-                   help="number of sampled ordered pairs")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--sample", type=int, default=None,
+                      help="number of sampled ordered pairs")
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_default_threads())

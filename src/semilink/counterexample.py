@@ -209,7 +209,8 @@ def build_counterexample(k: int, n: int, seed: int | None = None
     mirrors = np.arange(pos + 2 * k, pos + 3 * k)
     starts = np.arange(pos + 3 * k, pos + 4 * k)
     outlet = int(pos + 4 * k)
-    assert outlet == n - 1
+    if outlet != n - 1:
+        raise AssertionError(f"outlet {outlet} is not the last vertex {n - 1}")
 
     layout = CounterexampleLayout(k=k, n=n, l=l, track=track, core=core,
                                   relays=relays, targets=targets,
@@ -667,6 +668,8 @@ def sampled_connectivity_check(d: Digraph, target: int, pairs: int, seed: int,
     """
     if target < 1:
         raise ValueError("target must be >= 1")
+    if pairs < 1:
+        raise ValueError("pairs must be >= 1")
     sampled = list(_sample_pairs(d.n, pairs, seed))
 
     def value(pair: tuple[int, int]) -> int:
@@ -679,4 +682,4 @@ def sampled_connectivity_check(d: Digraph, target: int, pairs: int, seed: int,
     else:
         values = [value(p) for p in sampled]
     return SampledConnectivity(target, tuple(sampled), tuple(values),
-                               min(values) if values else 0)
+                               min(values))

@@ -2,9 +2,7 @@
 
 The adjacency relation is a boolean n x n matrix; ``adj[u, v]`` means the arc
 u -> v is present.  Digraphs are immutable after construction, so every query
-is pure and safe for concurrent shared reads.  Subgraph views carry an
-explicit old<->new id map (``origin``) so results computed on a view can be
-translated back to the host's ids.
+is pure and safe for concurrent shared reads.
 """
 
 from __future__ import annotations
@@ -22,10 +20,9 @@ _MAX_ORDER = 20_000
 class Digraph:
     """A simple digraph (no loops, at most one arc per ordered pair)."""
 
-    __slots__ = ("_adj", "origin")
+    __slots__ = ("_adj",)
 
-    def __init__(self, adjacency: np.ndarray, *, origin: np.ndarray | None = None,
-                 copy: bool = True):
+    def __init__(self, adjacency: np.ndarray, *, copy: bool = True):
         adj = np.asarray(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
@@ -35,10 +32,6 @@ class Digraph:
             adj = adj.copy()
         adj.setflags(write=False)
         self._adj = adj
-        if origin is not None:
-            origin = np.asarray(origin, dtype=np.int64)
-            origin.setflags(write=False)
-        self.origin = origin
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -113,20 +106,14 @@ class Digraph:
         return min(self.min_out_degree(), self.min_in_degree())
 
     def reverse(self) -> "Digraph":
-        return Digraph(self._adj.T, origin=self.origin)
+        return Digraph(self._adj.T)
 
     def induced(self, vertices: Iterable[int]) -> "Digraph":
-        """Subgraph induced on ``vertices``; new ids follow the sorted order.
-
-        The result's ``origin`` array maps each new id back to this digraph's
-        id space (composed through ``self.origin`` if this is itself a view).
-        """
+        """Subgraph induced on ``vertices``; new ids follow the sorted order."""
         ids = np.unique(np.asarray(list(vertices), dtype=np.int64))
         if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
             raise ValueError("vertex id out of range")
-        sub = self._adj[np.ix_(ids, ids)]
-        origin = ids if self.origin is None else self.origin[ids]
-        return Digraph(sub, origin=origin, copy=False)
+        return Digraph(self._adj[np.ix_(ids, ids)], copy=False)
 
     def delete(self, vertices: Iterable[int]) -> "Digraph":
         drop = set(int(v) for v in vertices)
@@ -197,7 +184,7 @@ def spanning_tournament(d: Digraph, seed: int | None = None) -> Digraph:
     """
     if not is_semicomplete(d):
         raise ValueError("spanning_tournament requires a semicomplete digraph")
-    return Digraph(_one_arc_per_pair(d.adjacency, seed), origin=d.origin, copy=False)
+    return Digraph(_one_arc_per_pair(d.adjacency, seed), copy=False)
 
 
 def _one_arc_per_pair(adj: np.ndarray, seed: int | None) -> np.ndarray:

@@ -150,8 +150,7 @@ def is_nearly_in_dominating(d: Digraph, u: int, c_max: int | None = None,
     return _profile(d, u, "in", c_max, within).is_nearly_dominating()
 
 
-def _find(d: Digraph, direction: str, within: Iterable[int] | None,
-          seed: int | None) -> int:
+def _find(d: Digraph, direction: str, within: Iterable[int] | None) -> int:
     mask = _pool_mask(d, within)
     ids = np.flatnonzero(mask)
     if ids.size == 0:
@@ -161,31 +160,30 @@ def _find(d: Digraph, direction: str, within: Iterable[int] | None,
         # operate on the reversed subgraph so that the tie rule and the
         # degree argmax match find_nearly_out_dominating(reverse(d)) exactly
         sub = sub.T
-    single = _one_arc_per_pair(sub, seed)
+    single = _one_arc_per_pair(sub, None)
     if not (single | single.T | np.eye(ids.size, dtype=bool)).all():
         raise ValueError("digraph is not semicomplete on the pool")
     degs = single.sum(axis=1)
     u = int(ids[int(np.argmax(degs))])  # argmax takes the lowest id on ties
     profile = _profile(d, u, direction, None, ids)
-    assert profile.is_nearly_dominating(), \
-        f"max-degree vertex {u} fails the nearly-{direction}-dominating check"
+    if not profile.is_nearly_dominating():
+        raise AssertionError(
+            f"max-degree vertex {u} fails the nearly-{direction}-dominating check")
     return u
 
 
-def find_nearly_out_dominating(d: Digraph, within: Iterable[int] | None = None,
-                               seed: int | None = None) -> int:
+def find_nearly_out_dominating(d: Digraph, within: Iterable[int] | None = None) -> int:
     """A nearly out-dominating vertex of a semicomplete digraph.
 
     Picks a maximum out-degree vertex of a spanning tournament (lowest id on
-    ties; ``seed`` randomizes which arc of a bidirected pair survives) and
+    ties, and each bidirected pair keeps its arc from the lower id) and
     asserts the defining property, which that choice always satisfies.
     """
-    return _find(d, "out", within, seed)
+    return _find(d, "out", within)
 
 
-def find_nearly_in_dominating(d: Digraph, within: Iterable[int] | None = None,
-                              seed: int | None = None) -> int:
-    return _find(d, "in", within, seed)
+def find_nearly_in_dominating(d: Digraph, within: Iterable[int] | None = None) -> int:
+    return _find(d, "in", within)
 
 
 def is_gamma_out_dominator(d: Digraph, v: int, members: Iterable[int], gamma: int) -> bool:

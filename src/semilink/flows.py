@@ -444,73 +444,54 @@ def _sample_pairs(n: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
             yield u, v
 
 
-def vertex_connectivity(d: Digraph) -> int:
-    """Exact vertex connectivity.
+def _smaller_cuts(d: Digraph, best: int) -> Iterator[int]:
+    """Each new minimum of ``best`` and the local cuts of Even's stars.
 
-    Runs local-cut stars from successive candidate vertices; once the first
-    kappa+1 candidates have been processed, some candidate i avoids a
-    minimum separator S, and some w has no i->w (or no w->i) path in D-S.
-    That pair has no arc, so pairs joined by an arc are never cut: no
-    separator splits them.  Distinct middles give internally disjoint
-    paths, so a pair whose two-arc count (its c-goodness score) exceeds the
-    current best cannot lower it and is skipped as well.  The best value
-    only shrinks, so every star is screened against the current one.
+    Stars run from centres 0, 1, ... while the centre is below ``best``.  A
+    separator S with |S| < best misses one of those centres i, and some w is
+    then cut from i (or i from w) in D-S; no arc joins that pair, so pairs
+    joined by an arc are never cut.  Distinct middles give internally
+    disjoint paths, so a pair's two-arc count (its c-goodness score) is at
+    most its cut value, and only pairs scoring below ``best`` get a local
+    cut capped at ``best``.  Each cut below ``best`` lowers it and is
+    yielded; the last value yielded (or ``best`` if none) is
+    min(connectivity, best).  Requires best <= d.n - 1.
     """
-    n = d.n
-    if n < 2:
-        raise ValueError("connectivity needs at least two vertices")
-    best = n - 1
-    sd = d.min_semidegree()
-    if sd < n - 1:
-        best = min(best, sd)
-    full = np.ones(n, dtype=bool)
+    full = np.ones(d.n, dtype=bool)
     i = 0
-    while i < n and i <= best:
+    while i < best:
         out = goodness_scores(d, i, "out", full)
         inn = goodness_scores(d, i, "in", full)
         # An arc scores n > best and i itself -1; best only shrinks, so the
         # star's open pairs are among those open at its start.
-        for w in np.flatnonzero((out <= best) | (inn <= best)):
+        for w in np.flatnonzero((out < best) | (inn < best)):
             if w == i:
                 continue
-            if out[w] <= best:
-                best = min(best, local_cut(d, i, w, cap=best + 1).value)
-            if inn[w] <= best:
-                best = min(best, local_cut(d, w, i, cap=best + 1).value)
-            if best == 0:
-                return 0
+            for u, v, score in ((i, w, out[w]), (w, i, inn[w])):
+                if score < best:
+                    value = local_cut(d, u, v, cap=best).value
+                    if value < best:
+                        best = value
+                        yield best
         i += 1
-    return best
+
+
+def vertex_connectivity(d: Digraph) -> int:
+    """Exact vertex connectivity: the star search started at the minimum semidegree."""
+    if d.n < 2:
+        raise ValueError("connectivity needs at least two vertices")
+    sd = d.min_semidegree()
+    return min(_smaller_cuts(d, sd), default=sd)
 
 
 def is_k_connected(d: Digraph, k: int) -> bool:
-    """True iff the digraph has at least k+1 vertices and connectivity >= k.
-
-    A vertex of out- or in-degree below k is cut off by its neighbourhood,
-    since n >= k+1.  Otherwise any separator smaller than k misses one of
-    the first k candidate vertices i, and some w is then cut from i (or i
-    from w) with no arc between them, so k stars of non-adjacent pairs
-    suffice.  A pair with at least k two-arc paths (distinct middles, so
-    internally disjoint) is k-good and needs no flow; only the rest get a
-    local cut capped at k.
-    """
-    n = d.n
-    if n < k + 1:
+    """True iff n >= k+1 and the star search at k finds no cut below k."""
+    if d.n < k + 1:
         return False
     if k <= 0:
         return True
+    # A vertex of out- or in-degree below k is cut off by its neighbourhood,
+    # since n >= k+1.
     if d.min_semidegree() < k:
         return False
-    full = np.ones(n, dtype=bool)
-    for i in range(k):
-        out = goodness_scores(d, i, "out", full)
-        inn = goodness_scores(d, i, "in", full)
-        # An arc scores n >= k+1 and i itself -1.
-        for w in np.flatnonzero((out < k) | (inn < k)):
-            if w == i:
-                continue
-            if out[w] < k and local_cut(d, i, w, cap=k).value < k:
-                return False
-            if inn[w] < k and local_cut(d, w, i, cap=k).value < k:
-                return False
-    return True
+    return next(_smaller_cuts(d, k), None) is None

@@ -226,7 +226,8 @@ def initial_path_system(d: Digraph, starts: Sequence[int], targets: Sequence[int
     """
     sinks = list(targets)
     if split.rich:
-        assert split.spare_target is not None
+        _check(split.spare_target is not None, "initial-paths",
+               "rich starts need a spare target")
         sinks.append(split.spare_target)
     system = min_weight_disjoint_paths(d, pool, sinks, count=len(sinks),
                                        forbidden=starts)
@@ -320,7 +321,7 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         if trace is not None:
             trace.add("adjust-skip", reason="no rich starts")
         return AdjustResult(deliveries, special, matched, (), (), 0)
-    assert special is not None
+    _check(special is not None, "adjust", "rich starts need the spare-target path")
     reach_union = set(split.reach_union)
     union_arr = tuple(sorted(reach_union))
 
@@ -717,6 +718,12 @@ def _hypothesis_post_mortem(d: Digraph, k: int, sample_pairs: int = 30) -> str:
 def check_hypotheses(d: Digraph, k: int, mode: str = "exact",
                      seed: int = 0) -> tuple[bool, str]:
     """Check min out-degree (exact) and (2k+1)-connectivity (exact/sampled)."""
+    if mode.startswith("sample:"):
+        pairs = int(mode.split(":", 1)[1])
+        if pairs < 1:
+            raise ValueError(f"hypothesis-check mode {mode!r} samples no pair")
+    elif mode != "exact":
+        raise ValueError(f"unknown hypothesis-check mode {mode!r}")
     need_degree = 7 * k * k + 36 * k
     degree = d.min_out_degree()
     if degree < need_degree:
@@ -726,13 +733,10 @@ def check_hypotheses(d: Digraph, k: int, mode: str = "exact",
         if not is_k_connected(d, need):
             return False, f"not {need}-connected"
         return True, f"min out-degree {degree}, {need}-connected (exact)"
-    if mode.startswith("sample:"):
-        pairs = int(mode.split(":", 1)[1])
-        for u, v in _sample_pairs(d.n, pairs, seed):
-            if local_cut(d, u, v, cap=need).value < need:
-                return False, f"pair ({u}, {v}) has cut below {need}"
-        return True, f"min out-degree {degree}, {need}-connectivity sampled ok"
-    raise ValueError(f"unknown hypothesis-check mode {mode!r}")
+    for u, v in _sample_pairs(d.n, pairs, seed):
+        if local_cut(d, u, v, cap=need).value < need:
+            return False, f"pair ({u}, {v}) has cut below {need}"
+    return True, f"min out-degree {degree}, {need}-connectivity sampled ok"
 
 
 def link(instance: LinkageInstance, check: str | None = None,

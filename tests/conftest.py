@@ -1,7 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from semilink.digraph import Digraph
+
+
+def run_optimized(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -O *args`` on this checkout's sources, where asserts are stripped."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-O", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def random_digraph(n: int, density: float, seed: int) -> Digraph:

@@ -5,6 +5,8 @@ from semilink.digraph import Digraph, digraph_from_arc_list, digraph_to_arc_list
 from semilink.generators import rotational_tournament
 from semilink.instances import adjustment_stress_instance
 
+from conftest import run_optimized
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -79,6 +81,21 @@ class TestConnectivity:
                           "--target", target)
             assert code == 2
 
+    def test_exact_and_sample_are_exclusive(self, tmp_path, capsys):
+        f = tmp_path / "r9.txt"
+        run(capsys, "gen", "--kind", "rotational", "--n", "9", "--out", str(f))
+        code, out = run(capsys, "connectivity", "--in", str(f), "--exact",
+                        "--sample", "5", "--target", "3")
+        assert code == 2 and out == ""
+
+    def test_sample_below_one_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "r9.txt"
+        run(capsys, "gen", "--kind", "rotational", "--n", "9", "--out", str(f))
+        for pairs in ("0", "-2"):
+            code, out = run(capsys, "connectivity", "--in", str(f), "--sample", pairs,
+                            "--target", "3")
+            assert code == 2 and out == ""
+
 
 class TestPaths:
     def test_minimized_paths(self, tmp_path, capsys):
@@ -146,6 +163,13 @@ class TestLink:
         assert code == 1
         assert last_json(out)["verdicts"]["step"] == "initial-paths"
 
+    def test_empty_hypothesis_sample_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "r9.txt"
+        run(capsys, "gen", "--kind", "rotational", "--n", "9", "--out", str(f))
+        code, out = run(capsys, "link", "--in", str(f), "--pairs", "0:1",
+                        "--check-hypotheses", "sample:0")
+        assert code == 2 and out == ""
+
 
 class TestOracle:
     def test_yes_and_no(self, tmp_path, capsys):
@@ -200,6 +224,12 @@ class TestAcceptSubcommand:
         assert "criterion 7" in out
         data = json.loads(report.read_text())
         assert data[0]["passed"] is True
+
+    def test_quick_criteria_under_optimize(self):
+        proc = run_optimized("-m", "semilink.cli", "accept", "--profile", "quick",
+                             "--criteria", "3,5,7,8")
+        assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+        assert proc.stdout.count("[PASS]") == 4
 
 
 class TestUsageErrors:

@@ -62,7 +62,6 @@ class TestSubgraphs:
     def test_induced_prefix_of_transitive(self):
         sub = transitive_tournament(5).induced([0, 1, 2])
         assert sub == transitive_tournament(3)
-        assert sub.origin.tolist() == [0, 1, 2]
 
     def test_delete_nothing_is_identity(self):
         d = random_tournament(8, seed=1)
@@ -76,11 +75,6 @@ class TestSubgraphs:
         d = random_digraph(9, 0.4, seed=3)
         keep = [0, 2, 4, 6]
         assert d.induced(keep) == d.delete([v for v in range(9) if v not in keep])
-
-    def test_origin_composes_through_views(self):
-        d = random_tournament(9, seed=4)
-        view = d.induced([1, 3, 5, 7]).induced([0, 2])
-        assert view.origin.tolist() == [1, 5]
 
 
 class TestDominatesSet:

@@ -13,6 +13,8 @@ from semilink.dominators import (count_two_paths, find_nearly_in_dominating,
 from semilink.generators import (random_semicomplete, random_tournament,
                                  rotational_tournament, transitive_tournament)
 
+from conftest import run_optimized
+
 
 def three_cycle():
     return Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -152,6 +154,26 @@ class TestFinders:
     def test_non_semicomplete_rejected(self):
         with pytest.raises(ValueError):
             find_nearly_out_dominating(Digraph.from_arcs(3, [(0, 1)]))
+
+    def test_failed_guarantee_survives_optimize(self):
+        script = """
+import semilink.dominators as dominators
+from semilink.generators import rotational_tournament
+assert False, "assert statements must be stripped"
+
+class Failing:
+    def is_nearly_dominating(self):
+        return False
+
+dominators._profile = lambda *args, **kwargs: Failing()
+try:
+    dominators.find_nearly_out_dominating(rotational_tournament(7))
+except AssertionError:
+    raise SystemExit(0)
+raise SystemExit("nearly-dominating check skipped")
+"""
+        proc = run_optimized("-c", script)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestGammaDominators:

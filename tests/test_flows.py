@@ -1,8 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +13,7 @@ from semilink.generators import (near_regular_tournament, random_semicomplete,
                                  transitive_tournament)
 from semilink.oracle import max_disjoint_ST_paths_bruteforce
 
-from conftest import complete_digraph, random_digraph
+from conftest import complete_digraph, random_digraph, run_optimized
 
 
 def family_path_exists(d, sources, sinks, removed):
@@ -445,11 +441,25 @@ def test_pinned_cut_counts(cut_calls):
     adj[125, flip], adj[flip, 125] = False, True
     assert not is_k_connected(Digraph(adj), 5) and cut_calls == []
     r = rotational_tournament(21)
-    assert vertex_connectivity(r) == 10 and len(cut_calls) == 220
+    assert vertex_connectivity(r) == 10 and len(cut_calls) == 180
+    searched = list(cut_calls)
     del cut_calls[:]
     assert plain_vertex_connectivity(r) == 10 and len(cut_calls) == 440
     del cut_calls[:]
-    assert is_k_connected(r, 10) and len(cut_calls) == 180
+    # both deciders run the same star search, pair for pair
+    assert is_k_connected(r, 10) and cut_calls == searched
+
+
+def test_separator_found_by_first_cut(cut_calls):
+    # Two complete digraphs on 11 vertices sharing 3: semidegree 10, kappa 3.
+    adj = np.zeros((19, 19), dtype=bool)
+    adj[:11, :11] = adj[8:, 8:] = True
+    np.fill_diagonal(adj, False)
+    d = Digraph(adj)
+    assert d.min_semidegree() == 10
+    assert not is_k_connected(d, 5) and cut_calls == [(0, 11)]
+    del cut_calls[:]
+    assert vertex_connectivity(d) == 3 and cut_calls == [(0, 11)]
 
 
 def test_flow_invariants_survive_optimize():
@@ -466,8 +476,5 @@ for check in (lambda: _SplitFlow(d, [0], [2], 1).cut_certificate(),
         continue
     raise SystemExit("invariant check skipped")
 """
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_optimized("-c", script)
     assert proc.returncode == 0, proc.stderr[-2000:]

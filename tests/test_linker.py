@@ -324,6 +324,11 @@ class TestHypothesisChecks:
         with pytest.raises(ValueError):
             check_hypotheses(complete_digraph(130), 1, "guess")
 
+    def test_sample_of_no_pairs_rejected(self):
+        for mode in ("sample:0", "sample:-4"):
+            with pytest.raises(ValueError):
+                check_hypotheses(complete_digraph(130), 1, mode)
+
     def test_link_with_upfront_check_failure(self):
         d = random_tournament(20, seed=2)
         res = link(LinkageInstance(d, ((0, 1),)), check="exact")
