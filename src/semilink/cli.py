@@ -254,7 +254,8 @@ def _cmd_link(args) -> int:
                       {"seconds": seconds},
                       {"cert": args.cert, "trace": args.trace}))
         return EXIT_OK
-    assert isinstance(outcome, FailureReport)
+    if not isinstance(outcome, FailureReport):
+        raise AssertionError(f"link returned a {type(outcome).__name__}")
     print(_report("link", {"in": args.input, "pairs": pairs},
                   {"linked": False, "step": outcome.step,
                    "reason": outcome.reason,

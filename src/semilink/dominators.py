@@ -112,6 +112,8 @@ class DominationProfile:
 
 def _profile(d: Digraph, u: int, direction: str, c_max: int | None,
              within: Iterable[int] | None) -> DominationProfile:
+    if not 0 <= u < d.n:
+        raise ValueError(f"vertex {u} out of range")
     mask = _pool_mask(d, within)
     if not mask[u]:
         raise ValueError("vertex must belong to the pool")

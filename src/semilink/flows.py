@@ -8,6 +8,10 @@ original arcs get unbounded capacity, so max flow counts vertex-disjoint
 Augmentation uses breadth-first search with numpy frontier expansion; the
 minimum-weight variant (unit cost per vertex) augments along cheapest paths
 found by Bellman-Ford relaxation followed by a BFS restricted to tight arcs.
+A vertex carries at most one unit, so the flow is stored as two per-vertex
+links (the flow arc into it and the one out of it), never as an n x n
+matrix.  A pair query first pushes all its two-arc paths u->m->v in one
+step: they are exactly the augmentations its first BFS sweeps would find.
 All tie-breaking is by lowest vertex id, so outputs are deterministic.
 Each query allocates its own scratch state, so concurrent queries over a
 shared immutable digraph are safe.
@@ -61,6 +65,14 @@ class _SplitFlow:
     terminals never use their internal arcs.  Each terminal carries at most
     ``cap`` paths: 1 for a set query, ``d.n`` (no limit) for a pair query.
     Sources and sinks come sorted, disjoint and outside ``forbidden``.
+
+    Flow arcs are kept as links: ``pred[x]`` is the tail of the flow arc
+    into x and ``succ[x]`` the head of the one out of x, -1 for none.  They
+    are exact for every vertex carrying at most one unit, which is all but
+    a pair query's source and sink; there they name the last arc pushed.
+    Arcs at those two are never cancelled (the source's out-copy is always
+    a BFS seed and the search stops at the sink's in-copy), and ``paths``
+    finds the source's arcs as ``pred == s``.
     """
 
     def __init__(self, d: Digraph, sources: Sequence[int], sinks: Sequence[int],
@@ -89,7 +101,8 @@ class _SplitFlow:
         self.passable = allowed.copy()
         self.passable[self.sources] = False
         self.passable[self.sinks] = False
-        self.arc_flow = np.zeros((n, n), dtype=bool)
+        self.pred = np.full(n, -1)
+        self.succ = np.full(n, -1)
         self.internal_flow = np.zeros(n, dtype=bool)
 
     # -- breadth-first search over the residual graph ----------------------
@@ -134,15 +147,19 @@ class _SplitFlow:
                 if idx.size:
                     par_out[idx] = idx
                     new_out |= m
+                # Backward along the flow arc into each in-copy: unique, as a
+                # pair query's sink ends the search.  Tails repeat only at a
+                # pair query's source, which is a seed.
                 cols = f_in.nonzero()[0]
-                sub = self.arc_flow[:, cols]
+                tails = self.pred[cols]
+                keep = tails >= 0
                 if tight:
-                    sub = sub & (dist_out[:, None] == dist_in[cols][None, :])
-                cand = sub.any(axis=1) & ~vis_out & ~new_out
-                ci = cand.nonzero()[0]
+                    keep &= dist_out[tails] == dist_in[cols]
+                keep[keep] = ~vis_out[tails[keep]] & ~new_out[tails[keep]]
+                ci = keep.nonzero()[0]
                 if ci.size:
-                    par_out[ci] = cols[np.argmax(sub[ci], axis=1)]
-                    new_out |= cand
+                    par_out[tails[ci]] = cols[ci]
+                    new_out[tails[ci]] = True
             if any_out:
                 rows = f_out.nonzero()[0]
                 sub = self.adj[rows]
@@ -179,22 +196,43 @@ class _SplitFlow:
             self.open_src = self.open_src[self.open_src != s]
         if self.load[t] == self.cap:
             self.open_snk = self.open_snk[self.open_snk != t]
+        pred, succ = self.pred, self.succ
         for (k1, v1), (k2, v2) in zip(seq, seq[1:]):
             if k1 == "in":
                 if v1 == v2:
                     self.internal_flow[v1] = True
                 else:
-                    self.arc_flow[v2, v1] = False
+                    # cancel v2->v1; this augmentation may already have
+                    # given v1 its new flow arc, but not v2 (visited next)
+                    if pred[v1] == v2:
+                        pred[v1] = -1
+                    succ[v2] = -1
             else:
                 if v1 == v2:
                     self.internal_flow[v1] = False
                 else:
                     # unit internal capacities keep every arc's flow at 0/1
-                    if self.arc_flow[v1, v2]:
+                    if pred[v2] == v1 or succ[v1] == v2:
                         raise AssertionError(f"arc {v1}->{v2} would carry two units")
-                    self.arc_flow[v1, v2] = True
+                    pred[v2], succ[v1] = v1, v2
 
     # -- maximum flow -------------------------------------------------------
+
+    def push_two_arc_paths(self, cap: int) -> int:
+        """Push up to ``cap`` paths s->m->t of a pair query at once, lowest m first.
+
+        With no flow yet, BFS finds these paths first and in this order: each
+        is a shortest augmenting path, and ties go to the lowest-id middle.
+        ``adj`` has no arc at a forbidden vertex, so every middle is passable.
+        """
+        (s,), (t,) = self.sources.tolist(), self.sinks.tolist()
+        mids = (self.adj[s] & self.adj[:, t]).nonzero()[0][:cap]
+        if mids.size:
+            self.pred[mids], self.succ[mids] = s, t
+            self.succ[s] = self.pred[t] = mids[-1]
+            self.internal_flow[mids] = True
+            self.load[s] = self.load[t] = mids.size
+        return mids.size
 
     def run_max(self, cap: int) -> int:
         flow = 0
@@ -231,6 +269,9 @@ class _SplitFlow:
         dist_out = np.full(n, _INF)
         dist_out[self.open_src] = 0.0
         internal_ok = self.passable & ~self.internal_flow
+        # Min-cost queries are set queries: no vertex is the tail of two flow arcs.
+        heads = (self.pred >= 0).nonzero()[0]
+        tails = self.pred[heads]
         for _ in range(2 * n + 4):
             changed = False
             cand = np.where(internal_ok, dist_in + 1, _INF)
@@ -248,7 +289,8 @@ class _SplitFlow:
             if m.any():
                 dist_in = np.minimum(dist_in, cand)
                 changed = True
-            cand = np.where(self.arc_flow, dist_in[None, :], _INF).min(axis=1)
+            cand = np.full(n, _INF)
+            cand[tails] = dist_in[heads]
             m = cand < dist_out
             if m.any():
                 dist_out = np.minimum(dist_out, cand)
@@ -275,13 +317,10 @@ class _SplitFlow:
         """Every flow path, by source and then by first vertex, lowest ids first."""
         out = []
         for s in self.sources:
-            for w in self.arc_flow[s].nonzero()[0]:
+            for w in (self.pred == s).nonzero()[0]:
                 verts = [int(s), int(w)]
-                while True:
-                    nxt = self.arc_flow[verts[-1]].nonzero()[0]
-                    if nxt.size == 0:
-                        break
-                    verts.append(int(nxt[0]))
+                while self.succ[verts[-1]] >= 0:
+                    verts.append(int(self.succ[verts[-1]]))
                 if verts[-1] not in self.load:
                     raise AssertionError("flow path must end at a sink")
                 out.append(Path(d, verts))
@@ -420,7 +459,8 @@ def local_cut(d: Digraph, u: int, v: int, cap: int | None = None,
     if inner_cap > 0:
         fl = _SplitFlow(d, (u,), (v,), d.n, forbidden)
         fl.adj[u, v] = False
-        got = fl.run_max(inner_cap)
+        got = fl.push_two_arc_paths(inner_cap)
+        got += fl.run_max(inner_cap - got)
         value += got
         paths += fl.paths(d)
         if got < inner_cap:

@@ -60,7 +60,8 @@ class _Search:
         except _Exhausted:
             return OracleAnswer("unknown", nodes_explored=self.nodes)
         if found:
-            assert self.result is not None
+            if self.result is None:
+                raise AssertionError("search succeeded without recording a linkage")
             return OracleAnswer("yes", tuple(tuple(p) for p in self.result), self.nodes)
         return OracleAnswer("no", nodes_explored=self.nodes)
 

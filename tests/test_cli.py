@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from semilink.cli import export_dot, main
 from semilink.digraph import Digraph, digraph_from_arc_list, digraph_to_arc_list
 from semilink.generators import rotational_tournament
@@ -135,6 +137,15 @@ class TestDominators:
         run(capsys, "gen", "--kind", "transitive", "--n", "5", "--out", str(f))
         code, _ = run(capsys, "dominators", "--in", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("vertex", ["-1", "5", "-6"])
+    def test_check_out_of_range_is_usage_error(self, tmp_path, capsys, vertex):
+        f = tmp_path / "tt.txt"
+        run(capsys, "gen", "--kind", "transitive", "--n", "5", "--out", str(f))
+        code = main(["dominators", "--in", str(f), "--check", vertex])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"vertex {vertex} out of range" in captured.err
 
 
 class TestLink:

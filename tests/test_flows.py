@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -365,6 +367,103 @@ def test_kernel_tie_breaks_golden():
     assert sum(1 for r in outputs if r[0] == "infeasible") > 20
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digest == "cda34d852482881513de4ee645b33370f32ba21eb27ba369d9c585757365ebd7"
+
+
+def _cut_row(r) -> tuple:
+    return (r.value, None if r.separator is None else tuple(sorted(r.separator)),
+            tuple(p.vertices for p in r.paths), r.direct_arc)
+
+
+def test_kernel_golden_at_scale():
+    d = near_regular_tournament(251, seed=5)
+    rng = np.random.Generator(np.random.PCG64(251))
+    rows = []
+    for _ in range(10):
+        u, v = (int(x) for x in rng.choice(251, size=2, replace=False))
+        fb = [int(w) for w in rng.choice(251, size=60, replace=False) if w not in (u, v)]
+        for kw in ({}, {"cap": 5}, {"forbidden": fb}):
+            rows.append(_cut_row(local_cut(d, u, v, **kw)))
+    verts = [int(x) for x in rng.permutation(251)]
+    rows.append(tuple(p.vertices for p in min_weight_disjoint_paths(
+        d, verts[:12], verts[12:24], 12)))
+    rows.append(tuple(p.vertices for p in min_weight_disjoint_paths(
+        d, verts[:6], verts[6:12], 6, forbidden=verts[200:])))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "c56f35ae7ea616985897d24b674462980462fbcddbf9b784b7ff5878de4edb44"
+
+
+def test_reference_instance_cut_golden(reference_counterexample):
+    d = reference_counterexample[0]
+    rows = [_cut_row(local_cut(d, 1500, 1123)), _cut_row(local_cut(d, 1500, 1123, cap=85))]
+    assert [r[0] for r in rows] == [756, 85]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "f41e809d60f7b4cc81fa9e723391b26dce7f2419ddcea2d2fb07d106730542f3"
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """One entry per ``_SplitFlow._bfs`` call."""
+    calls = []
+    real = flows._SplitFlow._bfs
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(flows._SplitFlow, "_bfs", counting)
+    return calls
+
+
+def test_pinned_bfs_counts(reference_counterexample, bfs_calls):
+    d = reference_counterexample[0]
+    # 377 of the 756 paths have two arcs and need no BFS; the other 379 take
+    # one each, then one BFS fails and one extracts the cut.
+    assert local_cut(d, 1500, 1123).value == 756 and len(bfs_calls) == 381
+    del bfs_calls[:]
+    assert local_cut(d, 1500, 1123, cap=85).value == 85 and bfs_calls == []
+
+
+def brute_local_cut(d, u, v, forbidden):
+    """The local_cut value by separator enumeration: a smallest set of allowed
+    non-terminals meeting every u->v path other than the arc, plus that arc."""
+    adj = d.adjacency.copy()
+    adj[u, v] = False
+    g = Digraph(adj)
+    inner = [w for w in range(d.n) if w not in (u, v) and w not in forbidden]
+    for size in range(len(inner) + 1):
+        for cand in itertools.combinations(inner, size):
+            if not family_path_exists(g, [u], [v], set(cand) | set(forbidden)):
+                return size + int(d.has_arc(u, v))
+    raise AssertionError("removing every allowed vertex must cut u from v")
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 10), st.booleans(),
+       st.sampled_from([0.3, 0.6, 0.85, 0.95]), st.integers(0, 10),
+       st.sampled_from([0.0, 0.2]))
+@settings(max_examples=150, deadline=None)
+def test_local_cut_matches_separator_enumeration(seed, n, semicomplete, density,
+                                                 cap, forbid):
+    d = random_semicomplete(n, density, seed) if semicomplete else random_digraph(n, density, seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+    fb = [w for w in range(n) if w not in (u, v) and rng.random() < forbid]
+    cap = cap or None  # 0 draws the uncapped query
+    res = local_cut(d, u, v, cap=cap, forbidden=fb)
+    with mock.patch.object(flows._SplitFlow, "push_two_arc_paths", lambda self, cap: 0):
+        plain = local_cut(d, u, v, cap=cap, forbidden=fb)
+    # the warm start changes nothing: not the flow, not the paths, not the cut
+    assert _cut_row(res) == _cut_row(plain)
+    true = brute_local_cut(d, u, v, fb)
+    assert res.value == (true if cap is None else min(cap, true))
+    assert len(res.paths) == res.value
+    interiors = [set(p.vertices[1:-1]) for p in res.paths]
+    assert len(set().union(*interiors)) == sum(map(len, interiors))
+    assert not set().union(*interiors) & set(fb)
+    if res.separator is not None:
+        assert len(res.separator) == res.value - res.direct_arc
+        adj = d.adjacency.copy()
+        adj[u, v] = False
+        assert not family_path_exists(Digraph(adj), [u], [v], res.separator | set(fb))
 
 
 # -- the goodness screen in the connectivity deciders ---------------------------
