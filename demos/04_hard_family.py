@@ -8,9 +8,11 @@ tails, and a pair of gate vertices (bypass and outlet) push the whole
 tournament's connectivity above 2k+1 while each start still reaches only
 the interior half that starves its ladder budget.
 
-Every wiring rule is independently re-checkable, and every single-arc
-mutation is caught and attributed; this script builds the reference
-instance and pokes at it.
+This script builds the reference instance (k=42, n=1764) and computes:
+the 13 wiring rules, one orientation check each, and 5 extra checks;
+the k+1 disjoint escape paths; exact cuts for 8 sampled pairs; and the
+rule that names one flipped rung arc.  That the instance is not 42-linked
+is not computed here: it follows from the paper's proof, given the rules.
 """
 
 from semilink import (build_counterexample, sampled_connectivity_check,

@@ -286,6 +286,8 @@ def _cmd_export(args) -> int:
     layout = None
     if args.layout:
         layout = CounterexampleLayout.from_json(FsPath(args.layout).read_text())
+        if layout.n != d.n:
+            raise ValueError(f"layout has {layout.n} vertices, the digraph {d.n}")
     _write(args.out, export_dot(d, layout))
     return EXIT_OK
 

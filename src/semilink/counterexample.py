@@ -22,16 +22,28 @@ tournament around a grid of k disjoint tracks of ``l + 2`` steps each
   an *outlet* vertex is fed by the whole reservoir and beats everything
   else.
 
-The verifier re-checks all thirteen wiring rules (plus the tier orders,
-reservoir regularity and track arcs) from the layout alone and reports a
-witness arc for any violation, so single-arc faults are caught and named.
+What is computed about a built instance, from its layout alone:
+
+* :func:`verify_construction_rules` checks the thirteen wiring rules of
+  ``CORE_RULES`` and the five checks of ``EXTRA_CHECKS``.  Each wiring rule
+  is one orientation check: a few blocks of the adjacency, each with the
+  orientation it must have.  A violation comes with a witness pair, so a
+  single-arc fault outside the free zones is caught and named;
+* :func:`verify_property_two` exhibits the k+1 disjoint escape paths from
+  the reservoir into the targets and the outlet;
+* :func:`sampled_connectivity_check` computes exact minimum cuts for
+  sampled vertex pairs only, which is evidence for, not a proof of,
+  (2k+1)-connectivity.
+
+That the instance is not k-linked (for the reference instance, not
+42-linked) is not computed: it follows from the paper's proof, given the
+wiring rules.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +56,7 @@ CORE_RULES = (
     "rung_order",          # each ladder rung is transitive in track order
     "ladder_descent",      # non-track ladder arcs point to strictly lower steps
     "ladder_over_mesh",    # every ladder vertex beats every mesh vertex
-    "tail_block",          # tails transitive; tails beat interiors, interiors beat heads
+    "tail_block",          # tails transitive; tails beat interiors and heads, interiors beat heads
     "grid_over_reservoir",  # interiors and tails beat the whole reservoir
     "tail_relay_split",    # tail j beats relay i iff j >= i (diagonal matching)
     "relay_target_split",  # relay j beats target i iff j >= i (diagonal matching)
@@ -174,18 +186,29 @@ class CounterexampleLayout:
 
     @classmethod
     def from_json(cls, text: str) -> "CounterexampleLayout":
+        """Parse :meth:`to_json` output; a missing key or a wrong type raises ValueError."""
         data = json.loads(text)
-        roles = data["roles"]
-        return cls(
-            k=int(data["k"]), n=int(data["n"]), l=int(data["l"]),
-            track=np.asarray(roles["tracks"], dtype=np.int64),
-            core=np.asarray(roles["core"], dtype=np.int64),
-            relays=np.asarray(roles["relays"], dtype=np.int64),
-            targets=np.asarray(roles["targets"], dtype=np.int64),
-            mirrors=np.asarray(roles["mirrors"], dtype=np.int64),
-            starts=np.asarray(roles["starts"], dtype=np.int64),
-            outlet=int(roles["outlet"]),
-        )
+        try:
+            roles = data["roles"]
+            layout = cls(
+                k=int(data["k"]), n=int(data["n"]), l=int(data["l"]),
+                track=np.asarray(roles["tracks"], dtype=np.int64),
+                core=np.asarray(roles["core"], dtype=np.int64),
+                relays=np.asarray(roles["relays"], dtype=np.int64),
+                targets=np.asarray(roles["targets"], dtype=np.int64),
+                mirrors=np.asarray(roles["mirrors"], dtype=np.int64),
+                starts=np.asarray(roles["starts"], dtype=np.int64),
+                outlet=int(roles["outlet"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"layout is missing key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"layout has a wrong type: {exc}") from None
+        lists = (layout.core, layout.relays, layout.targets, layout.mirrors, layout.starts)
+        if layout.track.ndim != 2 or any(a.ndim != 1 for a in lists) or not layout.core.size:
+            raise ValueError("layout tracks must be a list of lists, the other roles "
+                             "lists, and the core non-empty")
+        return layout
 
 
 def build_counterexample(k: int, n: int, seed: int | None = None
@@ -383,239 +406,114 @@ class ConstructionReport:
         raise KeyError(name)
 
 
-class _Checker:
-    def __init__(self, d: Digraph, layout: CounterexampleLayout):
-        self.adj = d.adjacency
-        self.lay = layout
-        self.results: list[RuleCheck] = []
-
-    def record(self, name: str, witness: RuleWitness | None) -> None:
-        self.results.append(RuleCheck(name, witness is None, witness))
-
-    def all_arcs(self, a: Iterable[int], b: Iterable[int],
-                 skip: set[tuple[int, int]] = frozenset()) -> RuleWitness | None:
-        """Expect arc u->v (and not v->u) for every u in a, v in b."""
-        a = np.atleast_1d(np.asarray(list(np.atleast_1d(a)), dtype=np.int64))
-        b = np.atleast_1d(np.asarray(list(np.atleast_1d(b)), dtype=np.int64))
-        fwd = self.adj[np.ix_(a, b)]
-        rev = self.adj[np.ix_(b, a)].T
-        bad = ~fwd | rev
-        if bad.any():
-            for ia, ib in np.argwhere(bad):
-                u, v = int(a[ia]), int(b[ib])
-                if (u, v) not in skip:
-                    return RuleWitness(u, v, f"{u}->{v} only")
-        return None
-
-    def transitive(self, ids: np.ndarray) -> RuleWitness | None:
-        """Expect arcs to follow the given order exactly."""
-        block = self.adj[np.ix_(ids, ids)]
-        want = np.triu(np.ones((ids.size, ids.size), dtype=bool), 1)
-        bad = block != want
-        np.fill_diagonal(bad, False)
-        if bad.any():
-            ia, ib = map(int, np.argwhere(bad)[0])
-            u, v = int(ids[ia]), int(ids[ib])
-            expected = f"{u}->{v} only" if want[ia, ib] else f"{v}->{u} only"
-            return RuleWitness(u, v, expected)
-        return None
-
-
 def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
                               ) -> ConstructionReport:
-    """Re-check every wiring rule from the layout; witness arcs on failure."""
+    """Re-check every wiring rule from the layout; witness arcs on failure.
+
+    Each rule, apart from ``track_paths`` and ``reservoir_regular``, is a
+    list of blocks ``(rows, cols, want)`` read by :func:`_orientation_witness`;
+    the rule's witness is the first bad pair of its first failing block.
+    """
     if d.n != layout.n:
         raise ValueError("layout does not match the digraph")
-    ch = _Checker(d, layout)
     lay = layout
     adj = d.adjacency
     k, l, half = lay.k, lay.l, lay.half
     track = lay.track
-
-    # rung_order: every interior ladder rung is transitive in track order.
-    w = None
-    for t in range(1, l + 1):
-        w = w or ch.transitive(lay.rung(t))
-    ch.record("rung_order", w)
-
-    # ladder_descent: between different interior steps of the ladder all arcs
-    # run to the lower step, except the forward track arcs.
-    w = None
-    for t in range(1, l + 1):
-        for j in range(1, t):
-            skip = set()
-            if j == t - 1:
-                skip = {(int(track[i, t]), int(track[i, j]))
-                        for i in range(half)}
-                for i in range(half):
-                    u, v = int(track[i, j]), int(track[i, t])
-                    if not adj[u, v] or adj[v, u]:
-                        w = w or RuleWitness(u, v, f"{u}->{v} only (track arc)")
-            w = w or ch.all_arcs(track[:half, t], track[:half, j], skip)
-    ch.record("ladder_descent", w)
-
-    # ladder_over_mesh, plus the mesh must be internally a tournament.
-    w = ch.all_arcs(lay.ladder(), lay.mesh())
-    w = w or _tournament_witness(adj, lay.mesh())
-    ch.record("ladder_over_mesh", w)
-
-    # tail_block: tails transitive; tails beat interiors except the last
-    # track arcs; interiors beat heads except the first track arcs; tails
-    # beat heads.
-    w = ch.transitive(lay.tails())
-    skip = {(int(track[i, l + 1]), int(track[i, l])) for i in range(k)}
-    w = w or ch.all_arcs(lay.tails(), lay.interiors(), skip)
-    for i in range(k):
-        u, v = int(track[i, l]), int(track[i, l + 1])
-        if not adj[u, v] or adj[v, u]:
-            w = w or RuleWitness(u, v, f"{u}->{v} only (track arc)")
-    skip = {(int(track[i, 1]), int(track[i, 0])) for i in range(k)}
-    w = w or ch.all_arcs(lay.interiors(), lay.heads(), skip)
-    for i in range(k):
-        u, v = int(track[i, 0]), int(track[i, 1])
-        if not adj[u, v] or adj[v, u]:
-            w = w or RuleWitness(u, v, f"{u}->{v} only (track arc)")
-    w = w or ch.all_arcs(lay.tails(), lay.heads())
-    ch.record("tail_block", w)
-
-    # grid_over_reservoir: interiors and tails beat every core vertex.
-    w = ch.all_arcs(lay.interiors(), lay.core)
-    w = w or ch.all_arcs(lay.tails(), lay.core)
-    ch.record("grid_over_reservoir", w)
-
-    ch.record("tail_relay_split",
-              _split_witness(adj, lay.tails(), lay.relays, lambda j, i: j >= i))
-    ch.record("relay_target_split",
-              _split_witness(adj, lay.relays, lay.targets, lambda j, i: j >= i))
-    ch.record("relay_mirror_split",
-              _split_witness(adj, lay.relays, lay.mirrors, lambda j, i: j < i))
-
-    w = ch.all_arcs([lay.bypass], lay.targets)
-    w = w or ch.all_arcs([lay.bypass], lay.mirrors)
-    ch.record("bypass_feed", w)
-
-    # tier_dominance: targets beat mirrors; targets and mirrors beat the
-    # grid and the reservoir minus the bypass; relays beat interiors and
-    # the reservoir.
+    tails, heads, interiors = lay.tails(), lay.heads(), lay.interiors()
     res = lay.reservoir()
-    not_bypass = res[res != lay.bypass]
-    w = ch.all_arcs(lay.targets, lay.mirrors)
-    for tier in (lay.targets, lay.mirrors):
-        w = w or ch.all_arcs(tier, lay.grid())
-        w = w or ch.all_arcs(tier, not_bypass)
-    w = w or ch.all_arcs(lay.relays, lay.interiors())
-    w = w or ch.all_arcs(lay.relays, res)
-    ch.record("tier_dominance", w)
+    everyone = np.arange(d.n)
+    idx = np.arange(k)
+    before = idx[:, None] < idx[None, :]     # row i beats col j iff i < j
+    off_diag = idx[:, None] != idx[None, :]  # False marks a track arc or a matched pair
+    off_starts = np.setdiff1d(everyone, np.concatenate([lay.starts, lay.targets]))
+    blocks = {
+        "rung_order": [(lay.rung(t), lay.rung(t), before[:half, :half])
+                       for t in range(1, l + 1)],
+        "ladder_descent": [(lay.rung(t), lay.rung(j),
+                            off_diag[:half, :half] if j == t - 1 else True)
+                           for t in range(1, l + 1) for j in range(1, t)],
+        # the ladder beats the mesh, and the mesh is a tournament
+        "ladder_over_mesh": [(lay.ladder(), lay.mesh(), True),
+                             (lay.mesh(), lay.mesh(), None)],
+        "tail_block": [(tails, tails, before)]
+        + [(tails, track[:, t], off_diag if t == l else True) for t in range(1, l + 1)]
+        + [(track[:, t], heads, off_diag if t == 1 else True) for t in range(1, l + 1)]
+        + [(tails, heads, True)],
+        "grid_over_reservoir": [(interiors, lay.core, True), (tails, lay.core, True)],
+        "tail_relay_split": [(tails, lay.relays, ~before)],
+        "relay_target_split": [(lay.relays, lay.targets, ~before)],
+        "relay_mirror_split": [(lay.relays, lay.mirrors, before)],
+        "bypass_feed": [([lay.bypass], lay.targets, True),
+                        ([lay.bypass], lay.mirrors, True)],
+        # targets beat mirrors; targets and mirrors beat the grid and the
+        # reservoir minus the bypass; relays beat interiors and the reservoir
+        "tier_dominance": [(lay.targets, lay.mirrors, True)]
+        + [(tier, part, True) for tier in (lay.targets, lay.mirrors)
+           for part in (lay.grid(), res[res != lay.bypass])]
+        + [(lay.relays, interiors, True), (lay.relays, res, True)],
+        "start_reach": [(lay.starts_front(), off_starts, np.isin(off_starts, lay.mesh())),
+                        (lay.starts_back(), off_starts, np.isin(off_starts, lay.ladder())),
+                        (lay.starts, lay.starts, None)],
+        "start_target": [(lay.starts, lay.targets, off_diag)],
+        "outlet": [(res, [lay.outlet], True),
+                   ([lay.outlet], np.setdiff1d(everyone, np.append(res, lay.outlet)),
+                    True)],
+        "tournament": [(everyone, everyone, None)],
+        "tier_orders": [(tier, tier, before) for tier in
+                        (lay.relays, lay.targets, lay.mirrors[::-1])],
+        # no arc from a ladder step j to a step t >= j + 2, heads and tails
+        # included
+        "no_forward_jump": [(lay.rung(j), lay.rung(t), False)
+                            for j in range(l + 2) for t in range(j + 2, l + 2)],
+    }
+    found = {name: next(filter(None, (_orientation_witness(adj, *b) for b in rule)), None)
+             for name, rule in blocks.items()}
 
-    # start_reach: off starts and targets, each start's out-neighbourhood is
-    # exactly its interior half; the starts induce a tournament.
-    w = None
-    off = np.ones(d.n, dtype=bool)
-    off[lay.starts] = False
-    off[lay.targets] = False
-    for pos, s in enumerate(lay.starts):
-        want = np.zeros(d.n, dtype=bool)
-        want[lay.mesh() if pos < half else lay.ladder()] = True
-        got = adj[s] & off
-        diff = got != want
-        if diff.any():
-            v = int(np.flatnonzero(diff)[0])
-            direction = f"{s}->{v} absent" if want[v] else f"{s}->{v} present"
-            w = w or RuleWitness(int(s), v, f"out-reach mismatch: {direction}")
-    w = w or _tournament_witness(adj, lay.starts)
-    ch.record("start_reach", w)
+    missing = ~adj[track[:, :-1], track[:, 1:]]
+    found["track_paths"] = None
+    if missing.any():
+        i, t = map(int, np.argwhere(missing)[0])
+        u, v = int(track[i, t]), int(track[i, t + 1])
+        found["track_paths"] = RuleWitness(u, v, f"{u}->{v} missing (track arc)")
 
-    # start_target: all arcs start->target except the matched diagonal.
-    w = None
-    block_f = adj[np.ix_(lay.starts, lay.targets)]
-    block_r = adj[np.ix_(lay.targets, lay.starts)]
-    eye = np.eye(k, dtype=bool)
-    if (block_f != ~eye).any() or (block_r != eye.T).any():
-        bad = (block_f != ~eye) | (block_r != eye.T).T
-        ia, ib = map(int, np.argwhere(bad)[0])
-        u, v = int(lay.starts[ia]), int(lay.targets[ib])
-        want = f"{v}->{u} only" if ia == ib else f"{u}->{v} only"
-        w = RuleWitness(u, v, want)
-    ch.record("start_target", w)
-
-    # outlet: the reservoir beats the outlet, the outlet beats the rest.
-    w = ch.all_arcs(res, [lay.outlet])
-    rest = np.ones(d.n, dtype=bool)
-    rest[res] = False
-    rest[lay.outlet] = False
-    w = w or ch.all_arcs([lay.outlet], np.flatnonzero(rest))
-    ch.record("outlet", w)
-
-    # Supplementary structure checks.
-    ch.record("tournament", _tournament_witness(adj, np.arange(d.n)))
-
-    w = None
-    for i in range(k):
-        for t in range(l + 1):
-            u, v = int(track[i, t]), int(track[i, t + 1])
-            if not adj[u, v]:
-                w = w or RuleWitness(u, v, f"{u}->{v} missing (track arc)")
-    ch.record("track_paths", w)
-
-    w = ch.transitive(lay.relays)
-    w = w or ch.transitive(lay.targets)
-    w = w or ch.transitive(lay.mirrors[::-1])
-    ch.record("tier_orders", w)
-
-    sub = adj[np.ix_(res, res)]
+    sub = adj[res][:, res]
     outs = sub.sum(axis=1)
     ins = sub.sum(axis=0)
-    w = None
+    found["reservoir_regular"] = None
     if not (outs == outs[0]).all() or not (ins == ins[0]).all():
         v = int(res[int(np.argmax(outs != outs[0]))])
-        w = RuleWitness(v, v, "reservoir must induce a regular tournament")
-    ch.record("reservoir_regular", w)
+        found["reservoir_regular"] = RuleWitness(
+            v, v, "reservoir must induce a regular tournament")
 
-    # no_forward_jump: no arc from a ladder step j to a step t >= j + 2,
-    # over the full range including heads and tails.
-    w = None
-    for j in range(l + 2):
-        for t in range(j + 2, l + 2):
-            block = adj[np.ix_(lay.rung(j), lay.rung(t))]
-            if block.any():
-                ia, ib = map(int, np.argwhere(block)[0])
-                u, v = int(lay.rung(j)[ia]), int(lay.rung(t)[ib])
-                w = w or RuleWitness(u, v, f"no {u}->{v} (forward jump)")
-    ch.record("no_forward_jump", w)
-
-    return ConstructionReport(tuple(ch.results))
+    return ConstructionReport(tuple(RuleCheck(name, found[name] is None, found[name])
+                                    for name in CORE_RULES + EXTRA_CHECKS))
 
 
-def _tournament_witness(adj: np.ndarray, ids: np.ndarray) -> RuleWitness | None:
-    block = adj[np.ix_(ids, ids)]
-    both = block & block.T
-    if both.any():
-        ia, ib = map(int, np.argwhere(np.triu(both, 1))[0])
-        return RuleWitness(int(ids[ia]), int(ids[ib]), "exactly one arc")
-    neither = ~(block | block.T)
-    np.fill_diagonal(neither, False)
-    if neither.any():
-        ia, ib = map(int, np.argwhere(neither)[0])
-        return RuleWitness(int(ids[ia]), int(ids[ib]), "exactly one arc")
-    return None
+def _orientation_witness(adj: np.ndarray, rows, cols, want) -> RuleWitness | None:
+    """The first pair of ``rows`` x ``cols``, row-major, oriented against ``want``.
 
-
-def _split_witness(adj: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                   fwd) -> RuleWitness | None:
-    k = rows.size
-    idx = np.arange(k)
-    want = np.zeros((k, k), dtype=bool)
-    for j in range(k):
-        want[j] = [fwd(j, i) for i in idx]
-    block_f = adj[np.ix_(rows, cols)]
-    block_r = adj[np.ix_(cols, rows)].T
-    bad = (block_f != want) | (block_r != ~want)
-    if bad.any():
-        ia, ib = map(int, np.argwhere(bad)[0])
-        u, v = int(rows[ia]), int(cols[ib])
-        direction = f"{u}->{v} only" if want[ia, ib] else f"{v}->{u} only"
-        return RuleWitness(u, v, direction)
-    return None
+    ``want[i, j]`` True asks for the arc rows[i]->cols[j] only, False for
+    cols[j]->rows[i] only, and ``want=None`` for exactly one of the two
+    arcs.  ``want`` broadcasts against the block.  A vertex is never paired
+    with itself.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    fwd = adj[rows][:, cols]
+    rev = adj[cols][:, rows].T
+    bad = fwd == rev if want is None else (fwd != want) | (rev == want)
+    _, same_r, same_c = np.intersect1d(rows, cols, return_indices=True)
+    bad[same_r, same_c] = False
+    if not bad.any():
+        return None
+    i, j = divmod(int(bad.argmax()), cols.size)
+    u, v = int(rows[i]), int(cols[j])
+    if want is None:
+        return RuleWitness(u, v, "exactly one arc")
+    if np.broadcast_to(want, bad.shape)[i, j]:
+        return RuleWitness(u, v, f"{u}->{v} only")
+    return RuleWitness(u, v, f"{v}->{u} only")
 
 
 def verify_property_two(d: Digraph, layout: CounterexampleLayout) -> PathSystem:

@@ -104,6 +104,7 @@ class _SplitFlow:
         self.pred = np.full(n, -1)
         self.succ = np.full(n, -1)
         self.internal_flow = np.zeros(n, dtype=bool)
+        self._visited = None  # in- and out-copies reached by the last BFS, if it failed
 
     # -- breadth-first search over the residual graph ----------------------
 
@@ -116,6 +117,7 @@ class _SplitFlow:
         augmenting path is a cheapest one.  The visited sets of a search that
         finds no path remain available for cut extraction.
         """
+        self._visited = None
         # Frontier tests use count_nonzero and ndarray.nonzero rather than
         # any() and flatnonzero: the latter go through Python-level wrappers
         # that cost more than the work itself on small frontiers.
@@ -185,7 +187,7 @@ class _SplitFlow:
             f_in, f_out = new_in, new_out
             any_in, any_out = np.count_nonzero(new_in) > 0, np.count_nonzero(new_out) > 0
 
-        self._vis_in, self._vis_out = vis_in, vis_out
+        self._visited = vis_in, vis_out
         return None
 
     def _augment(self, seq) -> None:
@@ -245,15 +247,15 @@ class _SplitFlow:
         return flow
 
     def cut_certificate(self) -> CutCertificate:
-        """Cut from the visited sets of a BFS that reaches no open sink.
+        """Cut from the visited sets of the last BFS, which reached no open sink.
 
         A non-terminal is cut when only its in-copy is reachable, a source
         when its out-copy is unreachable, and a sink when its in-copy is
         reachable.
         """
-        if self._bfs() is not None:
-            raise AssertionError("cut requested while an augmenting path exists")
-        vin, vout = self._vis_in, self._vis_out
+        if self._visited is None:
+            raise AssertionError("cut requested without a failed search")
+        vin, vout = self._visited
         sep = vin & ~vout
         sep[self.sources[~vout[self.sources]]] = True
         sep_ids = frozenset(int(v) for v in np.flatnonzero(sep))
@@ -304,8 +306,9 @@ class _SplitFlow:
         for achieved in range(count):
             dist_in, dist_out = self._bellman()
             if not (dist_in[self.open_snk] < _INF).any():
-                cut = self.cut_certificate()
-                raise FlowInfeasible(achieved, cut)
+                if self._bfs() is not None:
+                    raise AssertionError("cost relaxation missed an augmenting path")
+                raise FlowInfeasible(achieved, self.cut_certificate())
             seq = self._bfs(dist_in, dist_out)
             if seq is None:
                 raise AssertionError("tight BFS must reach a cheapest sink")

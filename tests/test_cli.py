@@ -215,6 +215,24 @@ class TestExport:
         code, out = run(capsys, "export", "--in", str(f))
         assert code == 0 and "0;" in out
 
+    @pytest.mark.parametrize("layout", [
+        '{"k": 42}',
+        '[1, 2, 3]',
+        '{"k": 1, "n": 3, "l": 0, "roles": [0, 1, 2]}',
+        '{"k": 1, "n": 3, "l": 0, "roles": {"tracks": [[0]], "core": 1, "relays": [],'
+        ' "targets": [], "mirrors": [], "starts": [], "outlet": 2}}',
+        '{"k": 1, "n": 3, "l": 0, "roles": {"tracks": [[0]], "core": null,'
+        ' "relays": [], "targets": [], "mirrors": [], "starts": [], "outlet": 2}}',
+        '{"k": 1, "n": 4, "l": 0, "roles": {"tracks": [[0]], "core": [1], "relays": [],'
+        ' "targets": [], "mirrors": [], "starts": [], "outlet": 2}}',
+    ])
+    def test_malformed_layout_is_usage_error(self, tmp_path, capsys, layout):
+        g, bad = tmp_path / "g.txt", tmp_path / "bad.json"
+        g.write_text("3 3\n0 1\n1 2\n2 0\n")
+        bad.write_text(layout)
+        assert main(["export", "--in", str(g), "--layout", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_clustered_by_layout(self):
         from semilink.counterexample import build_counterexample
         d, lay = build_counterexample(42, 1764)

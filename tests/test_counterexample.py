@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,9 @@ class TestRuleVerifier:
         (lambda lay: (int(lay.relays[2]), int(lay.targets[1])), "relay_target_split"),
         (lambda lay: (int(lay.relays[0]), int(lay.mirrors[2])), "relay_mirror_split"),
         (lambda lay: (int(lay.interiors()[0]), int(lay.core[0])), "grid_over_reservoir"),
+        (lambda lay: (int(lay.tails()[2]), int(lay.interiors()[5])), "tail_block"),
+        (lambda lay: (int(lay.mirrors[4]), int(lay.mirrors[1])), "tier_orders"),
+        (lambda lay: (int(lay.rung(2)[3]), int(lay.rung(0)[5])), "no_forward_jump"),
     ])
     def test_fault_injection_names_the_rule(self, reference_counterexample,
                                             mutate, rule):
@@ -104,6 +110,33 @@ class TestRuleVerifier:
         check = report.by_name(rule)
         assert not check.passed
         assert {check.witness.u, check.witness.v} == {u, v}
+
+    def test_single_flip_verdicts_golden(self, reference_counterexample):
+        # One seeded flip per unordered pair of role groups, including a
+        # group with itself; each check is pinned by its verdict and its
+        # witness pair, not by the wording of its expectation.
+        d, lay = reference_counterexample
+        groups = [lay.rung(t) for t in range(lay.l + 2)]
+        groups += [lay.track[lay.half:, t] for t in range(lay.l + 2)]
+        groups += [lay.core[lay.core != lay.bypass], lay.relays, lay.targets,
+                   lay.mirrors, lay.starts, [lay.outlet], [lay.bypass]]
+        rng = np.random.Generator(np.random.PCG64(150))
+        rows = []
+        for a, b in itertools.combinations_with_replacement(groups, 2):
+            if a is b and len(a) < 2:
+                continue
+            u, v = (int(x) for x in rng.choice(a, size=2, replace=False)) \
+                if a is b else (int(rng.choice(a)), int(rng.choice(b)))
+            mutant = d.with_flipped_arc(*((u, v) if d.has_arc(u, v) else (v, u)))
+            rows.append(tuple(
+                (c.name, c.passed,
+                 None if c.witness is None else tuple(sorted((c.witness.u, c.witness.v))))
+                for c in verify_construction_rules(mutant, lay).checks))
+        assert len(rows) == 151
+        # flips inside a free zone (the mesh interior, the starts) break no rule
+        assert sum(1 for r in rows if not all(c[1] for c in r)) == 145
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "e3decad0c00989544c116b3bc156dc998973f42570d829ae3a0ca733a5286e7d"
 
     def test_start_reach_fault(self, reference_counterexample):
         d, lay = reference_counterexample

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import itertools
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -417,8 +419,8 @@ def bfs_calls(monkeypatch):
 def test_pinned_bfs_counts(reference_counterexample, bfs_calls):
     d = reference_counterexample[0]
     # 377 of the 756 paths have two arcs and need no BFS; the other 379 take
-    # one each, then one BFS fails and one extracts the cut.
-    assert local_cut(d, 1500, 1123).value == 756 and len(bfs_calls) == 381
+    # one each, then one BFS fails and its visited sets give the cut.
+    assert local_cut(d, 1500, 1123).value == 756 and len(bfs_calls) == 380
     del bfs_calls[:]
     assert local_cut(d, 1500, 1123, cap=85).value == 85 and bfs_calls == []
 
@@ -577,3 +579,13 @@ for check in (lambda: _SplitFlow(d, [0], [2], 1).cut_certificate(),
 """
     proc = run_optimized("-c", script)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("module", sorted(
+    Path(flows.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_bare_assert_in_src(module):
+    # python -O strips assert statements, so invariants raise AssertionError
+    # explicitly instead.
+    tree = ast.parse(module.read_text(), filename=str(module))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{module.name}: bare assert on lines {lines}"
