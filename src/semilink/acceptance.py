@@ -291,8 +291,7 @@ CRITERIA: tuple[Callable[[dict], CriterionResult], ...] = (
 
 
 def run_acceptance_suite(profile: str = "full",
-                         numbers: Iterable[int] | None = None,
-                         echo: bool = True) -> list[CriterionResult]:
+                         numbers: Iterable[int] | None = None) -> list[CriterionResult]:
     """Run the selected criteria, printing one verdict line per criterion."""
     settings = PROFILES[profile]
     wanted = set(numbers) if numbers is not None else set(range(1, 9))
@@ -302,6 +301,5 @@ def run_acceptance_suite(profile: str = "full",
             continue
         res = fn(settings)
         results.append(res)
-        if echo:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

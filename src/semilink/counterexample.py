@@ -186,7 +186,11 @@ class CounterexampleLayout:
 
     @classmethod
     def from_json(cls, text: str) -> "CounterexampleLayout":
-        """Parse :meth:`to_json` output; a missing key or a wrong type raises ValueError."""
+        """Parse :meth:`to_json` output.
+
+        A missing key, a wrong type or a ``bypass`` other than ``core[0]``
+        raises ValueError.
+        """
         data = json.loads(text)
         try:
             roles = data["roles"]
@@ -208,6 +212,9 @@ class CounterexampleLayout:
         if layout.track.ndim != 2 or any(a.ndim != 1 for a in lists) or not layout.core.size:
             raise ValueError("layout tracks must be a list of lists, the other roles "
                              "lists, and the core non-empty")
+        if roles.get("bypass") != layout.bypass:
+            raise ValueError(f"layout bypass {roles.get('bypass')!r} is not "
+                             f"core[0] = {layout.bypass}")
         return layout
 
 

@@ -12,8 +12,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # Largest order the arc-list parser accepts, far above the paper's n = 1764.
-# Its adjacency matrix takes 400 MB, and each flow query allocates two more
-# matrices of that size.
+# Its adjacency matrix takes 400 MB.  Each flow query copies it once, and its
+# search blocks are boolean row subsets of that copy, never n x n floats.
 _MAX_ORDER = 20_000
 
 

@@ -6,15 +6,17 @@ original arcs get unbounded capacity, so max flow counts vertex-disjoint
 (or internally disjoint) paths and every finite cut is a set of vertices.
 
 Augmentation uses breadth-first search with numpy frontier expansion; the
-minimum-weight variant (unit cost per vertex) augments along cheapest paths
-found by Bellman-Ford relaxation followed by a BFS restricted to tight arcs.
-A vertex carries at most one unit, so the flow is stored as two per-vertex
-links (the flow arc into it and the one out of it), never as an n x n
-matrix.  A pair query first pushes all its two-arc paths u->m->v in one
-step: they are exactly the augmentations its first BFS sweeps would find.
-All tie-breaking is by lowest vertex id, so outputs are deterministic.
-Each query allocates its own scratch state, so concurrent queries over a
-shared immutable digraph are safe.
+minimum-weight variant (unit cost per vertex) augments along successive
+cheapest paths: a Bellman-Ford relaxation that follows each node copy's few
+entry arcs and takes the original arcs one distance level at a time, then a
+BFS restricted to tight arcs.  Distances are unique, so no path depends on
+the relaxation order.  A vertex carries at most one unit, so the flow is
+stored as two per-vertex links (the flow arc into it and the one out of
+it), never as an n x n matrix.  A pair query first pushes all its two-arc
+paths u->m->v in one step: they are exactly the augmentations its first BFS
+sweeps would find.  All tie-breaking is by lowest vertex id, so outputs are
+deterministic.  Each query allocates its own scratch state, so concurrent
+queries over a shared immutable digraph are safe.
 """
 
 from __future__ import annotations
@@ -266,39 +268,30 @@ class _SplitFlow:
     # -- minimum-cost flow (unit cost per vertex) ---------------------------
 
     def _bellman(self):
+        """Cheapest residual cost from the open sources to every in- and out-copy.
+
+        Min-cost queries are set queries, so ``succ`` is exact.  An out-copy
+        is entered only by its internal arc (+1, flow-free vertex) or by the
+        reverse of its one outgoing flow arc (0); an in-copy by original arcs
+        (0) or by its reversed internal arc (-1).  Each sweep derives
+        ``dist_out`` from ``dist_in`` and then ``dist_in`` from ``dist_out``,
+        relaxing original arcs one level at a time, highest first.
+        """
         n = self.n
-        dist_in = np.full(n, _INF)
-        dist_out = np.full(n, _INF)
-        dist_out[self.open_src] = 0.0
         internal_ok = self.passable & ~self.internal_flow
-        # Min-cost queries are set queries: no vertex is the tail of two flow arcs.
-        heads = (self.pred >= 0).nonzero()[0]
-        tails = self.pred[heads]
+        back = (self.succ >= 0).nonzero()[0]
+        dist_in = np.full(n, _INF)
         for _ in range(2 * n + 4):
-            changed = False
-            cand = np.where(internal_ok, dist_in + 1, _INF)
-            m = cand < dist_out
-            if m.any():
-                dist_out = np.minimum(dist_out, cand)
-                changed = True
-            cand = np.where(self.internal_flow, dist_out - 1, _INF)
-            m = cand < dist_in
-            if m.any():
-                dist_in = np.minimum(dist_in, cand)
-                changed = True
-            cand = np.where(self.adj, dist_out[:, None], _INF).min(axis=0)
-            m = cand < dist_in
-            if m.any():
-                dist_in = np.minimum(dist_in, cand)
-                changed = True
-            cand = np.full(n, _INF)
-            cand[tails] = dist_in[heads]
-            m = cand < dist_out
-            if m.any():
-                dist_out = np.minimum(dist_out, cand)
-                changed = True
-            if not changed:
+            dist_out = np.where(internal_ok, dist_in + 1, _INF)
+            dist_out[back] = dist_in[self.succ[back]]
+            dist_out[self.open_src] = 0.0
+            new_in = np.full(n, _INF)
+            for level in np.unique(dist_out[dist_out < _INF])[::-1]:
+                new_in[self.adj[dist_out == level].any(axis=0)] = level
+            new_in = np.minimum(new_in, np.where(self.internal_flow, dist_out - 1, _INF))
+            if np.array_equal(new_in, dist_in):
                 return dist_in, dist_out
+            dist_in = new_in
         raise AssertionError("cost relaxation failed to converge")
 
     def run_min_cost(self, count: int) -> None:

@@ -92,13 +92,13 @@ def bipartite_tournament(u_size: int, w_size: int, seed: int) -> Digraph:
     return Digraph(adj, copy=False)
 
 
-def near_regular_tournament(n: int, seed: int, shuffle_factor: float = 2.7) -> Digraph:
+def near_regular_tournament(n: int, seed: int) -> Digraph:
     """Random tournament whose semidegrees differ by at most one.
 
     Starts from the circulant score sequence (for even n the tie on the
     n/2 difference goes to the lower id, leaving out-degrees n/2 and
-    n/2 - 1) and randomizes with directed-triangle reversals, which
-    preserve every vertex's score exactly.
+    n/2 - 1) and randomizes with 2.7 n(n-1)/2 attempted directed-triangle
+    reversals, which preserve every vertex's score exactly.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -112,7 +112,7 @@ def near_regular_tournament(n: int, seed: int, shuffle_factor: float = 2.7) -> D
         adj |= half & (ids[:, None] < ids[None, :])
         np.fill_diagonal(adj, False)
     rng = _rng(seed)
-    attempts = int(shuffle_factor * n * (n - 1) / 2)
+    attempts = int(2.7 * n * (n - 1) / 2)
     triples = rng.integers(0, n, size=(attempts, 3))
     for a, b, c in triples:
         if a == b or b == c or a == c:

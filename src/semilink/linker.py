@@ -145,7 +145,7 @@ class TerminalSplit:
 
 
 def build_dominating_set(d: Digraph, starts: Sequence[int], targets: Sequence[int],
-                         k: int, trace: LinkerTrace | None = None) -> list[int]:
+                         k: int, trace: LinkerTrace) -> list[int]:
     """3k vertices, each nearly in-dominating in the remaining subgraph.
 
     Vertex i is found in the digraph with the terminals and the previous
@@ -160,14 +160,13 @@ def build_dominating_set(d: Digraph, starts: Sequence[int], targets: Sequence[in
         u = find_nearly_in_dominating(d, within=remaining)
         pool.append(u)
         excluded.add(u)
-    if trace is not None:
-        trace.add("dominating-pool", pool=list(pool))
+    trace.add("dominating-pool", pool=list(pool))
     return pool
 
 
 def classify_terminals(d: Digraph, starts: Sequence[int], targets: Sequence[int],
                        pool: Sequence[int], k: int,
-                       trace: LinkerTrace | None = None) -> TerminalSplit:
+                       trace: LinkerTrace) -> TerminalSplit:
     """Reach sets, rich/lean split, and the spare target inside the union.
 
     A start's reach set collects its out-neighbours (off terminals and
@@ -189,10 +188,9 @@ def classify_terminals(d: Digraph, starts: Sequence[int], targets: Sequence[int]
         union.update(reach[x])
     reach_union = tuple(sorted(union))
     spare = find_nearly_out_dominating(d, within=reach_union) if reach_union else None
-    if trace is not None:
-        trace.add("classify", reach_sizes={int(x): len(reach[x]) for x in starts},
-                  rich=list(rich), lean=list(lean), reach_union=len(reach_union),
-                  spare_target=spare)
+    trace.add("classify", reach_sizes={int(x): len(reach[x]) for x in starts},
+              rich=list(rich), lean=list(lean), reach_union=len(reach_union),
+              spare_target=spare)
     return TerminalSplit(reach, rich, lean, reach_union, spare)
 
 
@@ -215,22 +213,26 @@ def _anchored_off(d: Digraph, starts, targets, pool,
 
 
 def initial_path_system(d: Digraph, starts: Sequence[int], targets: Sequence[int],
-                        pool: Sequence[int], split: TerminalSplit,
-                        trace: LinkerTrace | None = None
+                        pool: Sequence[int], split: TerminalSplit, trace: LinkerTrace
                         ) -> tuple[dict[int, Path], Path | None]:
     """Minimum-weight disjoint paths from the pool to the targets.
 
     With rich starts present a spare target joins the sinks, giving k+1
-    paths; otherwise exactly k.  Raises FlowInfeasible (with the cut) when
-    the digraph is not connected enough.
+    paths; otherwise exactly k.  Raises LinkerCheckError carrying the cut
+    when the digraph is not connected enough.
     """
     sinks = list(targets)
     if split.rich:
         _check(split.spare_target is not None, "initial-paths",
                "rich starts need a spare target")
         sinks.append(split.spare_target)
-    system = min_weight_disjoint_paths(d, pool, sinks, count=len(sinks),
-                                       forbidden=starts)
+    try:
+        system = min_weight_disjoint_paths(d, pool, sinks, count=len(sinks),
+                                           forbidden=starts)
+    except FlowInfeasible as exc:
+        raise LinkerCheckError(
+            "initial-paths", f"only {exc.achieved} disjoint pool-to-target paths exist",
+            cut=sorted(exc.cut.separator)) from exc
     deliveries: dict[int, Path] = {}
     special: Path | None = None
     for p in system:
@@ -243,10 +245,9 @@ def initial_path_system(d: Digraph, starts: Sequence[int], targets: Sequence[int
            got=sorted(deliveries), want=sorted(targets))
     _check(special is not None or not split.rich, "initial-paths",
            "missing the spare-target path")
-    if trace is not None:
-        trace.add("initial-paths",
-                  inits=sorted(p.first for p in system),
-                  total_vertices=system.total_vertices())
+    trace.add("initial-paths",
+              inits=sorted(p.first for p in system),
+              total_vertices=system.total_vertices())
     return deliveries, special
 
 
@@ -302,7 +303,7 @@ def _validate_path_state(d: Digraph, starts, targets, pool, split,
 
 def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
                  deliveries: dict[int, Path], special: Path | None,
-                 trace: LinkerTrace | None = None) -> AdjustResult:
+                 trace: LinkerTrace) -> AdjustResult:
     """The iterative path-adjustment program.
 
     Greedily matches rich starts to fresh reachable vertices; whenever no
@@ -318,8 +319,7 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
     rounds = 0
     deliveries = dict(deliveries)
     if not split.rich:
-        if trace is not None:
-            trace.add("adjust-skip", reason="no rich starts")
+        trace.add("adjust-skip", reason="no rich starts")
         return AdjustResult(deliveries, special, matched, (), (), 0)
     _check(special is not None, "adjust", "rich starts need the spare-target path")
     reach_union = set(split.reach_union)
@@ -329,21 +329,18 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         return list(deliveries.values()) + [special]
 
     while True:
-        # Greedy matching into vertices off the path system.
-        progress = True
-        while progress:
-            progress = False
-            occupied = {v for p in qstar_paths() for v in p.vertices}
-            for x in split.rich:
-                if x in matched:
-                    continue
-                fresh = sorted(set(split.reach[x]) - occupied - stand_ins)
-                if fresh:
-                    matched[x] = fresh[0]
-                    stand_ins.add(fresh[0])
-                    if trace is not None:
-                        trace.add("match", start=int(x), stand_in=int(fresh[0]))
-                    progress = True
+        # Greedy matching into vertices off the path system.  One pass
+        # suffices: a start left unmatched saw no fresh vertex, and the
+        # paths do not change before the next reroute.
+        occupied = {v for p in qstar_paths() for v in p.vertices}
+        for x in split.rich:
+            if x in matched:
+                continue
+            fresh = sorted(set(split.reach[x]) - occupied - stand_ins)
+            if fresh:
+                matched[x] = fresh[0]
+                stand_ins.add(fresh[0])
+                trace.add("match", start=int(x), stand_in=int(fresh[0]))
         if len(matched) == len(split.rich):
             break
 
@@ -412,32 +409,27 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
             raise LinkerCheckError("adjust", f"reroute splice failed: {exc}",
                                    case_host=str(host_key)) from exc
         prev_inits = sorted(p.first for p in qstar_paths())
+        # _reroute updates deliveries only; the special path is its prefix.
         for key, path in updates.items():
-            path = reduce_to_minimal_path(d, path)
-            if key == "special":
-                special = path
-            else:
-                deliveries[key] = path
+            deliveries[key] = reduce_to_minimal_path(d, path)
         special = reduce_to_minimal_path(d, new_special)
         matched[donor] = released_holder
         stand_ins.add(released_holder)
-        if trace is not None:
-            trace.add("adjust-round", round=rounds, case=case,
-                      spare=int(spare), next_spare=int(next_spare),
-                      host="special" if host_key == "special" else int(host_key),
-                      released=int(released_holder), donor=int(donor),
-                      retired_growth=growth, retired_total=len(retired),
-                      candidates=len(cand), scope=len(scope),
-                      inits_before=prev_inits,
-                      inits_after=sorted(p.first for p in qstar_paths()))
+        trace.add("adjust-round", round=rounds, case=case,
+                  spare=int(spare), next_spare=int(next_spare),
+                  host="special" if host_key == "special" else int(host_key),
+                  released=int(released_holder), donor=int(donor),
+                  retired_growth=growth, retired_total=len(retired),
+                  candidates=len(cand), scope=len(scope),
+                  inits_before=prev_inits,
+                  inits_after=sorted(p.first for p in qstar_paths()))
         _validate_path_state(d, starts, targets, pool, split, deliveries,
                              special, matched, stand_ins, "adjust")
 
     _validate_path_state(d, starts, targets, pool, split, deliveries, special,
                          matched, stand_ins, "adjust-final")
-    if trace is not None:
-        trace.add("adjust-done", rounds=rounds,
-                  stand_ins=sorted(stand_ins), retired=len(retired))
+    trace.add("adjust-done", rounds=rounds,
+              stand_ins=sorted(stand_ins), retired=len(retired))
     return AdjustResult(deliveries, special, matched,
                         tuple(sorted(stand_ins)), tuple(sorted(retired)), rounds)
 
@@ -520,7 +512,7 @@ def _reroute(d: Digraph, deliveries: dict[int, Path], special: Path,
 
 def finalize_deliveries(d: Digraph, starts, pool, deliveries: dict[int, Path],
                         stand_ins: Iterable[int],
-                        trace: LinkerTrace | None = None) -> dict[int, Path]:
+                        trace: LinkerTrace) -> dict[int, Path]:
     """Drop the special path and shrink the deliveries to a local fixpoint.
 
     Two swap rules apply until exhaustion, each strictly reducing the total
@@ -569,16 +561,14 @@ def finalize_deliveries(d: Digraph, starts, pool, deliveries: dict[int, Path],
                     break
             if changed:
                 break
-    if trace is not None:
-        trace.add("finalize", swaps=swaps,
-                  total_vertices=sum(len(p.vertices) for p in paths.values()))
+    trace.add("finalize", swaps=swaps,
+              total_vertices=sum(len(p.vertices) for p in paths.values()))
     return paths
 
 
 def build_launches(d: Digraph, starts, targets, pool, split: TerminalSplit,
                    matched: Mapping[int, int], deliveries: Mapping[int, Path],
-                   k: int, trace: LinkerTrace | None = None
-                   ) -> dict[int, Path]:
+                   k: int, trace: LinkerTrace) -> dict[int, Path]:
     """Per start, a path of length <= 2 ending at a launch terminal.
 
     Rich starts go start -> stand-in -> pool vertex (the second hop is a
@@ -616,9 +606,8 @@ def build_launches(d: Digraph, starts, targets, pool, split: TerminalSplit,
                "launch terminal has too few anchored out-neighbours",
                start=int(x), terminal=int(terminal), count=count,
                required=25 * k)
-    if trace is not None:
-        trace.add("launches", terminals={int(x): int(p.last)
-                                         for x, p in launches.items()})
+    trace.add("launches", terminals={int(x): int(p.last)
+                                     for x, p in launches.items()})
     return launches
 
 
@@ -652,7 +641,7 @@ def _bipartite_matching(d: Digraph, left: Sequence[int], right: Sequence[int]
 
 def build_bridges(d: Digraph, pairs, launches: Mapping[int, Path],
                   deliveries: Mapping[int, Path], starts, targets, pool,
-                  k: int, trace: LinkerTrace | None = None) -> dict[int, Path]:
+                  k: int, trace: LinkerTrace) -> dict[int, Path]:
     """Connect each launch terminal to its delivery's initial vertex.
 
     Bridges have length at most 3, are built one pair at a time in pair
@@ -693,30 +682,21 @@ def build_bridges(d: Digraph, pairs, launches: Mapping[int, Path],
                start=int(x), target=int(y), **stats)
         bridges[x] = bridge
         blocked |= set(bridge.interior())
-        if trace is not None:
-            trace.add("bridge", start=int(x), target=int(y),
-                      path=list(bridge.vertices), **stats)
+        trace.add("bridge", start=int(x), target=int(y),
+                  path=list(bridge.vertices), **stats)
     return bridges
 
 
 def _hypothesis_post_mortem(d: Digraph, k: int, sample_pairs: int = 30) -> str:
     """Cheap classification of a failure: hypothesis violation vs defect."""
-    need_degree = 7 * k * k + 36 * k
-    degree = d.min_out_degree()
-    if degree < need_degree:
-        return (f"hypothesis violated: min out-degree {degree} < {need_degree}")
-    need_conn = 2 * k + 1
-    for u, v in _sample_pairs(d.n, sample_pairs, seed=0):
-        cut = local_cut(d, u, v, cap=need_conn)
-        if cut.value < need_conn:
-            return (f"hypothesis violated: pair ({u}, {v}) has cut "
-                    f"{cut.value} < {need_conn}")
+    ok, note = check_hypotheses(d, k, f"sample:{sample_pairs}")
+    if not ok:
+        return f"hypothesis violated: {note}"
     return ("hypotheses hold on sampled evidence; "
             "a failed step indicates an implementation defect")
 
 
-def check_hypotheses(d: Digraph, k: int, mode: str = "exact",
-                     seed: int = 0) -> tuple[bool, str]:
+def check_hypotheses(d: Digraph, k: int, mode: str = "exact") -> tuple[bool, str]:
     """Check min out-degree (exact) and (2k+1)-connectivity (exact/sampled)."""
     if mode.startswith("sample:"):
         pairs = int(mode.split(":", 1)[1])
@@ -733,9 +713,10 @@ def check_hypotheses(d: Digraph, k: int, mode: str = "exact",
         if not is_k_connected(d, need):
             return False, f"not {need}-connected"
         return True, f"min out-degree {degree}, {need}-connected (exact)"
-    for u, v in _sample_pairs(d.n, pairs, seed):
-        if local_cut(d, u, v, cap=need).value < need:
-            return False, f"pair ({u}, {v}) has cut below {need}"
+    for u, v in _sample_pairs(d.n, pairs, seed=0):
+        value = local_cut(d, u, v, cap=need).value
+        if value < need:
+            return False, f"pair ({u}, {v}) has cut {value} < {need}"
     return True, f"min out-degree {degree}, {need}-connectivity sampled ok"
 
 
@@ -766,15 +747,8 @@ def link(instance: LinkageInstance, check: str | None = None,
             _relabel(d, starts, targets, pool)),
             "dominating-pool", "pool must be nearly in-dominating off the terminals")
         split = classify_terminals(d, starts, targets, pool, k, trace)
-        try:
-            deliveries, special = initial_path_system(d, starts, targets, pool,
-                                                      split, trace)
-        except FlowInfeasible as exc:
-            return FailureReport(
-                "initial-paths",
-                f"only {exc.achieved} disjoint pool-to-target paths exist",
-                {"cut": sorted(exc.cut.separator)},
-                _hypothesis_post_mortem(d, k), trace)
+        deliveries, special = initial_path_system(d, starts, targets, pool,
+                                                  split, trace)
         adjusted = adjust_paths(d, starts, targets, pool, split,
                                 deliveries, special, trace)
         finals = finalize_deliveries(d, starts, pool, adjusted.deliveries,

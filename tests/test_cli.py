@@ -224,6 +224,10 @@ class TestExport:
         '{"k": 1, "n": 3, "l": 0, "roles": {"tracks": [[0]], "core": null,'
         ' "relays": [], "targets": [], "mirrors": [], "starts": [], "outlet": 2}}',
         '{"k": 1, "n": 4, "l": 0, "roles": {"tracks": [[0]], "core": [1], "relays": [],'
+        ' "targets": [], "mirrors": [], "starts": [], "bypass": 1, "outlet": 2}}',
+        '{"k": 1, "n": 3, "l": 0, "roles": {"tracks": [[0]], "core": [1], "relays": [],'
+        ' "targets": [], "mirrors": [], "starts": [], "bypass": 0, "outlet": 2}}',
+        '{"k": 1, "n": 3, "l": 0, "roles": {"tracks": [[0]], "core": [1], "relays": [],'
         ' "targets": [], "mirrors": [], "starts": [], "outlet": 2}}',
     ])
     def test_malformed_layout_is_usage_error(self, tmp_path, capsys, layout):

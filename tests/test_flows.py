@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import itertools
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -423,6 +424,108 @@ def test_pinned_bfs_counts(reference_counterexample, bfs_calls):
     assert local_cut(d, 1500, 1123).value == 756 and len(bfs_calls) == 380
     del bfs_calls[:]
     assert local_cut(d, 1500, 1123, cap=85).value == 85 and bfs_calls == []
+
+
+def four_pass_bellman(fl):
+    """Reference relaxation: four passes per sweep, one per residual arc family.
+
+    Internal arcs forward (+1) and backward (-1), original arcs (0, through
+    an n x n float matrix) and reversed flow arcs (0), until nothing changes.
+    """
+    inf, n = np.inf, fl.n
+    dist_in = np.full(n, inf)
+    dist_out = np.full(n, inf)
+    dist_out[fl.open_src] = 0.0
+    internal_ok = fl.passable & ~fl.internal_flow
+    heads = (fl.pred >= 0).nonzero()[0]
+    tails = fl.pred[heads]
+    for _ in range(2 * n + 4):
+        old = dist_in.copy(), dist_out.copy()
+        dist_out = np.minimum(dist_out, np.where(internal_ok, dist_in + 1, inf))
+        dist_in = np.minimum(dist_in, np.where(fl.internal_flow, dist_out - 1, inf))
+        dist_in = np.minimum(dist_in, np.where(fl.adj, dist_out[:, None], inf).min(axis=0))
+        cand = np.full(n, inf)
+        cand[tails] = dist_in[heads]
+        dist_out = np.minimum(dist_out, cand)
+        if np.array_equal(old[0], dist_in) and np.array_equal(old[1], dist_out):
+            return dist_in, dist_out
+    raise AssertionError("reference relaxation failed to converge")
+
+
+@given(st.integers(0, 10 ** 6), st.integers(3, 20),
+       st.sampled_from([0.05, 0.15, 0.3, 0.6, 0.9]), st.sampled_from([0.0, 0.2]),
+       st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_bellman_matches_four_pass_sweep(seed, n, density, forbid, extra):
+    d = random_digraph(n, density, seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    verts = [int(v) for v in rng.permutation(n)]
+    a = int(rng.integers(1, n // 2 + 1))
+    b = int(rng.integers(1, n - a + 1))
+    src, snk = verts[:a], verts[a:a + b]
+    fb = [w for w in verts[a + b:] if rng.random() < forbid]
+    real = flows._SplitFlow._bellman
+    calls = []
+
+    def compared(self):
+        got, want = real(self), four_pass_bellman(self)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        calls.append(None)
+        return got
+
+    # extra > 0 asks for more paths than there are terminals: infeasible
+    count = min(a, b) + extra
+    with mock.patch.object(flows._SplitFlow, "_bellman", compared):
+        try:
+            min_weight_disjoint_paths(d, src, snk, count, forbidden=fb)
+        except FlowInfeasible as exc:
+            assert exc.achieved < count
+    assert calls
+
+
+def test_min_cost_query_allocates_no_float_matrix():
+    # One query at n=1000 peaks below 5 n^2 bytes: the adjacency copy and
+    # boolean frontier blocks, no n x n float64 relaxation matrix.
+    n = 1000
+    d = random_tournament(n, seed=3)
+    verts = [int(v) for v in np.random.Generator(np.random.PCG64(3)).permutation(n)]
+    tracemalloc.start()
+    try:
+        system = min_weight_disjoint_paths(d, verts[:20], verts[20:40], 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(system) == 20
+    assert peak < 5 * n * n, peak
+
+
+@pytest.fixture
+def cancelled_internal(monkeypatch):
+    """One entry per augmenting step that cancels a vertex's internal flow."""
+    steps = []
+    real = flows._SplitFlow._augment
+
+    def counting(self, seq):
+        steps.extend(v1 for (k1, v1), (k2, v2) in zip(seq, seq[1:])
+                     if k1 == "out" and v1 == v2)
+        return real(self, seq)
+
+    monkeypatch.setattr(flows._SplitFlow, "_augment", counting)
+    return steps
+
+
+def test_augment_cancels_internal_flow(cancelled_internal):
+    # A seeded sparse digraph whose second augmenting path backs out of a
+    # vertex the first one crossed; dense inputs essentially never do this.
+    d = random_digraph(11, 0.12, 2501)
+    S, T = [6, 4], [10, 8]
+    assert max_disjoint_ST_paths_bruteforce(d, S, T) == 2
+    system, cert = max_disjoint_paths(d, S, T)
+    assert len(system) == 2 and cert is None and cancelled_internal
+    del cancelled_internal[:]
+    system = min_weight_disjoint_paths(d, S, T, 2)
+    assert len(system) == 2 and cancelled_internal
+    assert system.total_vertices() == enumerate_min_total(d, S, T, count=2)
 
 
 def brute_local_cut(d, u, v, forbidden):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,16 @@ class TestNearRegular:
     def test_deterministic(self):
         assert near_regular_tournament(21, seed=5) == \
             near_regular_tournament(21, seed=5)
+
+    @pytest.mark.parametrize("n, seed, digest", [
+        (21, 5, "0d1d6e922863b851bf5194782d99ec6524bc300b203b5c55bfc9ef87d80726a8"),
+        (30, 4, "34661863996c3a234eeea5d06fcb9d693dc41975470fd68423fa43339ec559e9"),
+        (101, 7, "8737870ac57b8c9694686a5b974c3344f8e40f7e9584585b4b128ab96f0add91"),
+        (251, 1, "92666390a3c7e4dc9fa7856438b4b7635d024eda056f120197f8ec6931d2cf97"),
+    ])
+    def test_seeded_tournaments_pinned(self, n, seed, digest):
+        adj = near_regular_tournament(n, seed=seed).adjacency
+        assert hashlib.sha256(adj.tobytes()).hexdigest() == digest
 
     def test_shuffle_changes_structure(self):
         from semilink.generators import rotational_tournament

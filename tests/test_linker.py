@@ -8,9 +8,10 @@ from semilink.generators import near_regular_tournament, random_tournament
 from semilink.instances import adjustment_stress_instance, planted_cut_instance
 from semilink.linker import (FailureReport, LinkageCertificate,
                              LinkageInstance, LinkerTrace, _bipartite_matching,
-                             _reroute, adjust_paths, build_dominating_set,
-                             check_hypotheses, classify_terminals,
-                             finalize_deliveries, initial_path_system, link)
+                             _reroute, adjust_paths, build_bridges,
+                             build_dominating_set, check_hypotheses,
+                             classify_terminals, finalize_deliveries,
+                             initial_path_system, link)
 
 from conftest import complete_digraph
 
@@ -132,6 +133,21 @@ class TestStressInstance:
         assert result.special.last in set(split.reach_union)
 
 
+class TestHardFamily:
+    def test_own_pairs_end_in_a_degree_report(self, reference_counterexample):
+        # The k=42 instance misses the degree hypothesis by two orders of
+        # magnitude; a certificate here would contradict the paper.
+        d, lay = reference_counterexample
+        inst = LinkageInstance(d, tuple(zip(lay.starts.tolist(), lay.targets.tolist())))
+        res = link(inst)
+        assert isinstance(res, FailureReport)
+        assert res.hypothesis_note == "hypothesis violated: min out-degree 104 < 13860"
+        tr = LinkerTrace()
+        res = link(inst, check="exact", trace=tr)
+        assert isinstance(res, FailureReport) and res.step == "hypothesis-check"
+        assert [e["phase"] for e in tr.events] == ["hypotheses"]
+
+
 class TestPlantedCut:
     def test_failure_carries_the_cut(self):
         d, pairs = planted_cut_instance(2)
@@ -235,12 +251,40 @@ class TestRerouteBranches:
         assert updates[23].vertices == (0, 1, 2, 22, 23)
 
 
+    def test_truncate_case(self):
+        # the next spare sits on the special path itself: keep its prefix
+        d = _mini(self.base)
+        special = Path(d, (0, 1, 2))
+        host = Path(d, (3, 4, 5, 6, 7))
+        case, new_special, updates = _reroute(
+            d, {7: host}, special, "special", special, spare=2, next_spare=1,
+            reconnect=2, stand_ins=set(), reach_union={1, 2}, k=1)
+        assert case == "truncate"
+        assert new_special.vertices == (0, 1)
+        assert updates == {}
+
+
+class TestBuildBridges:
+    def test_length_three_bridge(self):
+        # launch 0, delivery 3 -> 4: no arc 0->3, and the one middle 0->4->3
+        # lies on the delivery, so the bridge takes two middles, lowest first
+        d = Digraph.from_arcs(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 3),
+                                  (0, 6), (6, 7), (7, 3)])
+        tr = LinkerTrace()
+        bridges = build_bridges(d, [(0, 4)], {0: Path(d, (0,))}, {4: Path(d, (3, 4))},
+                                starts=[0], targets=[4], pool=[3, 5], k=1, trace=tr)
+        assert bridges[0].vertices == (0, 1, 2, 3)
+        assert tr.events == [{"phase": "bridge", "start": 0, "target": 4,
+                              "path": [0, 1, 2, 3], "anchored_out": 0,
+                              "free_middles": 0}]
+
+
 class TestFinalizeDeliveries:
     def test_one_step_swap(self):
         d = Digraph.from_arcs(6, [(0, 1), (1, 2), (2, 3), (4, 2), (4, 5)])
         paths = {3: Path(d, (0, 1, 2, 3))}
         out = finalize_deliveries(d, starts=[], pool=[0, 4], deliveries=paths,
-                                  stand_ins=[])
+                                  stand_ins=[], trace=LinkerTrace())
         assert out[3].vertices == (4, 2, 3)
 
     def test_two_step_swap(self):
@@ -248,7 +292,7 @@ class TestFinalizeDeliveries:
                                   (5, 6), (6, 3)])
         paths = {4: Path(d, (0, 1, 2, 3, 4))}
         out = finalize_deliveries(d, starts=[], pool=[0, 5], deliveries=paths,
-                                  stand_ins=[])
+                                  stand_ins=[], trace=LinkerTrace())
         assert out[4].vertices == (5, 6, 3, 4)
 
     def test_banned_middle_blocks_two_step_swap(self):
@@ -256,21 +300,22 @@ class TestFinalizeDeliveries:
                                   (5, 6), (6, 3)])
         paths = {4: Path(d, (0, 1, 2, 3, 4))}
         out = finalize_deliveries(d, starts=[], pool=[0, 5], deliveries=paths,
-                                  stand_ins=[6])
+                                  stand_ins=[6], trace=LinkerTrace())
         assert out[4].vertices == (0, 1, 2, 3, 4)
 
     def test_fixpoint_has_no_remaining_swap(self):
         d, pairs = adjustment_stress_instance()
         starts = [x for x, _ in pairs]
         targets = [y for _, y in pairs]
-        pool = build_dominating_set(d, starts, targets, 1)
-        split = classify_terminals(d, starts, targets, pool, 1)
+        tr = LinkerTrace()
+        pool = build_dominating_set(d, starts, targets, 1, tr)
+        split = classify_terminals(d, starts, targets, pool, 1, tr)
         deliveries, special = initial_path_system(d, starts, targets, pool,
-                                                  split)
+                                                  split, tr)
         result = adjust_paths(d, starts, targets, pool, split, deliveries,
-                              special)
+                              special, tr)
         finals = finalize_deliveries(d, starts, pool, result.deliveries,
-                                     result.stand_ins)
+                                     result.stand_ins, tr)
         # independent scan: no single-entry swap may remain
         occupied = {v for p in finals.values() for v in p.vertices}
         free_pool = set(pool) - occupied
