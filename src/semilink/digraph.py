@@ -113,7 +113,7 @@ class Digraph:
         ids = np.unique(np.asarray(list(vertices), dtype=np.int64))
         if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
             raise ValueError("vertex id out of range")
-        return Digraph(self._adj[np.ix_(ids, ids)], copy=False)
+        return Digraph(self._adj[ids][:, ids], copy=False)
 
     def delete(self, vertices: Iterable[int]) -> "Digraph":
         drop = set(int(v) for v in vertices)
@@ -173,7 +173,7 @@ def dominates_set(d: Digraph, a: Iterable[int], b: Iterable[int]) -> bool:
         raise ValueError("dominates_set requires disjoint sets")
     if not sa or not sb:
         return True
-    return bool(d.adjacency[np.ix_(sa, sb)].all())
+    return bool(d.adjacency[sa][:, sb].all())
 
 
 def spanning_tournament(d: Digraph, seed: int | None = None) -> Digraph:
@@ -184,27 +184,18 @@ def spanning_tournament(d: Digraph, seed: int | None = None) -> Digraph:
     """
     if not is_semicomplete(d):
         raise ValueError("spanning_tournament requires a semicomplete digraph")
-    return Digraph(_one_arc_per_pair(d.adjacency, seed), copy=False)
-
-
-def _one_arc_per_pair(adj: np.ndarray, seed: int | None) -> np.ndarray:
-    """Copy of a square adjacency matrix keeping one arc of every bidirected pair.
-
-    With ``seed=None`` the arc from the lower to the higher index survives;
-    a seed picks one of the two uniformly per pair (one PCG64 draw per pair,
-    in row-major order of the upper triangle).
-    """
-    single = adj.copy()
-    iu, iv = np.nonzero(np.triu(adj & adj.T, 1))
+    single = d.adjacency.copy()
+    iu, iv = np.nonzero(np.triu(single & single.T, 1))
     if iu.size:
         if seed is None:
             single[iv, iu] = False
         else:
+            # one PCG64 draw per pair, in row-major order of the upper triangle
             rng = np.random.Generator(np.random.PCG64(seed))
             keep_low = rng.integers(0, 2, size=iu.size).astype(bool)
             single[iv[keep_low], iu[keep_low]] = False
             single[iu[~keep_low], iv[~keep_low]] = False
-    return single
+    return Digraph(single, copy=False)
 
 
 class Path:

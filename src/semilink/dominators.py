@@ -18,14 +18,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, _one_arc_per_pair
+from .digraph import Digraph
 
 
 def _pool_mask(d: Digraph, within: Iterable[int] | None) -> np.ndarray:
     if within is None:
         return np.ones(d.n, dtype=bool)
     mask = np.zeros(d.n, dtype=bool)
-    ids = np.asarray(list(within), dtype=np.int64)
+    ids = np.asarray(within if isinstance(within, np.ndarray) else list(within),
+                     dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= d.n):
         raise ValueError("pool vertex out of range")
     mask[ids] = True
@@ -92,6 +93,17 @@ def _bad_counts(candidate_scores: np.ndarray, explicit: int) -> np.ndarray:
                            side="left")
 
 
+def _nearly_dominates(candidate_scores: np.ndarray, c_max: int) -> bool:
+    """For every c <= c_max, at most 2c candidates are not c-good.
+
+    Counting stops at the vacuity bound: once 2c reaches the number of
+    candidates the condition cannot fail.
+    """
+    explicit = min(c_max, candidate_scores.size // 2 + 1)
+    allowed = 2 * np.arange(1, explicit + 1)
+    return not (_bad_counts(candidate_scores, explicit) > allowed).any()
+
+
 @dataclass(frozen=True)
 class DominationProfile:
     """Bad-vertex counts per c for one candidate dominating vertex."""
@@ -152,23 +164,40 @@ def is_nearly_in_dominating(d: Digraph, u: int, c_max: int | None = None,
     return _profile(d, u, "in", c_max, within).is_nearly_dominating()
 
 
+def _spanning_degrees(a: np.ndarray, ids: np.ndarray, direction: str) -> np.ndarray:
+    """Out-degrees of the spanning tournament of the pool ``ids``.
+
+    Each bidirected pair keeps its arc from the lower id.  For "in" the pool
+    is read reversed, so the choice matches
+    find_nearly_out_dominating(reverse(d)) exactly.  Raises ValueError when
+    some pair of the pool has no arc.
+    """
+    p = ids.size
+    sub = a[ids][:, ids]
+    # int32 sums take half the time of int64 ones and cannot overflow here
+    rows = sub.sum(axis=1, dtype=np.int32)
+    cols = sub.sum(axis=0, dtype=np.int32)
+    both = sub & sub.T
+    del sub  # at most two p x p blocks are alive at once
+    paired = both.sum(axis=1, dtype=np.int32)
+    if (rows + cols - paired != p - 1).any():
+        raise ValueError("digraph is not semicomplete on the pool")
+    degs = rows if direction == "out" else cols
+    if paired.any():
+        both &= np.tri(p, k=-1, dtype=bool)  # a vertex loses its arcs to lower ids
+        degs = degs - both.sum(axis=1, dtype=np.int32)
+    return degs
+
+
 def _find(d: Digraph, direction: str, within: Iterable[int] | None) -> int:
     mask = _pool_mask(d, within)
     ids = np.flatnonzero(mask)
     if ids.size == 0:
         raise ValueError("empty pool")
-    sub = d.adjacency[np.ix_(ids, ids)]
-    if direction == "in":
-        # operate on the reversed subgraph so that the tie rule and the
-        # degree argmax match find_nearly_out_dominating(reverse(d)) exactly
-        sub = sub.T
-    single = _one_arc_per_pair(sub, None)
-    if not (single | single.T | np.eye(ids.size, dtype=bool)).all():
-        raise ValueError("digraph is not semicomplete on the pool")
-    degs = single.sum(axis=1)
+    degs = _spanning_degrees(d.adjacency, ids, direction)
     u = int(ids[int(np.argmax(degs))])  # argmax takes the lowest id on ties
-    profile = _profile(d, u, direction, None, ids)
-    if not profile.is_nearly_dominating():
+    scores = goodness_scores(d, u, direction, mask)
+    if not _nearly_dominates(scores[scores >= 0], d.n):
         raise AssertionError(
             f"max-degree vertex {u} fails the nearly-{direction}-dominating check")
     return u
@@ -219,16 +248,10 @@ def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int],
         raise ValueError("the set must be non-empty")
     outside = np.ones(d.n, dtype=bool)
     outside[ids] = False
-    n_out = int(outside.sum())
-    if n_out == 0:
+    if not outside.any():
         return True
     if c_max is None:
         c_max = d.n
     full = np.ones(d.n, dtype=bool)
-    explicit = min(c_max, n_out // 2 + 1)
-    allowed = 2 * np.arange(1, explicit + 1)
-    for u in ids:
-        scores = goodness_scores(d, u, "in", full)
-        if (_bad_counts(scores[outside & (scores >= 0)], explicit) > allowed).any():
-            return False
-    return True
+    return all(_nearly_dominates(goodness_scores(d, u, "in", full)[outside], c_max)
+               for u in ids)

@@ -154,12 +154,12 @@ def build_dominating_set(d: Digraph, starts: Sequence[int], targets: Sequence[in
     excluded = set(starts) | set(targets)
     if d.n < len(excluded) + 3 * k:
         raise ValueError("digraph too small to host the dominating pool")
+    remaining = np.setdiff1d(np.arange(d.n), list(excluded))
     pool: list[int] = []
     for _ in range(3 * k):
-        remaining = [v for v in range(d.n) if v not in excluded]
         u = find_nearly_in_dominating(d, within=remaining)
         pool.append(u)
-        excluded.add(u)
+        remaining = remaining[remaining != u]
     trace.add("dominating-pool", pool=list(pool))
     return pool
 

@@ -108,6 +108,10 @@ class TestSpanningTournament:
         st_ = spanning_tournament(d, seed=9)
         assert is_tournament(st_)
         assert not (st_.adjacency & ~d.adjacency).any()
+        # one PCG64 draw per pair, in row-major order of the upper triangle
+        assert sorted(st_.arcs()) == [
+            (0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
+            (2, 4), (2, 5), (3, 4), (3, 5), (4, 0), (4, 5), (5, 0)]
 
 
 class TestPaths:

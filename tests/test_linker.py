@@ -141,6 +141,9 @@ class TestHardFamily:
         inst = LinkageInstance(d, tuple(zip(lay.starts.tolist(), lay.targets.tolist())))
         res = link(inst)
         assert isinstance(res, FailureReport)
+        assert res.step == "launches"
+        assert res.details == {"start": 1721, "terminal": 1721, "count": 0,
+                               "required": 1050}
         assert res.hypothesis_note == "hypothesis violated: min out-degree 104 < 13860"
         tr = LinkerTrace()
         res = link(inst, check="exact", trace=tr)
