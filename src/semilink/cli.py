@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path as FsPath
@@ -39,13 +38,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SEMILINK_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _report(command: str, parameters: dict, verdicts: dict, timings: dict,
@@ -166,8 +158,7 @@ def _cmd_connectivity(args) -> int:
     if args.target is None:
         print("--sample requires --target", file=sys.stderr)
         return EXIT_USAGE
-    sample = sampled_connectivity_check(d, args.target, args.sample, args.seed,
-                                        threads=args.threads)
+    sample = sampled_connectivity_check(d, args.target, args.sample, args.seed)
     print(_report("connectivity",
                   {"in": args.input, "mode": "sample", "pairs": args.sample,
                    "target": args.target, "seed": args.seed},
@@ -344,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of sampled ordered pairs")
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_connectivity)
 
     p = sub.add_parser("paths", help="disjoint source-to-sink path systems")

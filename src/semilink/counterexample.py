@@ -569,22 +569,16 @@ def sampled_connectivity_check(d: Digraph, target: int, pairs: int, seed: int,
     """Exact minimum vertex cuts for randomly sampled ordered pairs.
 
     Every sampled pair's cut is computed exactly and compared against
-    ``target``; pair queries are independent and may run on a thread pool.
+    ``target``.
     """
+    # Serial only: a thread pool gained nothing, since the BFS holds the GIL.
+    if threads != 1:
+        raise ValueError("threads must be 1")
     if target < 1:
         raise ValueError("target must be >= 1")
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     sampled = list(_sample_pairs(d.n, pairs, seed))
-
-    def value(pair: tuple[int, int]) -> int:
-        return local_cut(d, pair[0], pair[1]).value
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(value, sampled))
-    else:
-        values = [value(p) for p in sampled]
+    values = [local_cut(d, u, v).value for u, v in sampled]
     return SampledConnectivity(target, tuple(sampled), tuple(values),
                                min(values))

@@ -93,13 +93,13 @@ def _bad_counts(candidate_scores: np.ndarray, explicit: int) -> np.ndarray:
                            side="left")
 
 
-def _nearly_dominates(candidate_scores: np.ndarray, c_max: int) -> bool:
-    """For every c <= c_max, at most 2c candidates are not c-good.
+def _nearly_dominates(candidate_scores: np.ndarray) -> bool:
+    """For every c, at most 2c candidates are not c-good.
 
     Counting stops at the vacuity bound: once 2c reaches the number of
     candidates the condition cannot fail.
     """
-    explicit = min(c_max, candidate_scores.size // 2 + 1)
+    explicit = candidate_scores.size // 2 + 1
     allowed = 2 * np.arange(1, explicit + 1)
     return not (_bad_counts(candidate_scores, explicit) > allowed).any()
 
@@ -197,7 +197,7 @@ def _find(d: Digraph, direction: str, within: Iterable[int] | None) -> int:
     degs = _spanning_degrees(d.adjacency, ids, direction)
     u = int(ids[int(np.argmax(degs))])  # argmax takes the lowest id on ties
     scores = goodness_scores(d, u, direction, mask)
-    if not _nearly_dominates(scores[scores >= 0], d.n):
+    if not _nearly_dominates(scores[scores >= 0]):
         raise AssertionError(
             f"max-degree vertex {u} fails the nearly-{direction}-dominating check")
     return u
@@ -236,8 +236,7 @@ def is_gamma_in_dominator(d: Digraph, v: int, members: Iterable[int], gamma: int
     return int(d.adjacency[:, v][ids].sum()) >= gamma
 
 
-def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int],
-                                c_max: int | None = None) -> bool:
+def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int]) -> bool:
     """Set-level check: every member is nearly in-dominated by the complement.
 
     For each member u and every c, at most 2c of the non-member vertices may
@@ -250,8 +249,6 @@ def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int],
     outside[ids] = False
     if not outside.any():
         return True
-    if c_max is None:
-        c_max = d.n
     full = np.ones(d.n, dtype=bool)
-    return all(_nearly_dominates(goodness_scores(d, u, "in", full)[outside], c_max)
+    return all(_nearly_dominates(goodness_scores(d, u, "in", full)[outside])
                for u in ids)

@@ -529,6 +529,8 @@ def finalize_deliveries(d: Digraph, starts, pool, deliveries: dict[int, Path],
         changed = False
         occupied = {v for p in paths.values() for v in p.vertices}
         free_pool = sorted(pool_set - occupied)
+        free = np.ones(d.n, dtype=bool)
+        free[list(occupied | banned)] = False
         for y in sorted(paths):
             p = paths[y]
             for pos in range(2, len(p.vertices)):
@@ -544,13 +546,12 @@ def finalize_deliveries(d: Digraph, starts, pool, deliveries: dict[int, Path],
                 break
             for pos in range(3, len(p.vertices)):
                 w = p.vertices[pos]
+                into_w = d.adjacency[:, w] & free
                 hop = None
                 for u in free_pool:
-                    mids = np.flatnonzero(d.adjacency[u] & d.adjacency[:, w])
-                    mids = [int(m) for m in mids
-                            if m not in occupied and m not in banned]
-                    if mids:
-                        hop = (u, mids[0])
+                    mids = np.flatnonzero(d.adjacency[u] & into_w)[:1]
+                    if mids.size:
+                        hop = (u, int(mids[0]))
                         break
                 if hop is not None:
                     u, m = hop

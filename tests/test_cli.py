@@ -98,6 +98,13 @@ class TestConnectivity:
                             "--target", "3")
             assert code == 2 and out == ""
 
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        f = tmp_path / "r9.txt"
+        run(capsys, "gen", "--kind", "rotational", "--n", "9", "--out", str(f))
+        code, out = run(capsys, "connectivity", "--in", str(f), "--sample", "2",
+                        "--target", "3", "--threads", "2")
+        assert code == 2 and out == ""
+
 
 class TestPaths:
     def test_minimized_paths(self, tmp_path, capsys):
@@ -294,13 +301,6 @@ class TestReportStability:
         _, out1 = run(capsys, "connectivity", "--in", str(f), "--exact")
         _, out2 = run(capsys, "connectivity", "--in", str(f), "--exact")
         assert strip_timings(last_json(out1)) == strip_timings(last_json(out2))
-
-    def test_threads_env_default(self, monkeypatch):
-        from semilink.cli import _default_threads
-        monkeypatch.setenv("SEMILINK_THREADS", "4")
-        assert _default_threads() == 4
-        monkeypatch.setenv("SEMILINK_THREADS", "junk")
-        assert _default_threads() == 1
 
 
 class TestCounterexampleCommand:

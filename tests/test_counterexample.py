@@ -188,11 +188,17 @@ class TestSampledConnectivity:
         assert not sample.all_ok
         assert sample.failures()
 
-    def test_threads_agree(self, reference_counterexample):
+    @pytest.mark.parametrize("threads", [2, 0])
+    def test_threads_other_than_one_rejected(self, reference_counterexample, threads):
+        d, _ = reference_counterexample
+        with pytest.raises(ValueError):
+            sampled_connectivity_check(d, target=85, pairs=3, seed=5, threads=threads)
+
+    def test_threads_one_is_the_default(self, reference_counterexample):
         d, _ = reference_counterexample
         a = sampled_connectivity_check(d, target=85, pairs=3, seed=5, threads=1)
-        b = sampled_connectivity_check(d, target=85, pairs=3, seed=5, threads=2)
-        assert a.values == b.values
+        b = sampled_connectivity_check(d, target=85, pairs=3, seed=5)
+        assert a.pairs == b.pairs and a.values == b.values
 
 
 class TestLayoutSerialisation:

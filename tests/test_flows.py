@@ -692,3 +692,18 @@ def test_no_bare_assert_in_src(module):
     tree = ast.parse(module.read_text(), filename=str(module))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{module.name}: bare assert on lines {lines}"
+
+
+@pytest.mark.parametrize("module", sorted(
+    Path(flows.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads_in_src(module):
+    # Every setting of the library is an argument; none comes from the
+    # environment.
+    tree = ast.parse(module.read_text(), filename=str(module))
+    names = ("environ", "getenv")
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             and isinstance(node.value, ast.Name) and node.value.id == "os"
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and any(alias.name in names for alias in node.names)]
+    assert lines == [], f"{module.name}: os.environ or os.getenv on lines {lines}"
