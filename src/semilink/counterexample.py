@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import Digraph, Path, PathSystem, is_tournament
-from .flows import _sample_pairs, local_cut
+from .flows import _cut_value, _sample_pairs
 
 MIN_WIDTH = 42  # smallest k for which the sizing margins of the family close
 
@@ -568,8 +568,9 @@ def sampled_connectivity_check(d: Digraph, target: int, pairs: int, seed: int,
                                threads: int = 1) -> SampledConnectivity:
     """Exact minimum vertex cuts for randomly sampled ordered pairs.
 
-    Every sampled pair's cut is computed exactly and compared against
-    ``target``.
+    Every sampled pair's cut value is computed exactly, uncapped, by the
+    phase-based value query (one layered search and one blocking flow per
+    phase, no paths built), and compared against ``target``.
     """
     # Serial only: a thread pool gained nothing, since the BFS holds the GIL.
     if threads != 1:
@@ -579,6 +580,6 @@ def sampled_connectivity_check(d: Digraph, target: int, pairs: int, seed: int,
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     sampled = list(_sample_pairs(d.n, pairs, seed))
-    values = [local_cut(d, u, v).value for u, v in sampled]
+    values = [_cut_value(d, u, v) for u, v in sampled]
     return SampledConnectivity(target, tuple(sampled), tuple(values),
                                min(values))

@@ -5,8 +5,18 @@ graph: each vertex v becomes an internal arc v_in -> v_out of capacity 1,
 original arcs get unbounded capacity, so max flow counts vertex-disjoint
 (or internally disjoint) paths and every finite cut is a set of vertices.
 
-Augmentation uses breadth-first search with numpy frontier expansion; the
-minimum-weight variant (unit cost per vertex) augments along successive
+Augmentation uses breadth-first search with numpy frontier expansion, one
+sweep per path, wherever the paths are returned.  Queries that need only a
+value (the connectivity deciders and the sampled checks) run in phases
+instead (Dinic; Even and Tarjan bound unit-capacity networks by O(sqrt n)
+phases): one BFS records the levels of the residual graph, then a
+depth-first blocking flow pushes level-increasing paths through the same
+augmentation step until none is left.  The maximum flow value is unique,
+so both give the same value; the residual reachable set is the source side
+of the minimal minimum cut whichever maximum flow is found, so the cut is
+the same too.
+
+The minimum-weight variant (unit cost per vertex) augments along successive
 cheapest paths: a Bellman-Ford relaxation that follows each node copy's few
 entry arcs and takes the original arcs one distance level at a time, then a
 BFS restricted to tight arcs.  Distances are unique, so no path depends on
@@ -110,14 +120,17 @@ class _SplitFlow:
 
     # -- breadth-first search over the residual graph ----------------------
 
-    def _bfs(self, dist_in=None, dist_out=None):
+    def _bfs(self, dist_in=None, dist_out=None, levels=None):
         """One BFS; returns the augmenting node sequence or None.
 
         The search stops at the level where it first reaches an open sink and
         takes the lowest-id one.  With dist arrays given, only cost-tight
         residual arcs are used and only the nearest open sinks count, so the
-        augmenting path is a cheapest one.  The visited sets of a search that
-        finds no path remain available for cut extraction.
+        augmenting path is a cheapest one.  With ``levels`` given (an in- and
+        an out-copy array of -1), every copy reached below the sink's level
+        gets its BFS depth there: the layered graph of a phase.  The visited
+        sets of a search that finds no path remain available for cut
+        extraction.
         """
         self._visited = None
         # Frontier tests use count_nonzero and ndarray.nonzero rather than
@@ -136,11 +149,15 @@ class _SplitFlow:
             targets = targets[reach == reach.min()]
         vis_out[seeds] = True
         par_out[seeds] = -2
+        if levels is not None:
+            levels[1][seeds] = 0
+        depth = 0
         f_in, f_out = np.zeros(n, dtype=bool), vis_out.copy()
         any_in, any_out = False, seeds.size > 0
         internal_ok = self.passable & ~self.internal_flow
 
         while any_in or any_out:
+            depth += 1
             new_in = np.zeros(n, dtype=bool)
             new_out = np.zeros(n, dtype=bool)
             if any_in:
@@ -186,6 +203,9 @@ class _SplitFlow:
                     new_in |= m
             vis_in |= new_in
             vis_out |= new_out
+            if levels is not None:
+                levels[0][new_in] = depth
+                levels[1][new_out] = depth
             f_in, f_out = new_in, new_out
             any_in, any_out = np.count_nonzero(new_in) > 0, np.count_nonzero(new_out) > 0
 
@@ -247,6 +267,106 @@ class _SplitFlow:
             self._augment(seq)
             flow += 1
         return flow
+
+    def run_phases(self, cap: int) -> int:
+        """Push up to ``cap`` paths, one blocking flow per layered search (Dinic).
+
+        Each phase is one ``_bfs`` that records the levels of the copies below
+        the sink's level, then a blocking flow over them.  The loop stops at
+        ``cap`` or at a search that reaches no open sink, whose visited sets
+        give the cut as after ``run_max``.  The value is that of ``run_max``;
+        only the paths may differ.
+        """
+        flow = 0
+        while flow < cap:
+            lev_in, lev_out = np.full(self.n, -1), np.full(self.n, -1)
+            seq = self._bfs(levels=(lev_in, lev_out))
+            if seq is None:
+                return flow
+            pushed = self._blocking_flow(lev_in, lev_out, len(seq) - 1, cap - flow)
+            if pushed == 0:
+                raise AssertionError("a phase that reached a sink pushed nothing")
+            flow += pushed
+        return flow
+
+    def _blocking_flow(self, lev_in, lev_out, top: int, cap: int) -> int:
+        """Augment along level-increasing residual paths ending at level ``top``.
+
+        Depth-first from each open source's out-copy, lowest ids first, until
+        no such path is left or ``cap`` paths are pushed.  A non-terminal copy
+        carries at most one unit per phase: it has one residual arc of
+        capacity 1 on its far side, and the arcs an augmentation reverses
+        point down a level.  So a copy is dropped once a path uses it or once
+        it proves a dead end.  The first dead end after the start or after an
+        augmentation drops at once every copy that no longer reaches an open
+        sink.
+        """
+        # A dropped copy gets level -1.
+        levels = {"in": lev_in, "out": lev_out}
+        pruned = False
+        pushed = 0
+        for s in self.open_src.tolist():
+            stack = [("out", s)]
+            while pushed < cap and self.load.get(s, 0) < self.cap:
+                kind, v = stack[-1]
+                step = self._level_step(kind, v, len(stack) - 1, top, lev_in, lev_out)
+                if step is None:
+                    if not pruned:
+                        self._prune(lev_in, lev_out, top)
+                        pruned = True
+                    elif len(stack) == 1:
+                        break
+                    else:
+                        stack.pop()
+                        levels[kind][v] = -1
+                    continue
+                stack.append(step)
+                if len(stack) - 1 == top:
+                    self._augment(stack)
+                    pushed += 1
+                    for kind, v in stack[1:-1]:
+                        levels[kind][v] = -1
+                    stack = stack[:1]
+                    pruned = False
+        return pushed
+
+    def _prune(self, lev_in, lev_out, top: int) -> None:
+        """Drop every copy below level ``top`` that reaches no open sink.
+
+        One backward pass, level by level.  Arcs this phase reversed point
+        down a level, and arcs it saturated leave dropped copies only, so the
+        current flow links stand in for the phase's level graph.
+        """
+        fwd = self.passable & ~self.internal_flow
+        back = self.pred >= 0
+        good_in = np.zeros(self.n, dtype=bool)
+        good_in[self.open_snk] = True
+        good_out = np.zeros(self.n, dtype=bool)
+        for level in range(top - 1, -1, -1):
+            rows = (lev_out == level).nonzero()[0]
+            keep = self.adj[rows][:, good_in].any(axis=1)
+            keep |= self.internal_flow[rows] & good_in[rows]
+            lev_out[rows[~keep]] = -1
+            at = lev_in == level
+            good_in = at & ((fwd & good_out) | (back & good_out[self.pred]))
+            lev_in[at & ~good_in] = -1
+            good_out = lev_out == level
+
+    def _level_step(self, kind: str, v: int, level: int, top: int, lev_in, lev_out):
+        """The lowest-id residual arc from ``(kind, v)`` to a live copy a level up."""
+        if kind == "in":
+            # forward along a free internal arc, else back along the flow arc in
+            w = v if self.passable[v] and not self.internal_flow[v] else int(self.pred[v])
+            return ("out", w) if w >= 0 and lev_out[w] == level + 1 else None
+        if level + 1 == top:
+            hit = self.open_snk[self.adj[v, self.open_snk]]
+            return ("in", int(hit[0])) if hit.size else None
+        # original arcs, or back along the internal arc
+        row = self.adj[v] & (lev_in == level + 1)
+        if self.internal_flow[v] and lev_in[v] == level + 1:
+            row[v] = True
+        w = int(row.argmax())
+        return ("in", w) if row[w] else None
 
     def cut_certificate(self) -> CutCertificate:
         """Cut from the visited sets of the last BFS, which reached no open sink.
@@ -434,6 +554,30 @@ def _minimal_within(d: Digraph, p: Path, forbidden: set[int]) -> Path:
     return reduce_to_minimal_path(d, p)
 
 
+def _pair_flow(d: Digraph, u: int, v: int, cap: int | None,
+               forbidden: Iterable[int] = ()) -> tuple[bool, int, int, _SplitFlow | None]:
+    """The set-up shared by the pair queries: ``(direct, budget, pushed, flow)``.
+
+    The arc u->v, if present, is removed and counted apart (``direct``).
+    ``budget`` is what is left of ``cap`` for the other paths, and the flow
+    (None when that is nothing) has its two-arc paths, ``pushed`` of them,
+    in place.
+    """
+    if u == v:
+        raise ValueError("local_cut requires distinct vertices")
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1")
+    forbidden = list(forbidden)
+    (u,), (v,) = _validate_terminals(d, (u,), (v,), forbidden)
+    direct = d.has_arc(u, v)
+    budget = d.n if cap is None else cap - direct
+    if budget == 0:
+        return direct, budget, 0, None
+    fl = _SplitFlow(d, (u,), (v,), d.n, forbidden)
+    fl.adj[u, v] = False
+    return direct, budget, fl.push_two_arc_paths(budget), fl
+
+
 def local_cut(d: Digraph, u: int, v: int, cap: int | None = None,
               forbidden: Iterable[int] = ()) -> LocalCut:
     """Maximum internally disjoint u->v paths and the matching vertex cut.
@@ -442,26 +586,27 @@ def local_cut(d: Digraph, u: int, v: int, cap: int | None = None,
     by one (``direct_arc`` is set).  With ``cap`` given, augmentation stops
     early and no separator is reported once ``cap`` is reached.
     """
-    if u == v:
-        raise ValueError("local_cut requires distinct vertices")
-    forbidden = list(forbidden)
-    (u,), (v,) = _validate_terminals(d, (u,), (v,), forbidden)
-    direct = d.has_arc(u, v)
-    bonus = 1 if direct else 0
-    value = bonus
-    paths = [Path(d, (u, v))] if direct else []
+    direct, budget, got, fl = _pair_flow(d, u, v, cap, forbidden)
+    paths = [Path(d, (int(u), int(v)))] if direct else []
     separator = None
-    inner_cap = d.n if cap is None else max(cap - bonus, 0)
-    if inner_cap > 0:
-        fl = _SplitFlow(d, (u,), (v,), d.n, forbidden)
-        fl.adj[u, v] = False
-        got = fl.push_two_arc_paths(inner_cap)
-        got += fl.run_max(inner_cap - got)
-        value += got
+    if fl is not None:
+        got += fl.run_max(budget - got)
         paths += fl.paths(d)
-        if got < inner_cap:
+        if got < budget:
             separator = fl.cut_certificate().separator
-    return LocalCut(value, separator, tuple(paths), direct)
+    return LocalCut(direct + got, separator, tuple(paths), direct)
+
+
+def _cut_value(d: Digraph, u: int, v: int, cap: int | None = None) -> int:
+    """``local_cut(d, u, v, cap).value``, found in phases, with no paths or cut.
+
+    The maximum flow value is unique and a capped value is min(it, cap), so
+    the phases change no value.
+    """
+    direct, budget, got, fl = _pair_flow(d, u, v, cap)
+    if fl is not None:
+        got += fl.run_phases(budget - got)
+    return direct + got
 
 
 def _sample_pairs(n: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
@@ -505,7 +650,7 @@ def _smaller_cuts(d: Digraph, best: int) -> Iterator[int]:
                 continue
             for u, v, score in ((i, w, out[w]), (w, i, inn[w])):
                 if score < best:
-                    value = local_cut(d, u, v, cap=best).value
+                    value = _cut_value(d, u, v, cap=best)
                     if value < best:
                         best = value
                         yield best

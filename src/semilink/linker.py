@@ -34,7 +34,7 @@ from .certificates import CertificateError, verify_linkage_certificate
 from .digraph import Digraph, Path, PathSystem, is_semicomplete, reduce_to_minimal_path
 from .dominators import find_nearly_in_dominating, find_nearly_out_dominating, \
     goodness_scores, is_nearly_in_dominating_set
-from .flows import FlowInfeasible, _sample_pairs, is_k_connected, local_cut, \
+from .flows import FlowInfeasible, _cut_value, _sample_pairs, is_k_connected, \
     min_weight_disjoint_paths
 
 
@@ -715,7 +715,7 @@ def check_hypotheses(d: Digraph, k: int, mode: str = "exact") -> tuple[bool, str
             return False, f"not {need}-connected"
         return True, f"min out-degree {degree}, {need}-connected (exact)"
     for u, v in _sample_pairs(d.n, pairs, seed=0):
-        value = local_cut(d, u, v, cap=need).value
+        value = _cut_value(d, u, v, cap=need)
         if value < need:
             return False, f"pair ({u}, {v}) has cut {value} < {need}"
     return True, f"min out-degree {degree}, {need}-connectivity sampled ok"

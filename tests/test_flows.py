@@ -426,6 +426,16 @@ def test_pinned_bfs_counts(reference_counterexample, bfs_calls):
     assert local_cut(d, 1500, 1123, cap=85).value == 85 and bfs_calls == []
 
 
+def test_pinned_phase_counts(reference_counterexample, bfs_calls):
+    d = reference_counterexample[0]
+    # After the same 377 two-arc paths, the other 379 take three layered
+    # searches, each with its blocking flow; the fourth search fails.
+    assert flows._cut_value(d, 1500, 1123) == 756 and len(bfs_calls) == 4
+    del bfs_calls[:]
+    # 426 two-arc paths, then all 330 others in one phase.
+    assert flows._cut_value(d, 901, 475) == 756 and len(bfs_calls) == 2
+
+
 def four_pass_bellman(fl):
     """Reference relaxation: four passes per sweep, one per residual arc family.
 
@@ -571,6 +581,37 @@ def test_local_cut_matches_separator_enumeration(seed, n, semicomplete, density,
         assert not family_path_exists(Digraph(adj), [u], [v], res.separator | set(fb))
 
 
+@given(st.integers(0, 10 ** 6), st.integers(2, 10), st.booleans(),
+       st.sampled_from([0.15, 0.3, 0.6, 0.85, 0.95]), st.integers(0, 10))
+@settings(max_examples=150, deadline=None)
+def test_cut_value_matches_local_cut_and_enumeration(seed, n, semicomplete, density, cap):
+    d = random_semicomplete(n, density, seed) if semicomplete else random_digraph(n, density, seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+    cap = cap or None  # 0 draws the uncapped query
+    true = brute_local_cut(d, u, v, [])
+    want = true if cap is None else min(cap, true)
+    ref = local_cut(d, u, v, cap=cap)
+    assert flows._cut_value(d, u, v, cap=cap) == ref.value == want
+    # without the warm start the phases do all the work; the failing search
+    # leaves the same cut as the BFS kernel's
+    with mock.patch.object(flows._SplitFlow, "push_two_arc_paths", lambda self, cap: 0):
+        direct, budget, got, fl = flows._pair_flow(d, u, v, cap)
+        if fl is not None:
+            got += fl.run_phases(budget)
+            if got < budget:
+                assert fl.cut_certificate().separator == ref.separator
+        assert direct + got == want
+
+
+@pytest.mark.parametrize("query", [local_cut, flows._cut_value])
+def test_cap_below_one_rejected(query):
+    d = complete_digraph(4)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="cap"):
+            query(d, 0, 1, cap=cap)
+
+
 # -- the goodness screen in the connectivity deciders ---------------------------
 
 def plain_vertex_connectivity(d):
@@ -610,15 +651,18 @@ def test_deciders_match_separator_enumeration(seed, n, semicomplete, density):
 
 @pytest.fixture
 def cut_calls(monkeypatch):
-    """Every (u, v) handed to ``flows.local_cut``, in call order."""
+    """Every (u, v) handed to ``flows.local_cut`` or ``flows._cut_value``, in
+    call order: the deciders cut through the latter, the plain star loops
+    through the former."""
     calls = []
-    real = flows.local_cut
+    for name in ("local_cut", "_cut_value"):
+        real = getattr(flows, name)
 
-    def counting(d, u, v, *args, **kwargs):
-        calls.append((u, v))
-        return real(d, u, v, *args, **kwargs)
+        def counting(d, u, v, *args, real=real, **kwargs):
+            calls.append((u, v))
+            return real(d, u, v, *args, **kwargs)
 
-    monkeypatch.setattr(flows, "local_cut", counting)
+        monkeypatch.setattr(flows, name, counting)
     return calls
 
 
@@ -672,8 +716,11 @@ from semilink.digraph import Digraph, Path
 from semilink.flows import _SplitFlow, _minimal_within
 assert False, "assert statements must be stripped"
 d = Digraph.from_arcs(3, [(0, 1), (1, 2)])
+stuck = _SplitFlow(d, [0], [2], d.n)
+stuck._blocking_flow = lambda *args: 0
 for check in (lambda: _SplitFlow(d, [0], [2], 1).cut_certificate(),
-              lambda: _minimal_within(d, Path(d, (0, 1, 2)), {1})):
+              lambda: _minimal_within(d, Path(d, (0, 1, 2)), {1}),
+              lambda: stuck.run_phases(1)):
     try:
         check()
     except AssertionError:

@@ -3,7 +3,7 @@ import pytest
 
 from semilink.certificates import CertificateError, verify_linkage_certificate
 from semilink.digraph import Digraph, Path
-from semilink.flows import local_cut
+from semilink.flows import _cut_value
 from semilink.generators import near_regular_tournament, random_tournament
 from semilink.instances import adjustment_stress_instance, planted_cut_instance
 from semilink.linker import (FailureReport, LinkageCertificate,
@@ -361,9 +361,9 @@ class TestHypothesisChecks:
 
         def counting_cut(d, u, v, **kwargs):
             calls.append((u, v))
-            return local_cut(d, u, v, **kwargs)
+            return _cut_value(d, u, v, **kwargs)
 
-        monkeypatch.setattr(linker, "local_cut", counting_cut)
+        monkeypatch.setattr(linker, "_cut_value", counting_cut)
         note = linker._hypothesis_post_mortem(complete_digraph(50), 1, sample_pairs=200)
         assert "hold" in note
         assert len(calls) == 200 and all(u != v for u, v in calls)
