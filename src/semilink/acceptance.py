@@ -294,7 +294,11 @@ def run_acceptance_suite(profile: str = "full",
                          numbers: Iterable[int] | None = None) -> list[CriterionResult]:
     """Run the selected criteria, printing one verdict line per criterion."""
     settings = PROFILES[profile]
-    wanted = set(numbers) if numbers is not None else set(range(1, 9))
+    known = set(range(1, len(CRITERIA) + 1))
+    wanted = set(numbers) if numbers is not None else known
+    if wanted - known:
+        raise ValueError(f"unknown criterion numbers {sorted(wanted - known)}; "
+                         f"expected 1..{len(CRITERIA)}")
     results = []
     for idx, fn in enumerate(CRITERIA, start=1):
         if idx not in wanted:

@@ -29,7 +29,7 @@ from .dominators import (find_nearly_in_dominating, find_nearly_out_dominating,
                          nearly_out_dominating_profile)
 from .flows import FlowInfeasible, is_k_connected, max_disjoint_paths, \
     min_weight_disjoint_paths, vertex_connectivity
-from .generators import GenSpec
+from .generators import _KINDS, GenSpec
 from .linker import (FailureReport, LinkageCertificate, LinkageInstance,
                      LinkerCheckError, LinkerTrace, link)
 from .oracle import OracleBudget, exists_disjoint_linkage
@@ -304,10 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a structured or random digraph")
-    p.add_argument("--kind", required=True,
-                   choices=["transitive", "rotational", "random_tournament",
-                            "random_semicomplete", "bipartite_tournament",
-                            "near_regular"])
+    p.add_argument("--kind", required=True, choices=list(_KINDS))
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--u-size", type=int, default=0)
     p.add_argument("--w-size", type=int, default=0)

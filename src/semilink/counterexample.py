@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, Path, PathSystem, is_tournament
+from .digraph import Digraph, Path, PathSystem, _check_order, is_tournament
 from .flows import _cut_value, _sample_pairs
 
 MIN_WIDTH = 42  # smallest k for which the sizing margins of the family close
@@ -81,6 +81,7 @@ class CounterexampleParams:
     def __post_init__(self):
         if self.k < MIN_WIDTH:
             raise ValueError(f"k must be >= {MIN_WIDTH}")
+        _check_order(self.n)
         if self.n < self.k * self.k:
             raise ValueError("n must be >= k*k")
         if self.reservoir_size % 2 == 0:

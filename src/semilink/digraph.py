@@ -332,6 +332,12 @@ def reduce_to_minimal_path(d: Digraph, p: Path) -> Path:
     return Path(d, verts)
 
 
+def _check_order(n: int) -> None:
+    """Reject orders above ``_MAX_ORDER``, before anything of order n is built."""
+    if n > _MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the supported maximum {_MAX_ORDER}")
+
+
 def digraph_from_arc_list(text: str) -> Digraph:
     """Parse the arc-list format: first line ``n m``, then m lines ``u v``.
 
@@ -348,8 +354,7 @@ def digraph_from_arc_list(text: str) -> Digraph:
     n, m = int(head[0]), int(head[1])
     if n < 0 or m < 0:
         raise ValueError("negative n or m")
-    if n > _MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the supported maximum {_MAX_ORDER}")
+    _check_order(n)
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arc lines, got {len(lines) - 1}")
     tokens = " ".join(lines[1:]).split()

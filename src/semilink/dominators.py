@@ -6,9 +6,11 @@ vertices).  A vertex is nearly out-dominating when, for every c, all but at
 most 2c vertices are c-out-good for it; every semicomplete digraph has one,
 and a maximum out-degree vertex of any spanning tournament qualifies.
 
-All operations accept an optional ``within`` vertex pool restricting the
-computation to the induced subgraph on that pool while keeping original
-vertex ids.
+The two-path count, the goodness predicates, the profiles and the finders
+accept an optional ``within`` vertex pool restricting the computation to the
+induced subgraph on that pool while keeping original vertex ids.
+``goodness_scores`` takes the pool as a ready boolean mask instead; the gamma
+predicates and the set check always work in the whole digraph.
 """
 
 from __future__ import annotations
@@ -60,11 +62,7 @@ def is_c_out_good(d: Digraph, u: int, v: int, c: int,
 def is_c_in_good(d: Digraph, u: int, v: int, c: int,
                  within: Iterable[int] | None = None) -> bool:
     """Arc v->u, or at least c internally disjoint 2-paths from v to u."""
-    if u == v:
-        raise ValueError("vertices must differ")
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    return d.has_arc(v, u) or count_two_paths(d, v, u, within) >= c
+    return is_c_out_good(d, v, u, c, within)
 
 
 def goodness_scores(d: Digraph, u: int, direction: str,
@@ -87,21 +85,24 @@ def goodness_scores(d: Digraph, u: int, direction: str,
     return scores
 
 
-def _bad_counts(candidate_scores: np.ndarray, explicit: int) -> np.ndarray:
-    """Entry c-1 counts the candidates that are not c-good, for c = 1..explicit."""
-    return np.searchsorted(np.sort(candidate_scores), np.arange(1, explicit + 1),
-                           side="left")
+def _bad_counts(scores: np.ndarray, n: int, c_max: int | None = None) -> np.ndarray:
+    """Entry c-1 counts the candidates that are not c-good, for c = 1..c_max.
 
-
-def _nearly_dominates(candidate_scores: np.ndarray) -> bool:
-    """For every c, at most 2c candidates are not c-good.
-
-    Counting stops at the vacuity bound: once 2c reaches the number of
-    candidates the condition cannot fail.
+    ``scores`` are the candidates' goodness scores in an order-n digraph.  A
+    direct arc scores n, above any two-arc count, and is good for every c.
+    Without c_max the count stops at the vacuity bound, the smallest c with
+    2c above the number of candidates, where no c can break the rule.
     """
-    explicit = candidate_scores.size // 2 + 1
-    allowed = 2 * np.arange(1, explicit + 1)
-    return not (_bad_counts(candidate_scores, explicit) > allowed).any()
+    if c_max is None:
+        c_max = scores.size // 2 + 1
+    thresholds = np.minimum(np.arange(1, c_max + 1), n)
+    return np.searchsorted(np.sort(scores), thresholds, side="left")
+
+
+def _nearly_dominates(bad_counts, slack: int = 0) -> bool:
+    """The nearly-dominating rule: bad(c) <= 2c - slack for every counted c."""
+    bad = np.asarray(bad_counts)
+    return not (bad > 2 * np.arange(1, bad.size + 1) - slack).any()
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,14 @@ class DominationProfile:
     direction: str
     pool_size: int  # candidates other than the vertex itself
     bad_counts: tuple[int, ...]  # bad_counts[c-1] = #vertices not c-good
-    vacuous_from: int  # smallest c with 2c >= pool_size (condition holds trivially)
+    vacuous_from: int  # smallest c with 2c > pool_size (condition holds trivially)
 
     def is_nearly_dominating(self) -> bool:
-        return all(bad <= 2 * c for c, bad in enumerate(self.bad_counts, start=1))
+        return _nearly_dominates(self.bad_counts)
 
     def satisfies_strict_bound(self) -> bool:
         """The constructive guarantee: at most 2c - 1 bad vertices per c."""
-        return all(bad <= 2 * c - 1 for c, bad in enumerate(self.bad_counts, start=1))
+        return _nearly_dominates(self.bad_counts, slack=1)
 
 
 def _profile(d: Digraph, u: int, direction: str, c_max: int | None,
@@ -134,13 +135,10 @@ def _profile(d: Digraph, u: int, direction: str, c_max: int | None,
     if c_max < 1:
         raise ValueError("c_max must be >= 1")
     scores = goodness_scores(d, u, direction, mask)
-    pool_size = int(mask.sum()) - 1
-    # Once 2c >= pool_size the condition cannot fail; counting stops there.
-    vacuous_from = pool_size // 2 + 1
-    explicit = min(c_max, vacuous_from)
-    bad = tuple(int(b) for b in _bad_counts(scores[scores >= 0], explicit))
-    bad += tuple(bad[-1] if bad else 0 for _ in range(explicit + 1, c_max + 1))
-    return DominationProfile(u, direction, pool_size, bad, vacuous_from)
+    candidates = scores[scores >= 0]
+    bad = tuple(_bad_counts(candidates, d.n, c_max).tolist())
+    return DominationProfile(u, direction, candidates.size, bad,
+                             candidates.size // 2 + 1)
 
 
 def nearly_out_dominating_profile(d: Digraph, u: int, c_max: int | None = None,
@@ -197,7 +195,7 @@ def _find(d: Digraph, direction: str, within: Iterable[int] | None) -> int:
     degs = _spanning_degrees(d.adjacency, ids, direction)
     u = int(ids[int(np.argmax(degs))])  # argmax takes the lowest id on ties
     scores = goodness_scores(d, u, direction, mask)
-    if not _nearly_dominates(scores[scores >= 0]):
+    if not _nearly_dominates(_bad_counts(scores[scores >= 0], d.n)):
         raise AssertionError(
             f"max-degree vertex {u} fails the nearly-{direction}-dominating check")
     return u
@@ -217,23 +215,24 @@ def find_nearly_in_dominating(d: Digraph, within: Iterable[int] | None = None) -
     return _find(d, "in", within)
 
 
-def is_gamma_out_dominator(d: Digraph, v: int, members: Iterable[int], gamma: int) -> bool:
-    """v has at least gamma out-neighbours inside ``members`` (v not a member)."""
+def _gamma_dominates(lines: np.ndarray, v: int, members: Iterable[int],
+                     gamma: int) -> bool:
+    """Row v of ``lines`` has at least gamma ones inside ``members``."""
     ids = sorted(set(int(x) for x in members))
     if v in ids:
         raise ValueError("vertex must not belong to the set")
     if gamma <= 0:
         return True
-    return int(d.adjacency[v][ids].sum()) >= gamma
+    return int(lines[v][ids].sum()) >= gamma
+
+
+def is_gamma_out_dominator(d: Digraph, v: int, members: Iterable[int], gamma: int) -> bool:
+    """v has at least gamma out-neighbours inside ``members`` (v not a member)."""
+    return _gamma_dominates(d.adjacency, v, members, gamma)
 
 
 def is_gamma_in_dominator(d: Digraph, v: int, members: Iterable[int], gamma: int) -> bool:
-    ids = sorted(set(int(x) for x in members))
-    if v in ids:
-        raise ValueError("vertex must not belong to the set")
-    if gamma <= 0:
-        return True
-    return int(d.adjacency[:, v][ids].sum()) >= gamma
+    return _gamma_dominates(d.adjacency.T, v, members, gamma)
 
 
 def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int]) -> bool:
@@ -250,5 +249,5 @@ def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int]) -> bool:
     if not outside.any():
         return True
     full = np.ones(d.n, dtype=bool)
-    return all(_nearly_dominates(goodness_scores(d, u, "in", full)[outside])
-               for u in ids)
+    scores = (goodness_scores(d, u, "in", full)[outside] for u in ids)
+    return all(_nearly_dominates(_bad_counts(s, d.n)) for s in scores)

@@ -2,7 +2,8 @@
 
 All generators are pure functions of their parameters.  Randomized variants
 draw from numpy's PCG64 stream seeded with the given 64-bit seed, so the same
-parameters always produce the same digraph.
+parameters always produce the same digraph.  Orders above
+``digraph._MAX_ORDER`` are rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _check_order
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -25,10 +26,9 @@ def transitive_tournament(order: Sequence[int] | int) -> Digraph:
     ``order`` is either a permutation of 0..n-1 or an integer n (identity
     order).  There is an arc from ``order[i]`` to ``order[j]`` iff i < j.
     """
-    if isinstance(order, int):
-        order = range(order)
-    perm = list(int(v) for v in order)
+    perm = range(order) if isinstance(order, int) else [int(v) for v in order]
     n = len(perm)
+    _check_order(n)
     if sorted(perm) != list(range(n)):
         raise ValueError("order must be a permutation of 0..n-1")
     rank = np.empty(n, dtype=np.int64)
@@ -44,6 +44,7 @@ def rotational_tournament(n: int) -> Digraph:
     Requires odd n >= 3; the result is regular with all semidegrees
     (n-1)/2.
     """
+    _check_order(n)
     if n < 3 or n % 2 == 0:
         raise ValueError("rotational tournament needs odd n >= 3")
     diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
@@ -55,6 +56,7 @@ def random_tournament(n: int, seed: int) -> Digraph:
     """Tournament with every pair oriented uniformly at random."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_order(n)
     rng = _rng(seed)
     upper = np.triu(rng.integers(0, 2, size=(n, n)).astype(bool), 1)
     lower = np.triu(~upper, 1).T
@@ -69,6 +71,7 @@ def random_semicomplete(n: int, p_bidirected: float, seed: int) -> Digraph:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p_bidirected <= 1.0:
         raise ValueError("p_bidirected must lie in [0, 1]")
+    _check_order(n)
     rng = _rng(seed)
     upper = np.triu(rng.integers(0, 2, size=(n, n)).astype(bool), 1)
     lower = np.triu(~upper, 1).T
@@ -84,6 +87,7 @@ def bipartite_tournament(u_size: int, w_size: int, seed: int) -> Digraph:
     if u_size < 1 or w_size < 1:
         raise ValueError("part sizes must be >= 1")
     n = u_size + w_size
+    _check_order(n)
     rng = _rng(seed)
     adj = np.zeros((n, n), dtype=bool)
     toward_w = rng.integers(0, 2, size=(u_size, w_size)).astype(bool)
@@ -102,6 +106,7 @@ def near_regular_tournament(n: int, seed: int) -> Digraph:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
+    _check_order(n)
     if n % 2 == 1:
         adj = rotational_tournament(n).adjacency.copy()
     else:
@@ -123,8 +128,15 @@ def near_regular_tournament(n: int, seed: int) -> Digraph:
     return Digraph(adj, copy=False)
 
 
-_KINDS = ("transitive", "rotational", "random_tournament", "random_semicomplete",
-          "bipartite_tournament", "near_regular")
+# Every generator kind, in the order the CLI lists them, with its builder.
+_KINDS = {
+    "transitive": lambda s: transitive_tournament(s.n),
+    "rotational": lambda s: rotational_tournament(s.n),
+    "random_tournament": lambda s: random_tournament(s.n, s.seed),
+    "random_semicomplete": lambda s: random_semicomplete(s.n, s.p_bidirected, s.seed),
+    "bipartite_tournament": lambda s: bipartite_tournament(s.u_size, s.w_size, s.seed),
+    "near_regular": lambda s: near_regular_tournament(s.n, s.seed),
+}
 
 
 @dataclass(frozen=True)
@@ -139,16 +151,6 @@ class GenSpec:
     seed: int = 0
 
     def build(self) -> Digraph:
-        if self.kind == "transitive":
-            return transitive_tournament(self.n)
-        if self.kind == "rotational":
-            return rotational_tournament(self.n)
-        if self.kind == "random_tournament":
-            return random_tournament(self.n, self.seed)
-        if self.kind == "random_semicomplete":
-            return random_semicomplete(self.n, self.p_bidirected, self.seed)
-        if self.kind == "bipartite_tournament":
-            return bipartite_tournament(self.u_size, self.w_size, self.seed)
-        if self.kind == "near_regular":
-            return near_regular_tournament(self.n, self.seed)
-        raise ValueError(f"unknown kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}; expected one of {tuple(_KINDS)}")
+        return _KINDS[self.kind](self)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .certificates import CertificateError, verify_linkage_certificate
 from .digraph import Digraph, Path, PathSystem, is_semicomplete, reduce_to_minimal_path
-from .dominators import find_nearly_in_dominating, find_nearly_out_dominating, \
-    goodness_scores, is_nearly_in_dominating_set
+from .dominators import _pool_mask, find_nearly_in_dominating, \
+    find_nearly_out_dominating, goodness_scores
 from .flows import FlowInfeasible, _cut_value, _sample_pairs, is_k_connected, \
     min_weight_disjoint_paths
 
@@ -149,7 +149,9 @@ def build_dominating_set(d: Digraph, starts: Sequence[int], targets: Sequence[in
     """3k vertices, each nearly in-dominating in the remaining subgraph.
 
     Vertex i is found in the digraph with the terminals and the previous
-    picks removed; the defining property is asserted for every pick.
+    picks removed; the defining property is asserted for every pick.  That
+    also certifies the whole pool in the digraph minus the terminals: there
+    every pick has the same or more middles and fewer candidates.
     """
     excluded = set(starts) | set(targets)
     if d.n < len(excluded) + 3 * k:
@@ -323,7 +325,6 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         return AdjustResult(deliveries, special, matched, (), (), 0)
     _check(special is not None, "adjust", "rich starts need the spare-target path")
     reach_union = set(split.reach_union)
-    union_arr = tuple(sorted(reach_union))
 
     def qstar_paths() -> list[Path]:
         return list(deliveries.values()) + [special]
@@ -359,7 +360,7 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         # Goodness of the scope for the current spare terminal, within the
         # reach union.  The spare was chosen nearly out-dominating there, so
         # at most 4k+4 scope vertices may fail; assert it.
-        scores = goodness_scores(d, spare, "out", _mask(d.n, union_arr))
+        scores = goodness_scores(d, spare, "out", _pool_mask(d, split.reach_union))
         good = {v for v in scope if scores[v] >= 2 * k + 2}
         bad = scope - good
         _check(len(bad) <= 4 * k + 4, "adjust",
@@ -432,12 +433,6 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
               stand_ins=sorted(stand_ins), retired=len(retired))
     return AdjustResult(deliveries, special, matched,
                         tuple(sorted(stand_ins)), tuple(sorted(retired)), rounds)
-
-
-def _mask(n: int, ids: Iterable[int]) -> np.ndarray:
-    m = np.zeros(n, dtype=bool)
-    m[list(ids)] = True
-    return m
 
 
 def _reroute(d: Digraph, deliveries: dict[int, Path], special: Path,
@@ -743,10 +738,6 @@ def link(instance: LinkageInstance, check: str | None = None,
             return FailureReport("hypothesis-check", note, {}, note, trace)
     try:
         pool = build_dominating_set(d, starts, targets, k, trace)
-        _check(is_nearly_in_dominating_set(
-            d.delete(list(starts) + list(targets)),
-            _relabel(d, starts, targets, pool)),
-            "dominating-pool", "pool must be nearly in-dominating off the terminals")
         split = classify_terminals(d, starts, targets, pool, k, trace)
         deliveries, special = initial_path_system(d, starts, targets, pool,
                                                   split, trace)
@@ -778,9 +769,3 @@ def link(instance: LinkageInstance, check: str | None = None,
     except LinkerCheckError as exc:
         return FailureReport(exc.step, exc.reason, exc.details,
                              _hypothesis_post_mortem(d, k), trace)
-
-
-def _relabel(d: Digraph, starts, targets, pool) -> list[int]:
-    """Map pool ids into the id space of d minus the terminals."""
-    kept = np.setdiff1d(np.arange(d.n), list(starts) + list(targets))
-    return [int(i) for i in np.searchsorted(kept, pool)]

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from semilink.cli import export_dot, main
-from semilink.digraph import Digraph, digraph_from_arc_list, digraph_to_arc_list
-from semilink.generators import rotational_tournament
+from semilink.digraph import (_MAX_ORDER, Digraph, digraph_from_arc_list,
+                              digraph_to_arc_list)
+from semilink.generators import _KINDS, rotational_tournament
 from semilink.instances import adjustment_stress_instance
 
 from conftest import run_optimized
@@ -36,6 +37,21 @@ class TestGen:
         run(capsys, "gen", "--kind", "random_tournament", "--n", "30",
             "--seed", "5", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_every_kind_is_a_choice(self, capsys):
+        for kind in _KINDS:
+            code, out = run(capsys, "gen", "--kind", kind, "--n", "5",
+                            "--u-size", "2", "--w-size", "3")
+            assert code == 0 and out.startswith("5 ")
+        assert run(capsys, "gen", "--kind", "mystery", "--n", "5")[0] == 2
+
+    def test_oversized_order_is_usage_error(self, capsys, no_large_allocation):
+        # the bipartite kind builds its matrix with np.zeros, which the
+        # fixture refuses, so a missing check fails instead of allocating
+        code = main(["gen", "--kind", "bipartite_tournament", "--u-size", "1",
+                     "--w-size", str(_MAX_ORDER)])
+        assert code == 2
+        assert "exceeds the supported maximum" in capsys.readouterr().err
 
     def test_stdout_mode(self, capsys):
         code, out = run(capsys, "gen", "--kind", "transitive", "--n", "3")
@@ -265,6 +281,14 @@ class TestAcceptSubcommand:
         data = json.loads(report.read_text())
         assert data[0]["passed"] is True
 
+    @pytest.mark.parametrize("criteria", ["9", "0,9"])
+    def test_unknown_criterion_is_usage_error(self, capsys, criteria):
+        code = main(["accept", "--profile", "quick", "--criteria", criteria])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unknown criterion numbers" in captured.err
+        assert "criterion" not in captured.out  # nothing ran
+
     def test_quick_criteria_under_optimize(self):
         proc = run_optimized("-m", "semilink.cli", "accept", "--profile", "quick",
                              "--criteria", "3,5,7,8")
@@ -318,6 +342,12 @@ class TestCounterexampleCommand:
         assert data["k"] == 42 and len(data["roles"]["tracks"]) == 42
         head = out.read_text().splitlines()[0]
         assert head == "1764 1554966"
+
+    def test_oversized_order_is_usage_error(self, tmp_path, capsys, no_large_allocation):
+        code = main(["counterexample", "--k", "42", "--n", str(_MAX_ORDER + 1),
+                     "--out", str(tmp_path / "x.txt")])
+        assert code == 2
+        assert "exceeds the supported maximum" in capsys.readouterr().err
 
     def test_invalid_width_is_usage_error(self, tmp_path, capsys):
         code, _ = run(capsys, "counterexample", "--k", "41", "--n", "1764",

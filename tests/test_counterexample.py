@@ -10,7 +10,7 @@ from semilink.counterexample import (CORE_RULES, CounterexampleLayout,
                                      sampled_connectivity_check,
                                      verify_construction_rules,
                                      verify_property_two)
-from semilink.digraph import is_tournament
+from semilink.digraph import _MAX_ORDER, is_tournament
 
 
 class TestParams:
@@ -26,6 +26,12 @@ class TestParams:
         # 1765 leaves an even reservoir, which cannot be regular
         with pytest.raises(ValueError, match="even reservoir"):
             CounterexampleParams(42, 1765)
+
+    def test_order_cap(self, no_large_allocation):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            CounterexampleParams(42, _MAX_ORDER + 1)
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            build_counterexample(42, _MAX_ORDER + 1)
 
     def test_derived_sizes(self):
         p = CounterexampleParams(42, 1764)

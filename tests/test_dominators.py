@@ -18,7 +18,7 @@ from semilink.dominators import (count_two_paths, find_nearly_in_dominating,
 from semilink.generators import (random_semicomplete, random_tournament,
                                  rotational_tournament, transitive_tournament)
 
-from conftest import run_optimized
+from conftest import random_digraph, run_optimized
 
 
 def three_cycle():
@@ -71,6 +71,14 @@ class TestGoodness:
         assert is_c_out_good(flipped, 0, 4, 3)
         assert not is_c_out_good(flipped, 0, 4, 4)
 
+    def test_in_errors_match_out_errors(self):
+        d = transitive_tournament(4)
+        for args, message in (((1, 1, 1), "vertices must differ"),
+                              ((0, 1, 0), "c must be >= 1")):
+            for check in (is_c_out_good, is_c_in_good):
+                with pytest.raises(ValueError, match=message):
+                    check(d, *args)
+
     def test_matches_bruteforce(self):
         d = random_tournament(12, seed=3)
         for u in range(12):
@@ -120,6 +128,15 @@ class TestNearlyDominating:
         diffs = np.diff(np.array(prof.bad_counts))
         assert (diffs >= 0).all()  # bad(c) counts scores < c, so it grows
 
+    def test_bad_counts_past_the_vacuity_bound(self):
+        # vertex 1 has six candidates; one of them has four middles and no
+        # arc from 1, so it is not c-good for c = 5, 6 and 7
+        d = random_semicomplete(7, 0.2, seed=0)
+        prof = nearly_out_dominating_profile(d, 1)
+        assert prof.vacuous_from == 4
+        assert prof.bad_counts == (0, 0, 0, 0, 1, 1, 1)
+        assert prof.is_nearly_dominating() and prof.satisfies_strict_bound()
+
     def test_vacuous_region_shortcut(self):
         d = random_tournament(21, seed=9)
         prof = nearly_out_dominating_profile(d, 0, c_max=21)
@@ -127,6 +144,40 @@ class TestNearlyDominating:
         # beyond the vacuity threshold the condition always holds
         for c in range(prof.vacuous_from, 22):
             assert prof.bad_counts[c - 1] <= 2 * c
+
+
+def brute_bad_counts(d, u, direction, c_max, pool):
+    """bad(c) for c = 1..c_max, each vertex's goodness checked on its own."""
+    others = [v for v in pool if v != u]
+    counts = []
+    for c in range(1, c_max + 1):
+        if direction == "out":
+            good = [d.has_arc(u, v) or brute_two_paths(d, u, v, pool) >= c for v in others]
+        else:
+            good = [d.has_arc(v, u) or brute_two_paths(d, v, u, pool) >= c for v in others]
+        counts.append(good.count(False))
+    return counts
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 13), st.floats(0.0, 1.0),
+       st.integers(1, 30), st.sampled_from(["in", "out"]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_bad_counts_are_exact(seed, n, density, c_max, direction, whole):
+    # general digraphs, c_max below and above n, whole digraph or a pool
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = random_digraph(n, density, seed)
+    u = int(rng.integers(n))
+    pool = list(range(n)) if whole else \
+        sorted({u} | {int(v) for v in rng.choice(n, size=rng.integers(n + 1), replace=False)})
+    profile = nearly_out_dominating_profile if direction == "out" \
+        else nearly_in_dominating_profile
+    prof = profile(d, u, c_max=c_max, within=None if whole else pool)
+    bad = brute_bad_counts(d, u, direction, c_max, pool)
+    assert list(prof.bad_counts) == bad
+    assert prof.pool_size == len(pool) - 1
+    assert prof.is_nearly_dominating() == all(b <= 2 * c for c, b in enumerate(bad, 1))
+    assert prof.satisfies_strict_bound() == \
+        all(b <= 2 * c - 1 for c, b in enumerate(bad, 1))
 
 
 class TestFinders:
@@ -261,16 +312,19 @@ class TestGammaDominators:
         assert is_gamma_out_dominator(d, 3, [0, 1], 0)
 
     def test_membership_rejected(self):
-        with pytest.raises(ValueError):
-            is_gamma_out_dominator(transitive_tournament(4), 1, [1, 2], 1)
+        for check in (is_gamma_out_dominator, is_gamma_in_dominator):
+            with pytest.raises(ValueError, match="must not belong to the set"):
+                check(transitive_tournament(4), 1, [1, 2], 1)
 
     def test_matches_direct_count(self):
         d = random_tournament(15, seed=11)
         group = [3, 5, 8, 11, 14]
         for v in (0, 1, 2):
             count = int(d.adjacency[v][group].sum())
+            count_in = int(d.adjacency[group, v].sum())
             for g in range(0, 6):
                 assert is_gamma_out_dominator(d, v, group, g) == (count >= g)
+                assert is_gamma_in_dominator(d, v, group, g) == (count_in >= g)
 
 
 class TestNearlyInDominatingSet:

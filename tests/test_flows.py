@@ -754,3 +754,24 @@ def test_no_environment_reads_in_src(module):
              or isinstance(node, ast.ImportFrom) and node.module == "os"
              and any(alias.name in names for alias in node.names)]
     assert lines == [], f"{module.name}: os.environ or os.getenv on lines {lines}"
+
+
+def test_every_private_function_in_src_has_a_caller():
+    # A module-level helper that nothing in src/ refers to any more is dead
+    # code; it must go with its last caller.
+    modules = {p.name: ast.parse(p.read_text(), filename=str(p))
+               for p in sorted(Path(flows.__file__).parent.glob("*.py"))}
+    private = {(name, node.name) for name, tree in modules.items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    referenced = set()
+    for name, tree in modules.items():
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                ref = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if ref is not None and ref != owner:
+                    referenced.add(ref)
+    orphans = sorted(f"{name}:{fn}" for name, fn in private if fn not in referenced)
+    assert orphans == [], f"private functions without a caller in src/: {orphans}"

@@ -3,9 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from semilink.digraph import is_semicomplete, is_tournament
+from semilink import generators
+from semilink.digraph import _MAX_ORDER, is_semicomplete, is_tournament
 from semilink.flows import vertex_connectivity
-from semilink.generators import (GenSpec, bipartite_tournament,
+from semilink.generators import (_KINDS, GenSpec, bipartite_tournament,
                                  near_regular_tournament, random_semicomplete,
                                  random_tournament, rotational_tournament,
                                  transitive_tournament)
@@ -144,3 +145,32 @@ class TestGenSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown kind"):
             GenSpec("mystery", n=3).build()
+
+    def test_kinds_in_order(self):
+        assert tuple(_KINDS) == ("transitive", "rotational", "random_tournament",
+                                 "random_semicomplete", "bipartite_tournament",
+                                 "near_regular")
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Fail every array constructor and random stream the generators use."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the order check")
+
+    for name in ("zeros", "empty", "ones", "arange"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(generators, "_rng", refuse)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: transitive_tournament(n),
+    lambda n: rotational_tournament(n),
+    lambda n: random_tournament(n, seed=0),
+    lambda n: random_semicomplete(n, 0.5, seed=0),
+    lambda n: bipartite_tournament(1, n - 1, seed=0),
+    lambda n: near_regular_tournament(n, seed=0),
+], ids=list(_KINDS))
+def test_oversized_order_rejected_before_allocation(build, no_allocation):
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        build(_MAX_ORDER + 1)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semilink.certificates import CertificateError, verify_linkage_certificate
 from semilink.digraph import Digraph, Path
+from semilink.dominators import is_nearly_in_dominating_set
 from semilink.flows import _cut_value
-from semilink.generators import near_regular_tournament, random_tournament
+from semilink.generators import (near_regular_tournament, random_semicomplete,
+                                 random_tournament)
 from semilink.instances import adjustment_stress_instance, planted_cut_instance
 from semilink.linker import (FailureReport, LinkageCertificate,
                              LinkageInstance, LinkerTrace, _bipartite_matching,
@@ -414,3 +418,27 @@ class TestCertificateVerifier:
     def test_accepts_valid(self):
         d = complete_digraph(6)
         verify_linkage_certificate(d, [(0, 2), (3, 5)], [(0, 1, 2), (3, 4, 5)])
+
+
+def _relabel(d, starts, targets, pool):
+    """Map pool ids into the id space of d minus the terminals."""
+    kept = np.setdiff1d(np.arange(d.n), list(starts) + list(targets))
+    return [int(i) for i in np.searchsorted(kept, pool)]
+
+
+@given(st.integers(0, 10 ** 6), st.integers(5, 45), st.floats(0.0, 0.6),
+       st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_pool_is_nearly_in_dominating_off_the_terminals(seed, n, p_bidirected, k):
+    # Each pick is checked on its own; the pool as a whole then passes the
+    # set-level check in d minus the terminals, which link() does not run.
+    k = min(k, n // 5)
+    d = random_semicomplete(n, p_bidirected, seed)
+    picks = np.random.default_rng(seed).choice(n, size=2 * k, replace=False)
+    starts, targets = [int(v) for v in picks[:k]], [int(v) for v in picks[k:]]
+    pool = build_dominating_set(d, starts, targets, k, LinkerTrace())
+    rest = d.delete(starts + targets)
+    members = _relabel(d, starts, targets, pool)
+    kept = [v for v in range(n) if v not in starts + targets]
+    assert [kept[i] for i in members] == pool
+    assert is_nearly_in_dominating_set(rest, members)
