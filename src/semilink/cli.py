@@ -215,6 +215,10 @@ def _cmd_dominators(args) -> int:
     if args.check is None:
         print("need one of --find-out, --find-in, --check", file=sys.stderr)
         return EXIT_USAGE
+    # every count past c = n - 1 is the same, so a larger cmax only costs memory
+    if args.cmax is not None and not 1 <= args.cmax <= d.n:
+        print(f"--cmax must lie in 1..{d.n}", file=sys.stderr)
+        return EXIT_USAGE
     out = nearly_out_dominating_profile(d, args.check, c_max=args.cmax)
     inp = nearly_in_dominating_profile(d, args.check, c_max=args.cmax)
     print(_report("dominators", {"in": args.input, "check": args.check,

@@ -49,6 +49,7 @@ import numpy as np
 
 from .digraph import Digraph, Path, PathSystem, _check_order, is_tournament
 from .flows import _cut_value, _sample_pairs
+from .generators import rotational_tournament
 
 MIN_WIDTH = 42  # smallest k for which the sizing margins of the family close
 
@@ -250,22 +251,23 @@ def build_counterexample(k: int, n: int, seed: int | None = None
     adj = np.zeros((n, n), dtype=bool)
     rng = np.random.Generator(np.random.PCG64(seed)) if seed is not None else None
 
+    def block(a, b) -> tuple:
+        return _block_index(_as_slice(np.atleast_1d(a), n), _as_slice(np.atleast_1d(b), n))
+
     def beats(a: np.ndarray, b: np.ndarray) -> None:
-        adj[np.ix_(np.atleast_1d(a), np.atleast_1d(b))] = True
+        adj[block(a, b)] = True
 
     def layered_block(rows: np.ndarray) -> None:
         # Transitive within each step column, higher step beats lower step,
         # except the forward track arcs (already placed).
         m = rows.shape[0]
         upper = np.triu(np.ones((m, m), dtype=bool), 1)
+        below = ~np.eye(m, dtype=bool)  # the track arc points forward
         for t in range(1, l + 1):
             col = rows[:, t]
-            adj[np.ix_(col, col)] = upper
+            adj[block(col, col)] = upper
             for j in range(1, t):
-                block = np.ones((m, m), dtype=bool)
-                if j == t - 1:
-                    np.fill_diagonal(block, False)  # the track arc points forward
-                adj[np.ix_(col, rows[:, j])] = block
+                adj[block(col, rows[:, j])] = below if j == t - 1 else True
 
     # Track arcs.
     for t in range(steps - 1):
@@ -288,42 +290,42 @@ def build_counterexample(k: int, n: int, seed: int | None = None
 
     # Tail block: transitive tails, tails beat interiors and heads,
     # interiors beat heads; the two track arcs at the grid borders stand.
-    adj[np.ix_(tails, tails)] = np.triu(np.ones((k, k), dtype=bool), 1)
+    adj[block(tails, tails)] = np.triu(np.ones((k, k), dtype=bool), 1)
     beats(tails, interiors)
-    for i in range(k):
-        adj[tails[i], track[i, l]] = False
+    adj[tails, track[:, l]] = False
     beats(tails, heads)
     beats(interiors, heads)
-    for i in range(k):
-        adj[track[i, 1], heads[i]] = False
+    adj[track[:, 1], heads] = False
 
-    # Reservoir: regular circulant over heads-then-core order.
-    m = reservoir.size
-    diff = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-    circ = (diff >= 1) & (diff <= (m - 1) // 2)
-    adj[np.ix_(reservoir, reservoir)] = circ
+    # Reservoir: regular circulant over heads-then-core order.  Heads and
+    # core are each a progression, so each of the four blocks is a slice.
+    circ = rotational_tournament(reservoir.size).adjacency
+    parts = ((heads, slice(0, k)), (core, slice(k, None)))
+    for rows, r in parts:
+        for cols, c in parts:
+            adj[block(rows, cols)] = circ[r, c]
 
     beats(interiors, core)
     beats(tails, core)
 
     # Tier orders: relays and targets increasing, mirrors reversed.
     upper_k = np.triu(np.ones((k, k), dtype=bool), 1)
-    adj[np.ix_(relays, relays)] = upper_k
-    adj[np.ix_(targets, targets)] = upper_k
-    adj[np.ix_(mirrors, mirrors)] = upper_k.T
+    adj[block(relays, relays)] = upper_k
+    adj[block(targets, targets)] = upper_k
+    adj[block(mirrors, mirrors)] = upper_k.T
 
     idx = np.arange(k)
     ge = idx[:, None] >= idx[None, :]
-    adj[np.ix_(tails, relays)] = ge          # tail j -> relay i iff j >= i
-    adj[np.ix_(relays, tails)] = ~ge.T
-    adj[np.ix_(relays, targets)] = ge        # relay j -> target i iff j >= i
-    adj[np.ix_(targets, relays)] = ~ge.T
-    adj[np.ix_(relays, mirrors)] = ~ge       # relay j -> mirror i iff j < i
-    adj[np.ix_(mirrors, relays)] = ge.T
+    adj[block(tails, relays)] = ge          # tail j -> relay i iff j >= i
+    adj[block(relays, tails)] = ~ge.T
+    adj[block(relays, targets)] = ge        # relay j -> target i iff j >= i
+    adj[block(targets, relays)] = ~ge.T
+    adj[block(relays, mirrors)] = ~ge       # relay j -> mirror i iff j < i
+    adj[block(mirrors, relays)] = ge.T
 
     bypass = layout.bypass
-    beats(np.array([bypass]), targets)
-    beats(np.array([bypass]), mirrors)
+    beats(bypass, targets)
+    beats(bypass, mirrors)
     not_bypass = reservoir[reservoir != bypass]
     for tier in (targets, mirrors):
         beats(tier, layout.grid())
@@ -339,21 +341,20 @@ def build_counterexample(k: int, n: int, seed: int | None = None
     beats(mesh, back)
     beats(back, ladder)
     beats(ladder, front)
-    for block in (reservoir, tails, relays, mirrors):
-        beats(block, starts)
+    for rows in (reservoir, tails, relays, mirrors):
+        beats(rows, starts)
     if rng is None:
-        adj[np.ix_(starts, starts)] = upper_k
+        adj[block(starts, starts)] = upper_k
     else:
         ori = rng.integers(0, 2, size=(k, k)).astype(bool)
-        adj[np.ix_(starts, starts)] = np.triu(ori, 1) | np.tril(~ori.T, -1)
+        adj[block(starts, starts)] = np.triu(ori, 1) | np.tril(~ori.T, -1)
     eye = np.eye(k, dtype=bool)
-    adj[np.ix_(starts, targets)] = ~eye
-    adj[np.ix_(targets, starts)] = eye
+    adj[block(starts, targets)] = ~eye
+    adj[block(targets, starts)] = eye
 
-    out = np.array([outlet])
-    beats(reservoir, out)
-    for block in (interiors, tails, relays, targets, mirrors, starts):
-        beats(out, block)
+    beats(reservoir, outlet)
+    for cols in (interiors, tails, relays, targets, mirrors, starts):
+        beats(outlet, cols)
 
     d = Digraph(adj, copy=False)
     if not is_tournament(d):
@@ -373,6 +374,37 @@ def _random_free_zone(adj: np.ndarray, ids: np.ndarray, rows: np.ndarray,
         for t in range(1, cols - 2):
             adj[rows[i, t], rows[i, t + 1]] = True
             adj[rows[i, t + 1], rows[i, t]] = False
+
+
+def _as_slice(ids: np.ndarray, n: int) -> slice | np.ndarray:
+    """``ids`` as a basic slice if it is an arithmetic progression in 0..n-1.
+
+    The slice visits the same ids in the same order, but indexing by it
+    reads a view where the array would gather a copy.  Any other ``ids``
+    (empty, repeated or out of range) are returned as they are.
+    """
+    if ids.size == 0:
+        return ids
+    first, last = int(ids[0]), int(ids[-1])
+    step = int(ids[1]) - first if ids.size > 1 else 1
+    # a progression lies in range iff both of its ends do
+    if step == 0 or last != first + step * (ids.size - 1) \
+            or not (0 <= first < n and 0 <= last < n) \
+            or (ids[1:] - ids[:-1] != step).any():
+        return ids
+    stop = last + step
+    return slice(first, stop if stop >= 0 else None, step)
+
+
+def _block_index(rows: slice | np.ndarray, cols: slice | np.ndarray) -> tuple:
+    """Index of the block ``rows`` x ``cols``, each an :func:`_as_slice` result.
+
+    A block of two slices is a view; any other block is gathered once, and
+    never through a copy of whole rows.
+    """
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -485,9 +517,15 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
         u, v = int(track[i, t]), int(track[i, t + 1])
         found["track_paths"] = RuleWitness(u, v, f"{u}->{v} missing (track arc)")
 
-    sub = adj[res][:, res]
-    outs = sub.sum(axis=1)
-    ins = sub.sum(axis=0)
+    # the reservoir's semidegrees, one heads/core block at a time; a count
+    # is at most n, and summing into the smallest type that holds n is the
+    # fastest
+    parts = [_as_slice(part, d.n) for part in (heads, lay.core)]
+    count = np.min_scalar_type(d.n)
+    outs = np.concatenate([sum(adj[_block_index(r, c)].sum(axis=1, dtype=count)
+                               for c in parts) for r in parts])
+    ins = np.concatenate([sum(adj[_block_index(r, c)].sum(axis=0, dtype=count)
+                              for r in parts) for c in parts])
     found["reservoir_regular"] = None
     if not (outs == outs[0]).all() or not (ins == ins[0]).all():
         v = int(res[int(np.argmax(outs != outs[0]))])
@@ -508,11 +546,16 @@ def _orientation_witness(adj: np.ndarray, rows, cols, want) -> RuleWitness | Non
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    fwd = adj[rows][:, cols]
-    rev = adj[cols][:, rows].T
+    n = adj.shape[0]
+    r, c = _as_slice(rows, n), _as_slice(cols, n)
+    fwd = adj[_block_index(r, c)]
+    rev = adj[_block_index(c, r)].T
     bad = fwd == rev if want is None else (fwd != want) | (rev == want)
-    _, same_r, same_c = np.intersect1d(rows, cols, return_indices=True)
-    bad[same_r, same_c] = False
+    shared = np.zeros(n, dtype=bool)
+    shared[rows] = True
+    if shared[cols].any():  # most blocks pair two disjoint roles
+        _, same_r, same_c = np.intersect1d(rows, cols, return_indices=True)
+        bad[same_r, same_c] = False
     if not bad.any():
         return None
     i, j = divmod(int(bad.argmax()), cols.size)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .digraph import Digraph, _check_order
 
@@ -42,14 +43,17 @@ def rotational_tournament(n: int) -> Digraph:
     """Circulant tournament: u beats u+1, ..., u+(n-1)/2 (mod n).
 
     Requires odd n >= 3; the result is regular with all semidegrees
-    (n-1)/2.
+    (n-1)/2.  Row u is row 0 shifted right by u, so the matrix is read off
+    one doubled row as a reversed sliding window and copied once.
     """
     _check_order(n)
     if n < 3 or n % 2 == 0:
         raise ValueError("rotational tournament needs odd n >= 3")
-    diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    adj = (diff >= 1) & (diff <= (n - 1) // 2)
-    return Digraph(adj, copy=False)
+    row = np.zeros(2 * n, dtype=bool)
+    for start in (1, n + 1):
+        row[start:start + (n - 1) // 2] = True
+    # window s is row[s:s + n]; row u of the circulant is window n - u
+    return Digraph(sliding_window_view(row, n)[n:0:-1])
 
 
 def random_tournament(n: int, seed: int) -> Digraph:

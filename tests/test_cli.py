@@ -161,6 +161,18 @@ class TestDominators:
         code, _ = run(capsys, "dominators", "--in", str(f))
         assert code == 2
 
+    @pytest.mark.parametrize("cmax", ["0", "-3", "9", "3000000"])
+    def test_cmax_out_of_range_is_usage_error(self, tmp_path, capsys, monkeypatch, cmax):
+        f = tmp_path / "tt.txt"
+        run(capsys, "gen", "--kind", "transitive", "--n", "8", "--out", str(f))
+        built = []
+        monkeypatch.setattr("semilink.cli.nearly_out_dominating_profile",
+                            lambda *a, **kw: built.append(a))
+        code = main(["dominators", "--in", str(f), "--check", "0", "--cmax", cmax])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "--cmax" in captured.err
+        assert not built
+
     @pytest.mark.parametrize("vertex", ["-1", "5", "-6"])
     def test_check_out_of_range_is_usage_error(self, tmp_path, capsys, vertex):
         f = tmp_path / "tt.txt"

@@ -1,16 +1,23 @@
+import dataclasses
+import functools
 import hashlib
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from semilink import counterexample
 from semilink.counterexample import (CORE_RULES, CounterexampleLayout,
-                                     CounterexampleParams,
+                                     CounterexampleParams, RuleWitness,
                                      build_counterexample,
                                      sampled_connectivity_check,
                                      verify_construction_rules,
                                      verify_property_two)
-from semilink.digraph import _MAX_ORDER, is_tournament
+from semilink.digraph import _MAX_ORDER, Digraph, is_tournament
 
 
 class TestParams:
@@ -81,6 +88,16 @@ class TestBuild:
         a, _ = build_counterexample(42, 1764)
         b, _ = build_counterexample(42, 1764)
         assert a == b
+
+    @pytest.mark.parametrize("k, n, seed, digest", [
+        (42, 1764, None, "4e1d6fe0780cc42aaaf1fe4ac09d49aaf2d942c438fbf14c549723ecd9a69231"),
+        (42, 1764, 99, "12660228dc271166efd30d7d89f1e3699ba23883c8c3c9bb4591b9c8b2f21179"),
+        (50, 2500, None, "fa20b1e2e12e2d342f60c674be3a50d930db07bbe4c06ee2bd5445788daf6152"),
+    ])
+    def test_adjacency_pinned(self, k, n, seed, digest):
+        d, _ = build_counterexample(k, n, seed=seed)
+        got = hashlib.sha256(np.ascontiguousarray(d.adjacency).tobytes()).hexdigest()
+        assert got == digest
 
 
 class TestRuleVerifier:
@@ -156,6 +173,181 @@ class TestRuleVerifier:
         small, small_lay = d.induced(range(10)), lay
         with pytest.raises(ValueError):
             verify_construction_rules(small, small_lay)
+
+
+def reference_orientation_witness(adj, rows, cols, want):
+    """``_orientation_witness`` by whole-row gathers, the plain reference.
+
+    It copies ``adj[rows]`` and ``adj[cols]`` before cutting the block out,
+    and pairs shared ids by ``np.intersect1d`` on every block.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    fwd = adj[rows][:, cols]
+    rev = adj[cols][:, rows].T
+    bad = fwd == rev if want is None else (fwd != want) | (rev == want)
+    _, same_r, same_c = np.intersect1d(rows, cols, return_indices=True)
+    bad[same_r, same_c] = False
+    if not bad.any():
+        return None
+    i, j = divmod(int(bad.argmax()), cols.size)
+    u, v = int(rows[i]), int(cols[j])
+    if want is None:
+        return RuleWitness(u, v, "exactly one arc")
+    if np.broadcast_to(want, bad.shape)[i, j]:
+        return RuleWitness(u, v, f"{u}->{v} only")
+    return RuleWitness(u, v, f"{v}->{u} only")
+
+
+def reference_reservoir_witness(adj, lay):
+    """The ``reservoir_regular`` witness from one gathered reservoir block."""
+    res = lay.reservoir()
+    sub = adj[res][:, res]
+    outs, ins = sub.sum(axis=1), sub.sum(axis=0)
+    if (outs == outs[0]).all() and (ins == ins[0]).all():
+        return None
+    v = int(res[int(np.argmax(outs != outs[0]))])
+    return RuleWitness(v, v, "reservoir must induce a regular tournament")
+
+
+def _reference_checks(d, lay):
+    """Every check of the verifier, with the reference witness and block sums."""
+    with mock.patch.object(counterexample, "_orientation_witness",
+                           reference_orientation_witness):
+        checks = verify_construction_rules(d, lay).checks
+    witness = reference_reservoir_witness(d.adjacency, lay)
+    return tuple(counterexample.RuleCheck(c.name, witness is None, witness)
+                 if c.name == "reservoir_regular" else c for c in checks)
+
+
+@st.composite
+def _witness_queries(draw):
+    n = draw(st.integers(1, 10))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    adj = np.array(cells, dtype=bool).reshape(n, n)
+    np.fill_diagonal(adj, False)
+    # any valid index list (repeats and negative ids included), or a
+    # progression, which the verifier reads through a slice
+    arbitrary = st.lists(st.integers(-n, n - 1), max_size=n)
+    progression = st.builds(lambda first, step, size: first + step * np.arange(size),
+                            st.integers(-n, n - 1), st.integers(-3, 3),
+                            st.integers(1, n)).filter(
+        lambda ids: (ids >= -n).all() and (ids < n).all())
+    rows, cols = (np.asarray(draw(st.one_of(arbitrary, progression)), dtype=np.int64)
+                  for _ in range(2))
+    grid = st.lists(st.booleans(), min_size=rows.size * cols.size,
+                    max_size=rows.size * cols.size).map(
+        lambda b: np.array(b, dtype=bool).reshape(rows.size, cols.size))
+    want = draw(st.one_of(st.sampled_from([None, True, False]), grid))
+    return adj, rows, cols, want
+
+
+@given(_witness_queries())
+@example((np.triu(np.ones((4, 4), dtype=bool), 1), np.array([0, 1, 3, 3]),
+          np.arange(4), None))  # both ends and first step of a progression
+@settings(max_examples=300, deadline=None)
+def test_orientation_witness_matches_reference(query):
+    assert counterexample._orientation_witness(*query) == reference_orientation_witness(*query)
+
+
+@functools.cache
+def _instance(seed):
+    return build_counterexample(42, 1764, seed=seed)
+
+
+def _role_groups(lay):
+    groups = [lay.rung(t) for t in range(lay.l + 2)]
+    groups += [lay.track[lay.half:, t] for t in range(lay.l + 2)]
+    return groups + [lay.core, lay.relays, lay.targets, lay.mirrors, lay.starts,
+                     np.array([lay.outlet])]
+
+
+# a vertex as (role group, position), so every role is drawn about as often
+_vertex = st.tuples(st.integers(0, 15), st.integers(0, 2000))
+
+
+@given(seed=st.sampled_from([None, 99]),
+       flips=st.lists(st.tuples(_vertex, _vertex), min_size=1, max_size=4),
+       odd=st.lists(st.tuples(_vertex, _vertex, st.booleans()), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_verifier_matches_gather_reference(seed, flips, odd):
+    # Arc flips, plus pairs given both arcs or none, which leave a
+    # non-tournament; every check must match the gather-based reference in
+    # verdict, witness pair and expected text.
+    d, lay = _instance(seed)
+    groups = _role_groups(lay)
+
+    def vertex(ref):
+        ids = groups[ref[0]]
+        return int(ids[ref[1] % len(ids)])
+
+    adj = d.adjacency.copy()
+    for a, b in flips:
+        u, v = vertex(a), vertex(b)
+        if u != v:
+            adj[u, v], adj[v, u] = adj[v, u], adj[u, v]
+    for a, b, both in odd:
+        u, v = vertex(a), vertex(b)
+        if u != v:
+            adj[u, v] = adj[v, u] = both
+    mutant = Digraph(adj, copy=False)
+    assert verify_construction_rules(mutant, lay).checks == _reference_checks(mutant, lay)
+
+
+def _relabelled(d, lay, ids):
+    """The instance with vertex v renamed ids[v], and its layout to match."""
+    adj = np.zeros_like(d.adjacency)
+    adj[np.ix_(ids, ids)] = d.adjacency
+    roles = {name: ids[getattr(lay, name)]
+             for name in ("track", "core", "relays", "targets", "mirrors", "starts")}
+    return Digraph(adj, copy=False), dataclasses.replace(lay, **roles,
+                                                         outlet=int(ids[lay.outlet]))
+
+
+@pytest.mark.parametrize("relabel", ["reversed", "shuffled", "overlapping"])
+def test_verifier_matches_reference_on_other_layouts(relabel):
+    # Layouts read from JSON need not be arithmetic progressions, nor even
+    # disjoint: descending roles that end at vertex 0, shuffled ids, and
+    # targets that share half their ids with the relays.
+    d, lay = _instance(None)
+    n, k = d.n, lay.k
+    if relabel == "reversed":
+        d, lay = _relabelled(d, lay, (n - 2 - np.arange(n)) % n)
+        assert lay.starts[-1] == 0
+    elif relabel == "shuffled":
+        d, lay = _relabelled(d, lay, np.random.default_rng(5).permutation(n))
+    else:
+        lay = dataclasses.replace(lay, targets=lay.targets - k // 2)
+    rng = np.random.default_rng(6)
+    for flips in range(3):
+        mutant = d
+        for _ in range(flips):
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            mutant = mutant.with_flipped_arc(*((u, v) if mutant.has_arc(u, v) else (v, u)))
+        assert verify_construction_rules(mutant, lay).checks == _reference_checks(mutant, lay)
+
+
+def test_build_and_verify_allocate_no_whole_matrix_copies():
+    # One build peaks near 2.7 n^2 bytes: the adjacency, the reservoir's
+    # circulant and one n x n compare in the tournament check.  One verify
+    # peaks near 1.1 n^2: the whole-matrix compare of the tournament rule;
+    # every other block is a view or one gathered block.  Row gathers and
+    # index arrays peaked at 11.5 n^2 and 3.1 n^2.
+    n = 1764
+    d, lay = _instance(None)
+    tracemalloc.start()
+    try:
+        build_counterexample(42, n)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_construction_rules(d, lay)
+        verify_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert build_peak <= 4 * n * n, build_peak / n ** 2
+    assert verify_peak <= 3 * n * n, verify_peak / n ** 2
 
 
 class TestPropertyTwo:

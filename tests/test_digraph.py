@@ -204,6 +204,32 @@ def test_tournament_arc_count(n):
     assert d.arc_count == n * (n - 1) // 2
 
 
+# each unordered pair: one arc either way (most draws), both arcs or none
+_PAIR_KINDS = ("fwd", "back", "fwd", "back", "fwd", "back", "both", "none")
+
+
+@st.composite
+def general_digraphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kinds = draw(st.lists(st.sampled_from(_PAIR_KINDS), min_size=len(pairs),
+                          max_size=len(pairs)))
+    adj = np.zeros((n, n), dtype=bool)
+    for (u, v), kind in zip(pairs, kinds):
+        adj[u, v] = kind in ("fwd", "both")
+        adj[v, u] = kind in ("back", "both")
+    return Digraph(adj, copy=False)
+
+
+@given(general_digraphs())
+@settings(max_examples=200)
+def test_predicates_match_pair_loop(d):
+    a = d.adjacency
+    arcs = [int(a[u, v]) + int(a[v, u]) for u in range(d.n) for v in range(u + 1, d.n)]
+    assert is_tournament(d) == all(c == 1 for c in arcs)
+    assert is_semicomplete(d) == all(c >= 1 for c in arcs)
+
+
 @given(st.integers(1, 20), st.integers(0, 5))
 @settings(max_examples=40)
 def test_degree_sums_match_arc_count(n, seed):

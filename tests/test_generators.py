@@ -52,6 +52,14 @@ class TestRotational:
         assert kappa >= 3  # n // 3 floor for the regular family
         assert kappa == 4  # frozen from the exact computation
 
+    @pytest.mark.parametrize("n", [*range(3, 102, 2), 1427])
+    def test_matches_modular_formula(self, n):
+        diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        expected = (diff >= 1) & (diff <= (n - 1) // 2)
+        adj = rotational_tournament(n).adjacency
+        assert adj.dtype == bool and adj.flags.c_contiguous
+        assert (adj == expected).all()
+
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             rotational_tournament(8)
