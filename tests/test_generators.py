@@ -133,6 +133,7 @@ class TestNearRegular:
         (30, 4, "34661863996c3a234eeea5d06fcb9d693dc41975470fd68423fa43339ec559e9"),
         (101, 7, "8737870ac57b8c9694686a5b974c3344f8e40f7e9584585b4b128ab96f0add91"),
         (251, 1, "92666390a3c7e4dc9fa7856438b4b7635d024eda056f120197f8ec6931d2cf97"),
+        (400, 1, "5259276e893b941185dbe86fca974c7f0de56030723703c705ea890b27d92dc9"),
     ])
     def test_seeded_tournaments_pinned(self, n, seed, digest):
         adj = near_regular_tournament(n, seed=seed).adjacency

@@ -1,3 +1,6 @@
+import hashlib
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from semilink.certificates import CertificateError, verify_linkage_certificate
 from semilink.digraph import Digraph, Path
 from semilink.dominators import is_nearly_in_dominating_set
-from semilink.flows import _cut_value
+from semilink.flows import _cut_value, is_k_connected, vertex_connectivity
 from semilink.generators import (near_regular_tournament, random_semicomplete,
                                  random_tournament)
 from semilink.instances import adjustment_stress_instance, planted_cut_instance
@@ -153,6 +156,94 @@ class TestHardFamily:
         res = link(inst, check="exact", trace=tr)
         assert isinstance(res, FailureReport) and res.step == "hypothesis-check"
         assert [e["phase"] for e in tr.events] == ["hypotheses"]
+
+
+@cache
+def _near_regular(n, seed):
+    return near_regular_tournament(n, seed=seed)
+
+
+def _pair_sets(n, k, seed, count):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sets = []
+    for _ in range(count):
+        picks = [int(v) for v in rng.choice(n, size=2 * k, replace=False)]
+        sets.append(tuple(zip(picks[0::2], picks[1::2])))
+    return sets
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Digests of the linker's outputs: the certificate JSON, then the trace JSON.
+
+    A change of any pick, path or trace event changes the digest.
+    """
+
+    @pytest.mark.parametrize("n, k, index, digest", [
+        (251, 2, 0, "e6e9023b8e8c553543664a47870237373c2cfa4e13dec339a1b1bbe1fd6ea1d8"),
+        (251, 2, 1, "5e6b24f995cc2cf87972a74450075e61d7ed03f67799ae1f665ae2bb4f12b23b"),
+        (251, 2, 2, "50f8034acde4dfb0fa57212002595fe0f4c6671e490c9e5d409ce5fbaf95ea29"),
+        (400, 3, 0, "69404298c8b4bdddf95ae6e7aa3a4090f278e1944e53ff2b84ab7e593e88a330"),
+        (400, 3, 1, "5ec93e7833224f1262bd5ba6e986f8901bd05f1c8247ddc7a035244077735754"),
+        (400, 3, 2, "7d5d682ac60705bd55c41f40e9eb61ba6da624d529314175d3a53dcff40566d5"),
+    ])
+    def test_near_regular_certificates(self, n, k, index, digest):
+        d = _near_regular(n, 1)
+        pairs = _pair_sets(n, k, n, index + 1)[index]
+        tr = LinkerTrace()
+        res = link(LinkageInstance(d, pairs), trace=tr)
+        assert isinstance(res, LinkageCertificate)
+        assert _sha256(res.to_json() + tr.to_json()) == digest
+
+    def test_stress_certificate(self):
+        d, pairs = adjustment_stress_instance()
+        tr = LinkerTrace()
+        res = link(LinkageInstance(d, pairs), trace=tr)
+        assert _sha256(res.to_json() + tr.to_json()) == \
+            "dc9944db1ffffcc4cb54e53670469aef2d542007b5f20fbbcc82eb5cd9ac9ba3"
+
+    def test_hard_family_report(self, reference_counterexample):
+        d, lay = reference_counterexample
+        res = link(LinkageInstance(d, tuple(zip(lay.starts.tolist(), lay.targets.tolist()))))
+        pool = next(e["pool"] for e in res.trace.events if e["phase"] == "dominating-pool")
+        assert pool[:6] == [1763, 211, 925, 212, 926, 213] and len(pool) == 126
+        assert _sha256(res.to_json()) == \
+            "0b2ecc856527b8360720c01d9d60cbec5f42ed9d67004f7b34d5d9ed74b92f3d"
+
+
+class TestTheoremHypotheses:
+    """Seeded runs on near-regular tournaments that meet the theorem's hypotheses.
+
+    Out-degree >= 7k^2 + 36k is read off the matrix and (2k+1)-connectivity is
+    decided exactly, so every run must end in a verified certificate.
+    """
+
+    @staticmethod
+    def link_all(d, k, seed):
+        assert int(d.adjacency.sum(axis=1).min()) >= 7 * k * k + 36 * k
+        for pairs in _pair_sets(d.n, k, seed, 6):
+            res = link(LinkageInstance(d, pairs))
+            assert isinstance(res, LinkageCertificate), res
+            verify_linkage_certificate(d, pairs, res.paths)
+
+    def test_one_pair(self):
+        # n = 87 meets the degree bound 43 with equality; the exact star
+        # search gives kappa = 43 >= 3
+        d = near_regular_tournament(87, seed=1)
+        assert vertex_connectivity(d) == 43
+        self.link_all(d, 1, seed=87)
+
+    @pytest.mark.parametrize("n, seed", [(201, 1), (251, 2)])
+    def test_two_pairs(self, n, seed):
+        # n = 201 meets the degree bound 100 with equality.  The exact
+        # decider settles 5-connectivity; vertex_connectivity takes tens of
+        # seconds at these orders.
+        d = near_regular_tournament(n, seed=seed)
+        assert is_k_connected(d, 5)
+        self.link_all(d, 2, seed=n + seed)
 
 
 class TestPlantedCut:
