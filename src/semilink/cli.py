@@ -23,7 +23,7 @@ from .acceptance import PROFILES, run_acceptance_suite
 from .counterexample import (CounterexampleLayout, build_counterexample,
                              sampled_connectivity_check,
                              verify_construction_rules)
-from .digraph import Digraph, digraph_from_arc_list, digraph_to_arc_list
+from .digraph import Digraph, _arc_lines, digraph_from_arc_list, digraph_to_arc_list
 from .dominators import (find_nearly_in_dominating, find_nearly_out_dominating,
                          nearly_in_dominating_profile,
                          nearly_out_dominating_profile)
@@ -91,8 +91,7 @@ def export_dot(d: Digraph, layout: CounterexampleLayout | None = None) -> str:
     else:
         for v in range(d.n):
             lines.append(f"  {v};")
-    for u, v in d.arcs():
-        lines.append(f"  {u} -> {v};")
+    lines.extend(_arc_lines(d, "  {} -> ", ";"))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -7,6 +7,7 @@ is pure and safe for concurrent shared reads.
 
 from __future__ import annotations
 
+import warnings
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -342,8 +343,7 @@ def digraph_from_arc_list(text: str) -> Digraph:
     Rejects loops, duplicate arcs, out-of-range ids, malformed lines and
     orders above ``_MAX_ORDER``.
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise ValueError("empty arc-list input")
     head = lines[0].split()
@@ -355,29 +355,43 @@ def digraph_from_arc_list(text: str) -> Digraph:
     _check_order(n)
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arc lines, got {len(lines) - 1}")
-    tokens = " ".join(lines[1:]).split()
-    if len(tokens) != 2 * m:
-        raise ValueError("malformed arc lines")
     try:
-        flat = np.asarray(tokens, dtype=np.int64) if m else np.empty(0, np.int64)
-    except ValueError:
+        with warnings.catch_warnings():
+            # older numpy warns, instead of raising, where a token is not an integer
+            warnings.simplefilter("error", DeprecationWarning)
+            flat = np.fromstring("\n".join(lines[1:]), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
         raise ValueError("malformed arc lines") from None
+    if flat.size != 2 * m:
+        raise ValueError("malformed arc lines")
     arcs = flat.reshape(m, 2)
     if m:
         if arcs.min() < 0 or arcs.max() >= n:
             raise ValueError("arc endpoint out of range")
         if (arcs[:, 0] == arcs[:, 1]).any():
             raise ValueError("loops are not allowed")
-        keys = arcs[:, 0] * n + arcs[:, 1]
-        if np.unique(keys).size != m:
-            raise ValueError("duplicate arcs")
     adj = np.zeros((n, n), dtype=bool)
     adj[arcs[:, 0], arcs[:, 1]] = True
+    if np.count_nonzero(adj) != m:
+        raise ValueError("duplicate arcs")
     return Digraph(adj, copy=False)
 
 
+def _arc_lines(d: Digraph, head: str, tail: str = "") -> list[str]:
+    """One string per non-empty row: ``head.format(u) + label(v) + tail`` per arc.
+
+    The lines of a row are joined around a table of vertex labels, so no arc
+    is formatted on its own; arcs come in row order.
+    """
+    a = d.adjacency
+    labels = np.array([str(v) for v in range(d.n)], dtype=object)
+    rows = []
+    for u in np.flatnonzero(a.any(axis=1)).tolist():
+        pre = head.format(u)
+        rows.append(pre + (tail + "\n" + pre).join(labels[np.flatnonzero(a[u])]) + tail)
+    return rows
+
+
 def digraph_to_arc_list(d: Digraph) -> str:
-    pairs = np.argwhere(d.adjacency)
-    lines = [f"{d.n} {len(pairs)}"]
-    lines.extend(f"{u} {v}" for u, v in pairs)
+    lines = [f"{d.n} {d.arc_count}", *_arc_lines(d, "{} ")]
     return "\n".join(lines) + "\n"

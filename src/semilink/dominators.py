@@ -162,43 +162,62 @@ def is_nearly_in_dominating(d: Digraph, u: int, c_max: int | None = None,
     return _profile(d, u, "in", c_max, within).is_nearly_dominating()
 
 
-def _spanning_degrees(a: np.ndarray, ids: np.ndarray, direction: str) -> np.ndarray:
-    """Out-degrees of the spanning tournament of the pool ``ids``.
+def _picks(d: Digraph, direction: str, within: Iterable[int] | None,
+           count: int) -> list[int]:
+    """``count`` vertices, each nearly dominating the pool left by the earlier ones.
 
-    Each bidirected pair keeps its arc from the lower id.  For "in" the pool
-    is read reversed, so the choice matches
-    find_nearly_out_dominating(reverse(d)) exactly.  Raises ValueError when
-    some pair of the pool has no arc.
+    Each pick is a maximum out-degree vertex of a spanning tournament of
+    what is left (lowest id on ties, and each bidirected pair keeps its arc
+    from the lower id), and the defining property is asserted for it.  The
+    pool block is gathered once; for "in" it is transposed once, so that its
+    "out" counts are the "in" counts of d and the choice matches
+    find_nearly_out_dominating(reverse(d)).  Semicompleteness is checked
+    once, since it passes to every sub-pool, and each removal updates the
+    degrees by one column.  Raises ValueError when some pair of the pool has
+    no arc or the pool has fewer than ``count`` vertices.
     """
+    ids = np.flatnonzero(_pool_mask(d, within))
     p = ids.size
-    sub = a[ids][:, ids]
+    if p < count:
+        raise ValueError("empty pool" if p == 0 else "pool smaller than the number of picks")
+    block = d.adjacency[ids][:, ids]
+    if direction == "in":
+        block = np.ascontiguousarray(block.T)
     # int32 sums take half the time of int64 ones and cannot overflow here
-    rows = sub.sum(axis=1, dtype=np.int32)
-    cols = sub.sum(axis=0, dtype=np.int32)
-    both = sub & sub.T
-    del sub  # at most two p x p blocks are alive at once
+    degs = block.sum(axis=1, dtype=np.int32)
+    both = block & block.T
     paired = both.sum(axis=1, dtype=np.int32)
-    if (rows + cols - paired != p - 1).any():
+    if (degs + block.sum(axis=0, dtype=np.int32) - paired != p - 1).any():
         raise ValueError("digraph is not semicomplete on the pool")
-    degs = rows if direction == "out" else cols
     if paired.any():
-        both &= np.tri(p, k=-1, dtype=bool)  # a vertex loses its arcs to lower ids
-        degs = degs - both.sum(axis=1, dtype=np.int32)
-    return degs
-
-
-def _find(d: Digraph, direction: str, within: Iterable[int] | None) -> int:
-    mask = _pool_mask(d, within)
-    ids = np.flatnonzero(mask)
-    if ids.size == 0:
-        raise ValueError("empty pool")
-    degs = _spanning_degrees(d.adjacency, ids, direction)
-    u = int(ids[int(np.argmax(degs))])  # argmax takes the lowest id on ties
-    scores = goodness_scores(d, u, direction, mask)
-    if not _nearly_dominates(_bad_counts(scores[scores >= 0], d.n)):
-        raise AssertionError(
-            f"max-degree vertex {u} fails the nearly-{direction}-dominating check")
-    return u
+        # a vertex loses its arcs to lower ids; row chunks keep at most two
+        # pool x pool blocks alive at once
+        pos = np.arange(p)
+        step = max(1, (1 << 16) // p)
+        for r in range(0, p, step):
+            both[r:r + step] &= pos < pos[r:r + step, None]
+        degs -= both.sum(axis=1, dtype=np.int32)
+    del both
+    alive = np.ones(p, dtype=bool)
+    picks: list[int] = []
+    while True:
+        i = int(np.argmax(degs))  # argmax takes the lowest id on ties
+        row = block[i]
+        # scores[v] = n for an arc i->v, else #{live m: i->m->v}
+        scores = np.where(row, d.n, block[row & alive].sum(axis=0, dtype=np.int32))
+        alive[i] = False
+        picks.append(int(ids[i]))
+        if not _nearly_dominates(_bad_counts(scores[alive], d.n)):
+            raise AssertionError(
+                f"max-degree vertex {picks[-1]} fails the nearly-{direction}-dominating check")
+        if len(picks) == count:
+            return picks
+        # i leaves the pool: each vertex loses its arc to i, except a higher
+        # id whose bidirected pair with i kept i's arc.  Updates never raise
+        # a degree, so -1 keeps i below every live vertex.
+        degs -= block[:, i]
+        degs[i + 1:] += block[i + 1:, i] & row[i + 1:]
+        degs[i] = -1
 
 
 def find_nearly_out_dominating(d: Digraph, within: Iterable[int] | None = None) -> int:
@@ -208,11 +227,11 @@ def find_nearly_out_dominating(d: Digraph, within: Iterable[int] | None = None) 
     ties, and each bidirected pair keeps its arc from the lower id) and
     asserts the defining property, which that choice always satisfies.
     """
-    return _find(d, "out", within)
+    return _picks(d, "out", within, 1)[0]
 
 
 def find_nearly_in_dominating(d: Digraph, within: Iterable[int] | None = None) -> int:
-    return _find(d, "in", within)
+    return _picks(d, "in", within, 1)[0]
 
 
 def _gamma_dominates(lines: np.ndarray, v: int, members: Iterable[int],

@@ -32,8 +32,8 @@ import numpy as np
 
 from .certificates import CertificateError, verify_linkage_certificate
 from .digraph import Digraph, Path, PathSystem, is_semicomplete, reduce_to_minimal_path
-from .dominators import _pool_mask, find_nearly_in_dominating, \
-    find_nearly_out_dominating, goodness_scores
+from .dominators import _picks, _pool_mask, find_nearly_out_dominating, \
+    goodness_scores
 from .flows import FlowInfeasible, _cut_value, _sample_pairs, is_k_connected, \
     min_weight_disjoint_paths
 
@@ -151,17 +151,15 @@ def build_dominating_set(d: Digraph, starts: Sequence[int], targets: Sequence[in
     Vertex i is found in the digraph with the terminals and the previous
     picks removed; the defining property is asserted for every pick.  That
     also certifies the whole pool in the digraph minus the terminals: there
-    every pick has the same or more middles and fewer candidates.
+    every pick has the same or more middles and fewer candidates.  The pool
+    block is gathered and checked for semicompleteness once, since every
+    sub-pool of a semicomplete pool is semicomplete; each pick then updates
+    the degrees by one column.
     """
     excluded = set(starts) | set(targets)
     if d.n < len(excluded) + 3 * k:
         raise ValueError("digraph too small to host the dominating pool")
-    remaining = np.setdiff1d(np.arange(d.n), list(excluded))
-    pool: list[int] = []
-    for _ in range(3 * k):
-        u = find_nearly_in_dominating(d, within=remaining)
-        pool.append(u)
-        remaining = remaining[remaining != u]
+    pool = _picks(d, "in", np.setdiff1d(np.arange(d.n), list(excluded)), 3 * k)
     trace.add("dominating-pool", pool=list(pool))
     return pool
 

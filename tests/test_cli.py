@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -281,6 +282,13 @@ class TestExport:
         assert "cluster_track" in clustered
         assert "cluster_core" in clustered
         assert "cluster_outlet" in clustered
+
+    def test_clustered_text_pinned(self, reference_counterexample):
+        d, lay = reference_counterexample
+        text = export_dot(d, lay)
+        assert text.count("->") == d.arc_count
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "d3cb0ffcda08ca91b45136275fc699f6c9de63fe3cc49081565aad309057e717"
 
 
 class TestAcceptSubcommand:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,28 @@ class TestArcListFormat:
 
     def test_empty_digraph(self):
         assert digraph_from_arc_list("3 0\n").n == 3
+
+    def test_rows_in_order_and_empty_rows_skipped(self):
+        assert digraph_to_arc_list(transitive_tournament(3)) == "3 3\n0 1\n0 2\n1 2\n"
+        assert digraph_to_arc_list(Digraph.from_arcs(3, [])) == "3 0\n"
+
+    def test_comments_blanks_and_tabs(self):
+        text = "# header\n3 2\n\n0\t1\n  # note\n 1 2 \n"
+        assert digraph_from_arc_list(text) == Digraph.from_arcs(3, [(0, 1), (1, 2)])
+
+    def test_reject_stray_tokens(self):
+        for text in ("3 1\n0 1 x\n", "3 1\n0 1.5\n", "3 1\n0 1 2\n"):
+            with pytest.raises(ValueError, match="malformed"):
+                digraph_from_arc_list(text)
+        with pytest.raises(ValueError, match="range"):
+            digraph_from_arc_list("3 1\n99999999999999999999 1\n")
+
+    def test_hard_instance_roundtrip(self, reference_counterexample):
+        d, _ = reference_counterexample
+        text = digraph_to_arc_list(d)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "4470de1b21133eed3d7e33f58b5a6c3d253102454e8001f036a5ecfd07375cff"
+        assert digraph_from_arc_list(text) == d
 
     def test_reject_huge_order_before_allocating(self, no_large_allocation):
         for text in ("1000000 0\n", f"{_MAX_ORDER + 1} 0\n"):

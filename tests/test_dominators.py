@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semilink.digraph import Digraph, spanning_tournament
-from semilink.dominators import (count_two_paths, find_nearly_in_dominating,
+from semilink.dominators import (_picks, count_two_paths, find_nearly_in_dominating,
                                  find_nearly_out_dominating, is_c_in_good,
                                  is_c_out_good, is_gamma_in_dominator,
                                  is_gamma_out_dominator,
@@ -17,6 +17,7 @@ from semilink.dominators import (count_two_paths, find_nearly_in_dominating,
                                  nearly_out_dominating_profile)
 from semilink.generators import (random_semicomplete, random_tournament,
                                  rotational_tournament, transitive_tournament)
+from semilink.linker import LinkerTrace, build_dominating_set
 
 from conftest import random_digraph, run_optimized
 
@@ -297,6 +298,84 @@ def test_finder_allocates_no_extra_blocks(p_bidirected):
     finally:
         tracemalloc.stop()
     assert u == reference_find(d, "in", pool)
+    assert peak <= 3 * n * n, peak / n ** 2
+
+
+def reference_picks(d, direction, within, count):
+    """``reference_find`` pick by pick, each pick leaving the pool."""
+    remaining = list(range(d.n)) if within is None else sorted(within)
+    picks = []
+    for _ in range(count):
+        picks.append(reference_find(d, direction, remaining))
+        remaining.remove(picks[-1])
+    return picks
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 30), st.floats(0.0, 1.0),
+       st.sampled_from(["general", "semicomplete", "holes"]), st.integers(0, 30),
+       st.integers(1, 8), st.sampled_from(["in", "out"]))
+@example(seed=1, n=12, density=0.5, kind="holes", pool_size=0, count=4, direction="in")
+@example(seed=2, n=9, density=0.3, kind="semicomplete", pool_size=3, count=5, direction="out")
+@settings(max_examples=300, deadline=None)
+def test_picks_match_reference_pick_by_pick(seed, n, density, kind, pool_size,
+                                            count, direction):
+    # general digraphs, semicomplete ones and semicomplete ones with holes
+    # (both arcs of some pairs dropped); pool_size 0 means the whole digraph,
+    # and a pool smaller than count runs out of vertices
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "general":
+        d = random_digraph(n, density, seed)
+    else:
+        adj = random_semicomplete(n, density, seed).adjacency.copy()
+        if kind == "holes":
+            cut = np.triu(rng.random((n, n)) < 0.03, 1)
+            adj &= ~(cut | cut.T)
+        d = Digraph(adj, copy=False)
+    within = None if pool_size == 0 else \
+        rng.choice(n, size=min(pool_size, n), replace=False).tolist()
+    assert _outcome(_picks, d, direction, within, count) == \
+        _outcome(reference_picks, d, direction, within, count)
+
+
+@pytest.mark.parametrize("direction", ["in", "out"])
+def test_each_pick_checks_its_own_pool(monkeypatch, direction):
+    # The bad counts behind each pick's assertion are those of the pool the
+    # earlier picks left: no removed vertex counts as a middle or a candidate.
+    import semilink.dominators as dominators
+    seen = []
+    real = dominators._nearly_dominates
+    monkeypatch.setattr(dominators, "_nearly_dominates",
+                        lambda bad, *a: seen.append(list(bad)) or real(bad, *a))
+    profile = nearly_out_dominating_profile if direction == "out" \
+        else nearly_in_dominating_profile
+    for seed in range(6):
+        d = random_semicomplete(40, 0.1 * seed, seed=200 + seed)
+        remaining = list(range(3, 40))
+        seen.clear()
+        picks = _picks(d, direction, remaining, 8)
+        assert len(seen) == 8
+        for u, bad in zip(picks, seen):
+            c_max = (len(remaining) - 1) // 2 + 1
+            assert bad == list(profile(d, u, c_max=c_max, within=remaining).bad_counts)
+            remaining.remove(u)
+
+
+@pytest.mark.parametrize("p_bidirected", [0.0, 0.3])
+def test_picks_allocate_no_extra_blocks(p_bidirected):
+    # The 3k picks of one build_dominating_set at n=1000 share one pool
+    # gather and hold at most two pool x pool blocks at once.
+    n, k = 1000, 3
+    d = random_semicomplete(n, p_bidirected, seed=4)
+    terminals = list(range(0, 12 * k, 6)), list(range(3, 12 * k, 6))
+    build_dominating_set(d, *terminals, k, LinkerTrace())
+    tracemalloc.start()
+    try:
+        pool = build_dominating_set(d, *terminals, k, LinkerTrace())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rest = sorted(set(range(n)) - set(terminals[0]) - set(terminals[1]))
+    assert pool == reference_picks(d, "in", rest, 3 * k)
     assert peak <= 3 * n * n, peak / n ** 2
 
 
