@@ -156,10 +156,10 @@ def build_dominating_set(d: Digraph, starts: Sequence[int], targets: Sequence[in
     sub-pool of a semicomplete pool is semicomplete; each pick then updates
     the degrees by one column.
     """
-    excluded = set(starts) | set(targets)
-    if d.n < len(excluded) + 3 * k:
+    free = np.flatnonzero(_off_terminals(d.n, starts, targets, ()))
+    if free.size < 3 * k:
         raise ValueError("digraph too small to host the dominating pool")
-    pool = _picks(d, "in", np.setdiff1d(np.arange(d.n), list(excluded)), 3 * k)
+    pool = _picks(d, "in", free, 3 * k)
     trace.add("dominating-pool", pool=list(pool))
     return pool
 

@@ -113,6 +113,12 @@ class TestStressInstance:
         assert rounds[0]["retired_growth"] <= 13  # 7k + 6 at k = 1
         assert rounds[0]["candidates"] >= 1
 
+    def test_pool_needs_3k_free_vertices(self):
+        with pytest.raises(ValueError, match="too small"):
+            build_dominating_set(complete_digraph(9), [0, 1], [2, 3], 2, LinkerTrace())
+        pool = build_dominating_set(complete_digraph(10), [0, 1], [2, 3], 2, LinkerTrace())
+        assert pool == [4, 5, 6, 7, 8, 9]
+
     def test_program_output_conditions(self):
         d, pairs = adjustment_stress_instance()
         starts = [x for x, _ in pairs]
