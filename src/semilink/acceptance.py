@@ -206,7 +206,7 @@ def criterion_6(profile: dict) -> CriterionResult:
     return _result(6, "construction-certification", t0, ok, detail)
 
 
-def criterion_7(profile: dict) -> CriterionResult:
+def criterion_7(_profile: dict) -> CriterionResult:
     """Audit of the path-adjustment program on the stress instance."""
     t0 = time.monotonic()
     d, pairs = adjustment_stress_instance()

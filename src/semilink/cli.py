@@ -123,6 +123,8 @@ def _cmd_counterexample(args) -> int:
         report = verify_construction_rules(d, layout)
         verdicts["rules_passed"] = report.all_passed
         verdicts["failed_rules"] = [c.name for c in report.failed()]
+        verdicts["non_linkage"] = ("not computed: it follows from the paper's proof, "
+                                   "given the wiring rules")
     print(_report("counterexample",
                   {"k": args.k, "n": args.n, "seed": args.seed},
                   verdicts, {"seconds": round(time.monotonic() - t0, 3)},
@@ -211,9 +213,6 @@ def _cmd_dominators(args) -> int:
         print(_report("dominators", {"in": args.input, "mode": "find-in"},
                       {"vertex": v}, {}, {}))
         return EXIT_OK
-    if args.check is None:
-        print("need one of --find-out, --find-in, --check", file=sys.stderr)
-        return EXIT_USAGE
     # every count past c = n - 1 is the same, so a larger cmax only costs memory
     if args.cmax is not None and not 1 <= args.cmax <= d.n:
         print(f"--cmax must lie in 1..{d.n}", file=sys.stderr)
@@ -348,9 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dominators", help="nearly-dominating vertex queries")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--find-out", action="store_true")
-    p.add_argument("--find-in", action="store_true")
-    p.add_argument("--check", type=int, default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--find-out", action="store_true")
+    mode.add_argument("--find-in", action="store_true")
+    mode.add_argument("--check", type=int, default=None)
     p.add_argument("--cmax", type=int, default=None)
     p.set_defaults(func=_cmd_dominators)
 

@@ -22,13 +22,22 @@ tournament around a grid of k disjoint tracks of ``l + 2`` steps each
   an *outlet* vertex is fed by the whole reservoir and beats everything
   else.
 
+The wiring is stated once, as a table of orientation blocks (a few blocks
+of the adjacency per rule, each with the orientation it must have).  The
+builder writes that table, and the verifier checks the adjacency against
+it.
+
 What is computed about a built instance, from its layout alone:
 
 * :func:`verify_construction_rules` checks the thirteen wiring rules of
   ``CORE_RULES`` and the five checks of ``EXTRA_CHECKS``.  Each wiring rule
-  is one orientation check: a few blocks of the adjacency, each with the
-  orientation it must have.  A violation comes with a witness pair, so a
-  single-arc fault outside the free zones is caught and named;
+  is one orientation check of its blocks.  A violation comes with a witness
+  pair, so a single-arc fault outside the free zones is caught and named.
+  A fresh build meets the orientation blocks by construction, so on one the
+  verifier certifies that the rules agree with each other (no pair is
+  oriented both ways), the tournament property, the track arcs and the
+  reservoir's regularity; the builder itself is pinned by adjacency digests
+  in the tests;
 * :func:`verify_property_two` exhibits the k+1 disjoint escape paths from
   the reservoir into the targets and the outlet;
 * :func:`sampled_connectivity_check` computes exact minimum cuts for
@@ -227,7 +236,8 @@ def build_counterexample(k: int, n: int, seed: int | None = None
     ``seed`` randomizes the two free zones (arcs inside the mesh that are
     not track arcs, and arcs among the starts); with ``seed=None`` both
     default to the deterministic layered/transitive orientation.  Everything
-    else is forced by the wiring rules.
+    else is forced by the wiring rules: the reservoir's circulant and the
+    blocks of :func:`_wiring`, which the verifier reads back.
     """
     params = CounterexampleParams(k, n, seed)
     l, half = params.l, k // 2
@@ -249,112 +259,28 @@ def build_counterexample(k: int, n: int, seed: int | None = None
                                   mirrors=mirrors, starts=starts, outlet=outlet)
 
     adj = np.zeros((n, n), dtype=bool)
-    rng = np.random.Generator(np.random.PCG64(seed)) if seed is not None else None
-
-    def block(a, b) -> tuple:
-        return _block_index(_as_slice(np.atleast_1d(a), n), _as_slice(np.atleast_1d(b), n))
-
-    def beats(a: np.ndarray, b: np.ndarray) -> None:
-        adj[block(a, b)] = True
-
-    def layered_block(rows: np.ndarray) -> None:
-        # Transitive within each step column, higher step beats lower step,
-        # except the forward track arcs (already placed).
-        m = rows.shape[0]
-        upper = np.triu(np.ones((m, m), dtype=bool), 1)
-        below = ~np.eye(m, dtype=bool)  # the track arc points forward
-        for t in range(1, l + 1):
-            col = rows[:, t]
-            adj[block(col, col)] = upper
-            for j in range(1, t):
-                adj[block(col, rows[:, j])] = below if j == t - 1 else True
-
-    # Track arcs.
-    for t in range(steps - 1):
-        adj[track[:, t], track[:, t + 1]] = True
-
-    ladder_rows = track[:half]
-    mesh_rows = track[half:]
-    ladder = layout.ladder()
-    mesh = layout.mesh()
-    interiors = layout.interiors()
-    heads, tails = layout.heads(), layout.tails()
-    reservoir = layout.reservoir()
-
-    layered_block(ladder_rows)
-    if rng is None:
-        layered_block(mesh_rows)
+    # The free zones: the mesh, track arcs kept, and the starts.
+    if seed is None:
+        upper = np.triu(np.ones((k, k), dtype=bool), 1)
+        for block in _layered(track[half:]) + [(starts, starts, upper)]:
+            _write(adj, *block)
     else:
-        _random_free_zone(adj, mesh, mesh_rows, rng)
-    beats(ladder, mesh)
-
-    # Tail block: transitive tails, tails beat interiors and heads,
-    # interiors beat heads; the two track arcs at the grid borders stand.
-    adj[block(tails, tails)] = np.triu(np.ones((k, k), dtype=bool), 1)
-    beats(tails, interiors)
-    adj[tails, track[:, l]] = False
-    beats(tails, heads)
-    beats(interiors, heads)
-    adj[track[:, 1], heads] = False
+        rng = np.random.Generator(np.random.PCG64(seed))
+        _random_free_zone(adj, track[half:, 1:-1], rng)
+        _random_free_zone(adj, starts[:, None], rng)
 
     # Reservoir: regular circulant over heads-then-core order.  Heads and
     # core are each a progression, so each of the four blocks is a slice.
-    circ = rotational_tournament(reservoir.size).adjacency
-    parts = ((heads, slice(0, k)), (core, slice(k, None)))
+    circ = rotational_tournament(params.reservoir_size).adjacency
+    parts = ((layout.heads(), slice(0, k)), (core, slice(k, None)))
     for rows, r in parts:
         for cols, c in parts:
-            adj[block(rows, cols)] = circ[r, c]
+            adj[_block_index(_as_slice(rows, n), _as_slice(cols, n))] = circ[r, c]
 
-    beats(interiors, core)
-    beats(tails, core)
-
-    # Tier orders: relays and targets increasing, mirrors reversed.
-    upper_k = np.triu(np.ones((k, k), dtype=bool), 1)
-    adj[block(relays, relays)] = upper_k
-    adj[block(targets, targets)] = upper_k
-    adj[block(mirrors, mirrors)] = upper_k.T
-
-    idx = np.arange(k)
-    ge = idx[:, None] >= idx[None, :]
-    adj[block(tails, relays)] = ge          # tail j -> relay i iff j >= i
-    adj[block(relays, tails)] = ~ge.T
-    adj[block(relays, targets)] = ge        # relay j -> target i iff j >= i
-    adj[block(targets, relays)] = ~ge.T
-    adj[block(relays, mirrors)] = ~ge       # relay j -> mirror i iff j < i
-    adj[block(mirrors, relays)] = ge.T
-
-    bypass = layout.bypass
-    beats(bypass, targets)
-    beats(bypass, mirrors)
-    not_bypass = reservoir[reservoir != bypass]
-    for tier in (targets, mirrors):
-        beats(tier, layout.grid())
-        beats(tier, not_bypass)
-    beats(targets, mirrors)
-    beats(relays, interiors)
-    beats(relays, reservoir)
-
-    # Starts: front reaches the mesh, back reaches the ladder; everything
-    # else beats them.
-    front, back = layout.starts_front(), layout.starts_back()
-    beats(front, mesh)
-    beats(mesh, back)
-    beats(back, ladder)
-    beats(ladder, front)
-    for rows in (reservoir, tails, relays, mirrors):
-        beats(rows, starts)
-    if rng is None:
-        adj[block(starts, starts)] = upper_k
-    else:
-        ori = rng.integers(0, 2, size=(k, k)).astype(bool)
-        adj[block(starts, starts)] = np.triu(ori, 1) | np.tril(~ori.T, -1)
-    eye = np.eye(k, dtype=bool)
-    adj[block(starts, targets)] = ~eye
-    adj[block(targets, starts)] = eye
-
-    beats(reservoir, outlet)
-    for cols in (interiors, tails, relays, targets, mirrors, starts):
-        beats(outlet, cols)
+    for rule in _wiring(layout).values():
+        for rows, cols, want in rule:
+            if want is not None:
+                _write(adj, rows, cols, want)
 
     d = Digraph(adj, copy=False)
     if not is_tournament(d):
@@ -362,18 +288,115 @@ def build_counterexample(k: int, n: int, seed: int | None = None
     return d, layout
 
 
-def _random_free_zone(adj: np.ndarray, ids: np.ndarray, rows: np.ndarray,
+def _random_free_zone(adj: np.ndarray, rows: np.ndarray,
                       rng: np.random.Generator) -> None:
-    """Randomly orient all pairs inside a free zone, keeping track arcs."""
+    """Randomly orient all pairs among ``rows``, keeping the arcs along each row."""
+    ids = rows.ravel()
     m = ids.size
     ori = rng.integers(0, 2, size=(m, m)).astype(bool)
-    block = np.triu(ori, 1) | np.tril(~ori.T, -1)
-    adj[np.ix_(ids, ids)] = block
-    cols = rows.shape[1]
-    for i in range(rows.shape[0]):
-        for t in range(1, cols - 2):
-            adj[rows[i, t], rows[i, t + 1]] = True
-            adj[rows[i, t + 1], rows[i, t]] = False
+    adj[np.ix_(ids, ids)] = np.triu(ori, 1) | np.tril(~ori.T, -1)
+    adj[rows[:, :-1], rows[:, 1:]] = True
+    adj[rows[:, 1:], rows[:, :-1]] = False
+
+
+def _layered(rows: np.ndarray) -> list[tuple]:
+    """The layered blocks of the tracks ``rows``, over their interior steps.
+
+    Each step is transitive in track order; of each pair of steps, the
+    higher beats the lower, except along the track arcs.
+    """
+    m, l = rows.shape[0], rows.shape[1] - 2
+    idx = np.arange(m)
+    before = idx[:, None] < idx[None, :]
+    off_diag = idx[:, None] != idx[None, :]
+    return [(rows[:, t], rows[:, t], before) for t in range(1, l + 1)] \
+        + [(rows[:, t], rows[:, j], off_diag if j == t - 1 else True)
+           for t in range(1, l + 1) for j in range(1, t)]
+
+
+def _mask(n: int, *parts) -> np.ndarray:
+    """The ids of ``parts`` as a boolean mask over 0..n-1."""
+    mask = np.zeros(n, dtype=bool)
+    for part in parts:
+        mask[part] = True
+    return mask
+
+
+def _wiring(layout: CounterexampleLayout) -> dict[str, list[tuple]]:
+    """Every orientation block of the family, by the name of its check.
+
+    A block ``(rows, cols, want)`` is read by :func:`_orientation_witness`
+    and written by :func:`_write`.  ``want=None`` asks only for a
+    tournament: the two free zones and the whole instance.  The reservoir's
+    circulant is the one part of the family stated elsewhere.
+    """
+    lay = layout
+    n, k, l, half = lay.n, lay.k, lay.l, lay.half
+    track = lay.track
+    tails, heads, interiors = lay.tails(), lay.heads(), lay.interiors()
+    res = lay.reservoir()
+    everyone = np.arange(n)
+    idx = np.arange(k)
+    before = idx[:, None] < idx[None, :]     # row i beats col j iff i < j
+    off_diag = idx[:, None] != idx[None, :]  # False marks a track arc or a matched pair
+    off_starts = np.flatnonzero(~_mask(n, lay.starts, lay.targets))
+    ladder = _layered(track[:half])
+    return {
+        "rung_order": ladder[:l],
+        "ladder_descent": ladder[l:],
+        # the ladder beats the mesh, and the mesh is a tournament
+        "ladder_over_mesh": [(lay.ladder(), lay.mesh(), True),
+                             (lay.mesh(), lay.mesh(), None)],
+        "tail_block": [(tails, tails, before)]
+        + [(tails, track[:, t], off_diag if t == l else True) for t in range(1, l + 1)]
+        + [(track[:, t], heads, off_diag if t == 1 else True) for t in range(1, l + 1)]
+        + [(tails, heads, True)],
+        "grid_over_reservoir": [(interiors, lay.core, True), (tails, lay.core, True)],
+        "tail_relay_split": [(tails, lay.relays, ~before)],
+        "relay_target_split": [(lay.relays, lay.targets, ~before)],
+        "relay_mirror_split": [(lay.relays, lay.mirrors, before)],
+        "bypass_feed": [([lay.bypass], lay.targets, True),
+                        ([lay.bypass], lay.mirrors, True)],
+        # targets beat mirrors; targets and mirrors beat the grid and the
+        # reservoir minus the bypass; relays beat interiors and the reservoir
+        "tier_dominance": [(lay.targets, lay.mirrors, True)]
+        + [(tier, part, True) for tier in (lay.targets, lay.mirrors)
+           for part in (lay.grid(), res[res != lay.bypass])]
+        + [(lay.relays, interiors, True), (lay.relays, res, True)],
+        "start_reach": [(lay.starts_front(), off_starts, _mask(n, lay.mesh())[off_starts]),
+                        (lay.starts_back(), off_starts, _mask(n, lay.ladder())[off_starts]),
+                        (lay.starts, lay.starts, None)],
+        "start_target": [(lay.starts, lay.targets, off_diag)],
+        "outlet": [(res, [lay.outlet], True),
+                   ([lay.outlet], np.flatnonzero(~_mask(n, res, lay.outlet)), True)],
+        "tournament": [(everyone, everyone, None)],
+        "tier_orders": [(tier, tier, before) for tier in
+                        (lay.relays, lay.targets, lay.mirrors[::-1])],
+        # no arc from a ladder step j to a step t >= j + 2, heads and tails
+        # included
+        "no_forward_jump": [(lay.rung(j), lay.rung(t), False)
+                            for j in range(l + 2) for t in range(j + 2, l + 2)],
+    }
+
+
+def _write(adj: np.ndarray, rows, cols, want) -> None:
+    """Put in exactly the arcs that :func:`_orientation_witness` asks of a block.
+
+    A scalar ``want`` True writes only the arcs rows->cols, False only
+    cols->rows.  A matrix ``want`` writes its reverse block first, then the
+    block itself, so a block of a role with itself ends as ``want`` says,
+    with no loops.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    n = adj.shape[0]
+    r, c = _as_slice(rows, n), _as_slice(cols, n)
+    if np.ndim(want) == 0:
+        adj[_block_index(r, c) if want else _block_index(c, r)] = True
+        return
+    want = np.broadcast_to(want, (rows.size, cols.size))
+    adj[_block_index(c, r)] = ~want.T
+    adj[_block_index(r, c)] = want
 
 
 def _as_slice(ids: np.ndarray, n: int) -> slice | np.ndarray:
@@ -451,64 +474,16 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
     """Re-check every wiring rule from the layout; witness arcs on failure.
 
     Each rule, apart from ``track_paths`` and ``reservoir_regular``, is a
-    list of blocks ``(rows, cols, want)`` read by :func:`_orientation_witness`;
-    the rule's witness is the first bad pair of its first failing block.
+    list of :func:`_wiring` blocks ``(rows, cols, want)`` read by
+    :func:`_orientation_witness`; the rule's witness is the first bad pair
+    of its first failing block.
     """
     if d.n != layout.n:
         raise ValueError("layout does not match the digraph")
-    lay = layout
     adj = d.adjacency
-    k, l, half = lay.k, lay.l, lay.half
-    track = lay.track
-    tails, heads, interiors = lay.tails(), lay.heads(), lay.interiors()
-    res = lay.reservoir()
-    everyone = np.arange(d.n)
-    idx = np.arange(k)
-    before = idx[:, None] < idx[None, :]     # row i beats col j iff i < j
-    off_diag = idx[:, None] != idx[None, :]  # False marks a track arc or a matched pair
-    off_starts = np.setdiff1d(everyone, np.concatenate([lay.starts, lay.targets]))
-    blocks = {
-        "rung_order": [(lay.rung(t), lay.rung(t), before[:half, :half])
-                       for t in range(1, l + 1)],
-        "ladder_descent": [(lay.rung(t), lay.rung(j),
-                            off_diag[:half, :half] if j == t - 1 else True)
-                           for t in range(1, l + 1) for j in range(1, t)],
-        # the ladder beats the mesh, and the mesh is a tournament
-        "ladder_over_mesh": [(lay.ladder(), lay.mesh(), True),
-                             (lay.mesh(), lay.mesh(), None)],
-        "tail_block": [(tails, tails, before)]
-        + [(tails, track[:, t], off_diag if t == l else True) for t in range(1, l + 1)]
-        + [(track[:, t], heads, off_diag if t == 1 else True) for t in range(1, l + 1)]
-        + [(tails, heads, True)],
-        "grid_over_reservoir": [(interiors, lay.core, True), (tails, lay.core, True)],
-        "tail_relay_split": [(tails, lay.relays, ~before)],
-        "relay_target_split": [(lay.relays, lay.targets, ~before)],
-        "relay_mirror_split": [(lay.relays, lay.mirrors, before)],
-        "bypass_feed": [([lay.bypass], lay.targets, True),
-                        ([lay.bypass], lay.mirrors, True)],
-        # targets beat mirrors; targets and mirrors beat the grid and the
-        # reservoir minus the bypass; relays beat interiors and the reservoir
-        "tier_dominance": [(lay.targets, lay.mirrors, True)]
-        + [(tier, part, True) for tier in (lay.targets, lay.mirrors)
-           for part in (lay.grid(), res[res != lay.bypass])]
-        + [(lay.relays, interiors, True), (lay.relays, res, True)],
-        "start_reach": [(lay.starts_front(), off_starts, np.isin(off_starts, lay.mesh())),
-                        (lay.starts_back(), off_starts, np.isin(off_starts, lay.ladder())),
-                        (lay.starts, lay.starts, None)],
-        "start_target": [(lay.starts, lay.targets, off_diag)],
-        "outlet": [(res, [lay.outlet], True),
-                   ([lay.outlet], np.setdiff1d(everyone, np.append(res, lay.outlet)),
-                    True)],
-        "tournament": [(everyone, everyone, None)],
-        "tier_orders": [(tier, tier, before) for tier in
-                        (lay.relays, lay.targets, lay.mirrors[::-1])],
-        # no arc from a ladder step j to a step t >= j + 2, heads and tails
-        # included
-        "no_forward_jump": [(lay.rung(j), lay.rung(t), False)
-                            for j in range(l + 2) for t in range(j + 2, l + 2)],
-    }
+    track = layout.track
     found = {name: next(filter(None, (_orientation_witness(adj, *b) for b in rule)), None)
-             for name, rule in blocks.items()}
+             for name, rule in _wiring(layout).items()}
 
     missing = ~adj[track[:, :-1], track[:, 1:]]
     found["track_paths"] = None
@@ -520,7 +495,7 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
     # the reservoir's semidegrees, one heads/core block at a time; a count
     # is at most n, and summing into the smallest type that holds n is the
     # fastest
-    parts = [_as_slice(part, d.n) for part in (heads, lay.core)]
+    parts = [_as_slice(part, d.n) for part in (layout.heads(), layout.core)]
     count = np.min_scalar_type(d.n)
     outs = np.concatenate([sum(adj[_block_index(r, c)].sum(axis=1, dtype=count)
                                for c in parts) for r in parts])
@@ -528,7 +503,7 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
                               for r in parts) for c in parts])
     found["reservoir_regular"] = None
     if not (outs == outs[0]).all() or not (ins == ins[0]).all():
-        v = int(res[int(np.argmax(outs != outs[0]))])
+        v = int(layout.reservoir()[int(np.argmax(outs != outs[0]))])
         found["reservoir_regular"] = RuleWitness(
             v, v, "reservoir must induce a regular tournament")
 

@@ -355,14 +355,22 @@ def digraph_from_arc_list(text: str) -> Digraph:
     _check_order(n)
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arc lines, got {len(lines) - 1}")
+    body = "\n".join(lines[1:])
     try:
         with warnings.catch_warnings():
             # older numpy warns, instead of raising, where a token is not an integer
             warnings.simplefilter("error", DeprecationWarning)
-            flat = np.fromstring("\n".join(lines[1:]), dtype=np.int64, sep=" ")
+            flat = np.fromstring(body, dtype=np.int64, sep=" ")
     except (ValueError, DeprecationWarning):
         raise ValueError("malformed arc lines") from None
-    if flat.size != 2 * m:
+    # two tokens per line: a stripped line holds one gap (a run of spaces and
+    # tabs), and the gaps and the line breaks alternate
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    gap = (raw == ord(" ")) | (raw == ord("\t"))
+    gaps = np.flatnonzero(gap[1:] & ~gap[:-1]) + 1
+    breaks = np.flatnonzero(raw == ord("\n"))
+    if flat.size != 2 * m or gaps.size != m \
+            or (gaps[:-1] > breaks).any() or (breaks > gaps[1:]).any():
         raise ValueError("malformed arc lines")
     arcs = flat.reshape(m, 2)
     if m:

@@ -560,9 +560,9 @@ def finalize_deliveries(d: Digraph, starts, pool, deliveries: dict[int, Path],
     return paths
 
 
-def build_launches(d: Digraph, starts, targets, pool, split: TerminalSplit,
-                   matched: Mapping[int, int], deliveries: Mapping[int, Path],
-                   k: int, trace: LinkerTrace) -> dict[int, Path]:
+def build_launches(d: Digraph, starts, targets, pool, matched: Mapping[int, int],
+                   deliveries: Mapping[int, Path], k: int,
+                   trace: LinkerTrace) -> dict[int, Path]:
     """Per start, a path of length <= 2 ending at a launch terminal.
 
     Rich starts go start -> stand-in -> pool vertex (the second hop is a
@@ -635,7 +635,7 @@ def _bipartite_matching(d: Digraph, left: Sequence[int], right: Sequence[int]
 
 def build_bridges(d: Digraph, pairs, launches: Mapping[int, Path],
                   deliveries: Mapping[int, Path], starts, targets, pool,
-                  k: int, trace: LinkerTrace) -> dict[int, Path]:
+                  trace: LinkerTrace) -> dict[int, Path]:
     """Connect each launch terminal to its delivery's initial vertex.
 
     Bridges have length at most 3, are built one pair at a time in pair
@@ -743,10 +743,10 @@ def link(instance: LinkageInstance, check: str | None = None,
                                 deliveries, special, trace)
         finals = finalize_deliveries(d, starts, pool, adjusted.deliveries,
                                      adjusted.stand_ins, trace)
-        launches = build_launches(d, starts, targets, pool, split,
-                                  adjusted.matched, finals, k, trace)
+        launches = build_launches(d, starts, targets, pool, adjusted.matched,
+                                  finals, k, trace)
         bridges = build_bridges(d, pairs, launches, finals, starts, targets,
-                                pool, k, trace)
+                                pool, trace)
         paths = []
         provenance = []
         for x, y in pairs:

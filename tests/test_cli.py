@@ -162,6 +162,17 @@ class TestDominators:
         code, _ = run(capsys, "dominators", "--in", str(f))
         assert code == 2
 
+    @pytest.mark.parametrize("modes", [["--find-out", "--check", "3"],
+                                       ["--find-out", "--find-in"],
+                                       ["--find-in", "--check", "0"]])
+    def test_modes_are_exclusive(self, tmp_path, capsys, modes):
+        f = tmp_path / "tt.txt"
+        run(capsys, "gen", "--kind", "transitive", "--n", "5", "--out", str(f))
+        code = main(["dominators", "--in", str(f), *modes])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     @pytest.mark.parametrize("cmax", ["0", "-3", "9", "3000000"])
     def test_cmax_out_of_range_is_usage_error(self, tmp_path, capsys, monkeypatch, cmax):
         f = tmp_path / "tt.txt"
@@ -357,6 +368,8 @@ class TestCounterexampleCommand:
         assert code == 0
         report = last_json(text)
         assert report["verdicts"]["rules_passed"] is True
+        # the rules are checked; the non-linkage they imply is not computed
+        assert report["verdicts"]["non_linkage"].startswith("not computed")
         assert report["verdicts"]["min_out_degree"] >= 86
         data = json.loads(layout.read_text())
         assert data["k"] == 42 and len(data["roles"]["tracks"]) == 42

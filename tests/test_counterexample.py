@@ -93,6 +93,10 @@ class TestBuild:
         (42, 1764, None, "4e1d6fe0780cc42aaaf1fe4ac09d49aaf2d942c438fbf14c549723ecd9a69231"),
         (42, 1764, 99, "12660228dc271166efd30d7d89f1e3699ba23883c8c3c9bb4591b9c8b2f21179"),
         (50, 2500, None, "fa20b1e2e12e2d342f60c674be3a50d930db07bbe4c06ee2bd5445788daf6152"),
+        (42, 1766, 7, "569cdc7a96f7498377ba0bf9b75088a7359a9cea5482006b8658968c89e03a72"),
+        (44, 1936, None, "1517d520ee83e68502c6225c4cb9694605ea99ae107d9b4d61afe1f32f2c5b22"),
+        (50, 2500, 3, "2b137f135d000942424503793631333e4c31c8ade6fbd4eba8c1cce451416e15"),
+        (60, 3600, None, "ee0cc264d38c27bae01a006c508dbb93fe3e9fc7e08b7d197f0c828b9c0a9da5"),
     ])
     def test_adjacency_pinned(self, k, n, seed, digest):
         d, _ = build_counterexample(k, n, seed=seed)
@@ -248,6 +252,53 @@ def _witness_queries(draw):
 @settings(max_examples=300, deadline=None)
 def test_orientation_witness_matches_reference(query):
     assert counterexample._orientation_witness(*query) == reference_orientation_witness(*query)
+
+
+@st.composite
+def _write_queries(draw):
+    # distinct ids, as a progression (either direction) or in any order;
+    # rows and cols are two disjoint roles, or one role with itself
+    n = draw(st.integers(2, 12))
+    ids = draw(st.one_of(
+        st.permutations(range(n)),
+        st.builds(lambda first, step: list(range(first, -1 if step < 0 else n, step)),
+                  st.integers(0, n - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]))))
+    ids = np.asarray(ids, dtype=np.int64)
+    grid = lambda r, c: st.lists(st.booleans(), min_size=r * c, max_size=r * c).map(
+        lambda b: np.array(b, dtype=bool).reshape(r, c))
+    if draw(st.booleans()):
+        ori = draw(grid(ids.size, ids.size))
+        return n, ids, ids, np.triu(ori, 1) | np.tril(~ori.T, -1)
+    cut = draw(st.integers(0, ids.size))
+    rows, cols = ids[:cut], ids[cut:]
+    return n, rows, cols, draw(st.one_of(st.booleans(), grid(rows.size, cols.size)))
+
+
+@given(_write_queries())
+@settings(max_examples=300, deadline=None)
+def test_write_puts_in_exactly_what_the_witness_reads(query):
+    n, rows, cols, want = query
+    adj = np.zeros((n, n), dtype=bool)
+    counterexample._write(adj, rows, cols, want)
+    assert counterexample._orientation_witness(adj, rows, cols, want) is None
+    # one arc per pair of the block, and none elsewhere
+    same = rows is cols
+    pairs = rows.size * (rows.size - 1) // 2 if same else rows.size * cols.size
+    block = np.zeros((n, n), dtype=bool)
+    block[np.ix_(rows, cols)] = block[np.ix_(cols, rows)] = True
+    assert not adj.diagonal().any()
+    assert np.count_nonzero(adj) == pairs == np.count_nonzero(adj & block)
+
+
+@pytest.mark.parametrize("rule", CORE_RULES)
+def test_builder_needs_every_rule_of_the_table(rule):
+    # the builder writes the table and nothing else outside the free zones
+    # and the reservoir, so dropping one rule leaves pairs with no arc
+    wiring = counterexample._wiring
+    with mock.patch.object(counterexample, "_wiring", lambda lay: {
+            name: blocks for name, blocks in wiring(lay).items() if name != rule}):
+        with pytest.raises(AssertionError, match="non-tournament"):
+            build_counterexample(42, 1764)
 
 
 @functools.cache

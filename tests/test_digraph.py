@@ -277,7 +277,9 @@ class TestArcListFormat:
         assert digraph_from_arc_list(text) == Digraph.from_arcs(3, [(0, 1), (1, 2)])
 
     def test_reject_stray_tokens(self):
-        for text in ("3 1\n0 1 x\n", "3 1\n0 1.5\n", "3 1\n0 1 2\n"):
+        # "0 1 2" and "1" hold four tokens between them, two per line on average
+        for text in ("3 1\n0 1 x\n", "3 1\n0 1.5\n", "3 1\n0 1 2\n",
+                     "3 2\n0 1 2\n1\n", "3 2\n1\n0 1 2\n", "3 2\n0\t 1 2\n1\n"):
             with pytest.raises(ValueError, match="malformed"):
                 digraph_from_arc_list(text)
         with pytest.raises(ValueError, match="range"):

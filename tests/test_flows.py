@@ -775,3 +775,29 @@ def test_every_private_function_in_src_has_a_caller():
                     referenced.add(ref)
     orphans = sorted(f"{name}:{fn}" for name, fn in private if fn not in referenced)
     assert orphans == [], f"private functions without a caller in src/: {orphans}"
+
+
+def test_every_parameter_in_src_is_read():
+    # A parameter that its body never reads is dead weight at every call
+    # site.  One kept for a shared call signature is named with a leading
+    # underscore; a method's receiver is exempt.
+    unread = []
+    for path in sorted(Path(flows.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        receivers = {id(fn.args.args[0]) for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) for fn in cls.body
+                     if isinstance(fn, ast.FunctionDef) and fn.args.args
+                     and "staticmethod" not in map(ast.unparse, fn.decorator_list)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            unread += [f"{path.name}:{fn.lineno}:{p.arg}" for p in params
+                       if p.arg not in read and not p.arg.startswith("_")
+                       and id(p) not in receivers]
+    assert unread == [], f"parameters never read in src/: {unread}"

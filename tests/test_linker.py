@@ -376,7 +376,7 @@ class TestBuildBridges:
                                   (0, 6), (6, 7), (7, 3)])
         tr = LinkerTrace()
         bridges = build_bridges(d, [(0, 4)], {0: Path(d, (0,))}, {4: Path(d, (3, 4))},
-                                starts=[0], targets=[4], pool=[3, 5], k=1, trace=tr)
+                                starts=[0], targets=[4], pool=[3, 5], trace=tr)
         assert bridges[0].vertices == (0, 1, 2, 3)
         assert tr.events == [{"phase": "bridge", "start": 0, "target": 4,
                               "path": [0, 1, 2, 3], "anchored_out": 0,
