@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semilink import generators
 from semilink.digraph import _MAX_ORDER, is_semicomplete, is_tournament
@@ -112,6 +114,29 @@ class TestBipartite:
             bipartite_tournament(0, 3, seed=0)
 
 
+def sequential_near_regular(n, seed):
+    """The triangle-reversal loop one attempt at a time, as first written."""
+    if n % 2 == 1:
+        adj = rotational_tournament(n).adjacency.copy()
+    else:
+        diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        adj = (diff >= 1) & (diff < n // 2)
+        half = diff == n // 2
+        ids = np.arange(n)
+        adj |= half & (ids[:, None] < ids[None, :])
+        np.fill_diagonal(adj, False)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    attempts = int(2.7 * n * (n - 1) / 2)
+    triples = rng.integers(0, n, size=(attempts, 3))
+    for a, b, c in triples:
+        if a == b or b == c or a == c:
+            continue
+        if adj[a, b] and adj[b, c] and adj[c, a]:
+            adj[a, b] = adj[b, c] = adj[c, a] = False
+            adj[b, a] = adj[c, b] = adj[a, c] = True
+    return adj
+
+
 class TestNearRegular:
     def test_odd_order_is_regular(self):
         d = near_regular_tournament(31, seed=4)
@@ -134,10 +159,26 @@ class TestNearRegular:
         (101, 7, "8737870ac57b8c9694686a5b974c3344f8e40f7e9584585b4b128ab96f0add91"),
         (251, 1, "92666390a3c7e4dc9fa7856438b4b7635d024eda056f120197f8ec6931d2cf97"),
         (400, 1, "5259276e893b941185dbe86fca974c7f0de56030723703c705ea890b27d92dc9"),
+        (3, 1, "36230fde0ec149e0b7259f7715ff5f786075fdbddc33b7ccb168b7466424a403"),
+        (4, 2, "eece5ec6cefe6c9c300435b507d9be745b8ee205f1f514e807f7f7ec306d1496"),
+        (60, 3, "5cae36351ef8e6216eb9cbcbe89e144eb5c738757f16ce17b6d721f1da95ca1b"),
+        (87, 1, "b111b0a655dc29821041bb22803faf3b240e8994e380465643cb5c6f57bd559e"),
+        (250, 2, "c4b1e1fd9149942c08dde1af9d8489098b4738443a668b108ed1f1bc48ca8390"),
+        (1000, 1, "aed203e64a2f1afae3d1e227e4a0cd2e490427fe0e5a08901baea4e68857e529"),
+        # the k=10 linker instance
+        (2130, 1, "e5fb3ae34ab23075b327fb680045398baad66706a3e7c829606e44bc686d1f06"),
     ])
     def test_seeded_tournaments_pinned(self, n, seed, digest):
         adj = near_regular_tournament(n, seed=seed).adjacency
         assert hashlib.sha256(adj.tobytes()).hexdigest() == digest
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 48), seed=st.integers(0, 2 ** 64 - 1))
+    def test_matches_sequential_reversals(self, n, seed):
+        # at these orders almost every run of attempts is cut short by a
+        # shared pair, so the cut rule is exercised as much as the batches
+        adj = near_regular_tournament(n, seed=seed).adjacency
+        assert (adj == sequential_near_regular(n, seed)).all()
 
     def test_shuffle_changes_structure(self):
         from semilink.generators import rotational_tournament
