@@ -39,21 +39,29 @@ def transitive_tournament(order: Sequence[int] | int) -> Digraph:
     return Digraph(adj, copy=False)
 
 
+def _circulant(n: int, width: int) -> np.ndarray:
+    """Read-only n x n view in which u beats u+1, ..., u+width (mod n).
+
+    Row u is row 0 shifted right by u, so the matrix is read off one
+    doubled row as a reversed sliding window.
+    """
+    row = np.zeros(2 * n, dtype=bool)
+    for start in (1, n + 1):
+        row[start:start + width] = True
+    # window s is row[s:s + n]; row u of the circulant is window n - u
+    return sliding_window_view(row, n)[n:0:-1]
+
+
 def rotational_tournament(n: int) -> Digraph:
     """Circulant tournament: u beats u+1, ..., u+(n-1)/2 (mod n).
 
     Requires odd n >= 3; the result is regular with all semidegrees
-    (n-1)/2.  Row u is row 0 shifted right by u, so the matrix is read off
-    one doubled row as a reversed sliding window and copied once.
+    (n-1)/2.  The matrix is one copy of ``_circulant``'s view.
     """
     _check_order(n)
     if n < 3 or n % 2 == 0:
         raise ValueError("rotational tournament needs odd n >= 3")
-    row = np.zeros(2 * n, dtype=bool)
-    for start in (1, n + 1):
-        row[start:start + (n - 1) // 2] = True
-    # window s is row[s:s + n]; row u of the circulant is window n - u
-    return Digraph(sliding_window_view(row, n)[n:0:-1])
+    return Digraph(_circulant(n, (n - 1) // 2))
 
 
 def random_tournament(n: int, seed: int) -> Digraph:
@@ -107,28 +115,57 @@ def near_regular_tournament(n: int, seed: int) -> Digraph:
     n/2 difference goes to the lower id, leaving out-degrees n/2 and
     n/2 - 1) and randomizes with 2.7 n(n-1)/2 attempted directed-triangle
     reversals, which preserve every vertex's score exactly.
+
+    The attempts (a, b, c) are drawn from the seed's stream in chunks of
+    8n, which continue the stream exactly as one draw would.  An attempt
+    reads and flips only the pairs {a,b}, {b,c} and {c,a}, so a run of
+    attempts is tested at once against the state at its start, and its
+    reversals applied in one write, as long as no attempt shares a pair
+    with an earlier reversal of the run; the next run starts at the first
+    one that does.  The result is that of the attempts one at a time.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     _check_order(n)
-    if n % 2 == 1:
-        adj = rotational_tournament(n).adjacency.copy()
-    else:
-        diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        adj = (diff >= 1) & (diff < n // 2)
-        half = diff == n // 2
-        ids = np.arange(n)
-        adj |= half & (ids[:, None] < ids[None, :])
-        np.fill_diagonal(adj, False)
+    adj = _circulant(n, (n - 1) // 2).copy()
+    if n % 2 == 0:
+        # the circulant leaves out the n/2 difference; the lower id wins it
+        low = np.arange(n // 2)
+        adj[low, low + n // 2] = True
+    cell = adj.reshape(-1)
     rng = _rng(seed)
     attempts = int(2.7 * n * (n - 1) / 2)
-    triples = rng.integers(0, n, size=(attempts, 3))
-    for a, b, c in triples:
-        if a == b or b == c or a == c:
-            continue
-        if adj[a, b] and adj[b, c] and adj[c, a]:
-            adj[a, b] = adj[b, c] = adj[c, a] = False
-            adj[b, a] = adj[c, b] = adj[a, c] = True
+    chunk, window = 8 * n, 3 * n // 2
+    steps = np.arange(window, dtype=np.int32)
+    unset = np.iinfo(np.int32).max
+    # first[min(u*n + v, v*n + u)]: the run's earliest reversal of {u, v}
+    first = np.full(n * n, unset, dtype=np.int32)
+    for start in range(0, attempts, chunk):
+        a, b, c = rng.integers(0, n, size=(min(chunk, attempts - start), 3)).T
+        keep = (a != b) & (b != c) & (c != a)
+        a, b, c = a[keep], b[keep], c[keep]
+        # per attempt: the cycle's arcs a->b, b->c, c->a, their reverses
+        # and their pairs' stamp slots
+        arcs = np.stack([a * n + b, b * n + c, c * n + a])
+        backs = np.stack([b * n + a, c * n + b, a * n + c])
+        pairs = np.minimum(arcs, backs)
+        lo = 0
+        while lo < len(a):
+            arc, back, pair = (x[:, lo:lo + window] for x in (arcs, backs, pairs))
+            at = steps[:len(arc[0])]
+            hits = at[cell[arc].all(axis=0)]
+            flipped = pair[:, hits]
+            # a 2-D index with broadcast values gives wrong minima in
+            # numpy 2.4's ufunc.at, so the index is flat and hits repeated
+            np.minimum.at(first, flipped.ravel(), np.tile(hits, 3))
+            clash = first[pair].min(axis=0) < at
+            first[flipped] = unset
+            if clash.any():
+                at = at[:clash.argmax()]
+                hits = hits[hits < len(at)]
+            cell[arc[:, hits]] = False
+            cell[back[:, hits]] = True
+            lo += len(at)
     return Digraph(adj, copy=False)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,22 @@ class TestNearRegular:
         # shared pair, so the cut rule is exercised as much as the batches
         adj = near_regular_tournament(n, seed=seed).adjacency
         assert (adj == sequential_near_regular(n, seed)).all()
+
+    @pytest.mark.parametrize("n, bound", [(251, 12), (400, 12), (1000, 8), (2130, 8)])
+    def test_peak_allocation(self, n, bound):
+        # The adjacency (n^2 bytes) and the int32 pair stamps (4 n^2) are
+        # the only order-n^2 arrays; each chunk's index arrays take a few
+        # hundred n bytes, which lifts the bound at the small orders.  One
+        # (attempts, 3) draw peaked at 33.3 n^2 (n=251), and with the even
+        # orders' int64 offset matrix at 42.4 n^2 (n=400, 1000, 2130).
+        near_regular_tournament(5, seed=1)  # one-time imports stay untraced
+        tracemalloc.start()
+        try:
+            near_regular_tournament(n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * n, peak / n ** 2
 
     def test_shuffle_changes_structure(self):
         from semilink.generators import rotational_tournament
