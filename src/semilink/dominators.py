@@ -42,6 +42,8 @@ def count_two_paths(d: Digraph, src: int, dst: int,
     Equals the number of distinct middle vertices, i.e. the size of
     N+(src) & N-(dst) (minus endpoints, which cannot occur).
     """
+    d._check_vertex(src)
+    d._check_vertex(dst)
     if src == dst:
         raise ValueError("endpoints must differ")
     mask = _pool_mask(d, within)
@@ -52,6 +54,8 @@ def count_two_paths(d: Digraph, src: int, dst: int,
 def is_c_out_good(d: Digraph, u: int, v: int, c: int,
                   within: Iterable[int] | None = None) -> bool:
     """Arc u->v, or at least c internally disjoint 2-paths from u to v."""
+    d._check_vertex(u)
+    d._check_vertex(v)
     if u == v:
         raise ValueError("vertices must differ")
     if c < 1:
@@ -65,6 +69,13 @@ def is_c_in_good(d: Digraph, u: int, v: int, c: int,
     return is_c_out_good(d, v, u, c, within)
 
 
+def _scores(lines: np.ndarray, u: int, pool: np.ndarray, n: int) -> np.ndarray:
+    """score[v] = n for an arc u->v of ``lines``, else #{m in pool: u->m->v}."""
+    row = lines[u]
+    # int32 sums take half the time of int64 ones and cannot overflow here
+    return np.where(row, n, lines[row & pool].sum(axis=0, dtype=np.int32))
+
+
 def goodness_scores(d: Digraph, u: int, direction: str,
                      mask: np.ndarray) -> np.ndarray:
     """Per-vertex goodness threshold: v is c-good iff score[v] >= c.
@@ -72,15 +83,8 @@ def goodness_scores(d: Digraph, u: int, direction: str,
     Direct arcs count as infinitely good (score n); the score of u itself
     and of vertices outside the pool is -1 so they never count as bad.
     """
-    a = d.adjacency
-    if direction == "out":
-        two = a[a[u] & mask].sum(axis=0)  # two[v] = #{m in pool: u->m->v}
-        direct = a[u]
-    else:
-        two = a[:, a[:, u] & mask].sum(axis=1)  # two[v] = #{m in pool: v->m->u}
-        direct = a[:, u]
-    scores = np.where(direct, d.n, two)
-    scores = np.where(mask, scores, -1)
+    lines = d.adjacency if direction == "out" else d.adjacency.T
+    scores = np.where(mask, _scores(lines, u, mask, d.n), -1)
     scores[u] = -1
     return scores
 
@@ -183,7 +187,6 @@ def _picks(d: Digraph, direction: str, within: Iterable[int] | None,
     block = d.adjacency[ids][:, ids]
     if direction == "in":
         block = np.ascontiguousarray(block.T)
-    # int32 sums take half the time of int64 ones and cannot overflow here
     degs = block.sum(axis=1, dtype=np.int32)
     both = block & block.T
     paired = both.sum(axis=1, dtype=np.int32)
@@ -202,9 +205,7 @@ def _picks(d: Digraph, direction: str, within: Iterable[int] | None,
     picks: list[int] = []
     while True:
         i = int(np.argmax(degs))  # argmax takes the lowest id on ties
-        row = block[i]
-        # scores[v] = n for an arc i->v, else #{live m: i->m->v}
-        scores = np.where(row, d.n, block[row & alive].sum(axis=0, dtype=np.int32))
+        scores = _scores(block, i, alive, d.n)
         alive[i] = False
         picks.append(int(ids[i]))
         if not _nearly_dominates(_bad_counts(scores[alive], d.n)):
@@ -216,7 +217,7 @@ def _picks(d: Digraph, direction: str, within: Iterable[int] | None,
         # id whose bidirected pair with i kept i's arc.  Updates never raise
         # a degree, so -1 keeps i below every live vertex.
         degs -= block[:, i]
-        degs[i + 1:] += block[i + 1:, i] & row[i + 1:]
+        degs[i + 1:] += block[i + 1:, i] & block[i, i + 1:]
         degs[i] = -1
 
 

@@ -455,7 +455,7 @@ def _reroute(d: Digraph, deliveries: dict[int, Path], special: Path,
 
     two_arc = {int(w) for w in
                np.flatnonzero(d.adjacency[spare] & d.adjacency[:, reconnect])}
-    middles = sorted((reach_union & two_arc) - {spare, reconnect})
+    middles = sorted(reach_union & two_arc)
     _check(len(middles) >= 2 * k + 2, "adjust",
            "well-linked vertex lost its two-arc connections",
            middles=len(middles))
@@ -651,17 +651,16 @@ def build_bridges(d: Digraph, pairs, launches: Mapping[int, Path],
         p, q = launches[x].last, deliveries[y].first
         allowed = np.ones(d.n, dtype=bool)
         allowed[sorted(blocked)] = False
+        mids = np.flatnonzero(adj[p] & adj[:, q] & allowed)
         stats = {
             "anchored_out": int(np.count_nonzero(adj[p] & anchored)),
-            "free_middles": int(np.count_nonzero(adj[p] & adj[:, q] & allowed)),
+            "free_middles": int(mids.size),
         }
         bridge = None
         if adj[p, q]:
             bridge = Path(d, (p, q))
-        if bridge is None:
-            mids = np.flatnonzero(adj[p] & adj[:, q] & allowed)
-            if mids.size:
-                bridge = Path(d, (p, int(mids[0]), q))
+        elif mids.size:
+            bridge = Path(d, (p, int(mids[0]), q))
         if bridge is None:
             firsts = np.flatnonzero(adj[p] & allowed)
             seconds = adj[:, q] & allowed

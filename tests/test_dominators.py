@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from semilink.digraph import Digraph, spanning_tournament
 from semilink.dominators import (_picks, count_two_paths, find_nearly_in_dominating,
-                                 find_nearly_out_dominating, is_c_in_good,
-                                 is_c_out_good, is_gamma_in_dominator,
+                                 find_nearly_out_dominating, goodness_scores,
+                                 is_c_in_good, is_c_out_good, is_gamma_in_dominator,
                                  is_gamma_out_dominator,
                                  is_nearly_in_dominating,
                                  is_nearly_in_dominating_set,
@@ -55,6 +55,13 @@ class TestCountTwoPaths:
         with pytest.raises(ValueError):
             count_two_paths(three_cycle(), 1, 1)
 
+    @pytest.mark.parametrize("src, dst", [(0, -5), (-5, 0), (0, -1), (0, 5), (0, 7),
+                                          (7, 0)])
+    def test_out_of_range_endpoints_rejected(self, src, dst):
+        # numpy would wrap a negative id round: (0, -5) would read as (0, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            count_two_paths(transitive_tournament(5), src, dst)
+
 
 class TestGoodness:
     def test_arc_case_good_for_all_c(self):
@@ -79,6 +86,14 @@ class TestGoodness:
             for check in (is_c_out_good, is_c_in_good):
                 with pytest.raises(ValueError, match=message):
                     check(d, *args)
+
+    @pytest.mark.parametrize("u, v", [(-5, 2), (2, -5), (-1, 0), (5, 0), (0, 7)])
+    def test_out_of_range_vertices_rejected(self, u, v):
+        # is_c_out_good(d, -5, 2, 1) would read the arc 0 -> 2
+        d = transitive_tournament(5)
+        for check in (is_c_out_good, is_c_in_good):
+            with pytest.raises(ValueError, match="out of range"):
+                check(d, u, v, 1)
 
     def test_matches_bruteforce(self):
         d = random_tournament(12, seed=3)
@@ -179,6 +194,31 @@ def test_bad_counts_are_exact(seed, n, density, c_max, direction, whole):
     assert prof.is_nearly_dominating() == all(b <= 2 * c for c, b in enumerate(bad, 1))
     assert prof.satisfies_strict_bound() == \
         all(b <= 2 * c - 1 for c, b in enumerate(bad, 1))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.floats(0.0, 1.0),
+       st.booleans(), st.booleans(), st.sampled_from(["in", "out"]))
+@example(seed=3, n=12, density=0.5, semicomplete=False, centre_in_pool=False,
+         direction="in")
+@settings(max_examples=300, deadline=None)
+def test_goodness_scores_match_arcs_and_two_paths(seed, n, density, semicomplete,
+                                                  centre_in_pool, direction):
+    # semicomplete and general digraphs, a random pool, the centre inside or
+    # outside it; outside-pool vertices and the centre score -1
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = (random_semicomplete if semicomplete else random_digraph)(n, density, seed)
+    u = int(rng.integers(n))
+    mask = rng.random(n) < rng.random()
+    mask[u] = centre_in_pool
+    pool = np.flatnonzero(mask).tolist()
+    scores = goodness_scores(d, u, direction, mask)
+    for v in range(n):
+        if v == u or not mask[v]:
+            expect = -1
+        else:
+            src, dst = (u, v) if direction == "out" else (v, u)
+            expect = n if d.has_arc(src, dst) else count_two_paths(d, src, dst, pool)
+        assert scores[v] == expect, (v, direction)
 
 
 class TestFinders:
