@@ -56,7 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, Path, PathSystem, _check_order, is_tournament
+from .digraph import (Digraph, Path, PathSystem, _check_order, _upper_bands,
+                      is_tournament)
 from .flows import _cut_value, _sample_pairs
 from .generators import rotational_tournament
 
@@ -327,8 +328,9 @@ def _wiring(layout: CounterexampleLayout) -> dict[str, list[tuple]]:
 
     A block ``(rows, cols, want)`` is read by :func:`_orientation_witness`
     and written by :func:`_write`.  ``want=None`` asks only for a
-    tournament: the two free zones and the whole instance.  The reservoir's
-    circulant is the one part of the family stated elsewhere.
+    tournament: the two free zones and the whole instance, each read as one
+    block per band of :func:`~semilink.digraph._upper_bands`.  The
+    reservoir's circulant is the one part of the family stated elsewhere.
     """
     lay = layout
     n, k, l, half = lay.n, lay.k, lay.l, lay.half
@@ -341,12 +343,16 @@ def _wiring(layout: CounterexampleLayout) -> dict[str, list[tuple]]:
     off_diag = idx[:, None] != idx[None, :]  # False marks a track arc or a matched pair
     off_starts = np.flatnonzero(~_mask(n, lay.starts, lay.targets))
     ladder = _layered(track[:half])
+
+    def one_arc(ids):
+        return [(ids[rows], ids[cols], None) for rows, cols in _upper_bands(ids.size)]
+
     return {
         "rung_order": ladder[:l],
         "ladder_descent": ladder[l:],
         # the ladder beats the mesh, and the mesh is a tournament
         "ladder_over_mesh": [(lay.ladder(), lay.mesh(), True),
-                             (lay.mesh(), lay.mesh(), None)],
+                             *one_arc(lay.mesh())],
         "tail_block": [(tails, tails, before)]
         + [(tails, track[:, t], off_diag if t == l else True) for t in range(1, l + 1)]
         + [(track[:, t], heads, off_diag if t == 1 else True) for t in range(1, l + 1)]
@@ -365,11 +371,11 @@ def _wiring(layout: CounterexampleLayout) -> dict[str, list[tuple]]:
         + [(lay.relays, interiors, True), (lay.relays, res, True)],
         "start_reach": [(lay.starts_front(), off_starts, _mask(n, lay.mesh())[off_starts]),
                         (lay.starts_back(), off_starts, _mask(n, lay.ladder())[off_starts]),
-                        (lay.starts, lay.starts, None)],
+                        *one_arc(lay.starts)],
         "start_target": [(lay.starts, lay.targets, off_diag)],
         "outlet": [(res, [lay.outlet], True),
                    ([lay.outlet], np.flatnonzero(~_mask(n, res, lay.outlet)), True)],
-        "tournament": [(everyone, everyone, None)],
+        "tournament": one_arc(everyone),
         "tier_orders": [(tier, tier, before) for tier in
                         (lay.relays, lay.targets, lay.mirrors[::-1])],
         # no arc from a ladder step j to a step t >= j + 2, heads and tails

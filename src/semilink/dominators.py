@@ -235,10 +235,13 @@ def find_nearly_in_dominating(d: Digraph, within: Iterable[int] | None = None) -
     return _picks(d, "in", within, 1)[0]
 
 
-def _gamma_dominates(lines: np.ndarray, v: int, members: Iterable[int],
+def _gamma_dominates(d: Digraph, lines: np.ndarray, v: int, members: Iterable[int],
                      gamma: int) -> bool:
-    """Row v of ``lines`` has at least gamma ones inside ``members``."""
+    """Row v of ``lines`` (d's adjacency or its transpose) has at least gamma
+    ones inside ``members``."""
     ids = sorted(set(int(x) for x in members))
+    for x in [v, *ids]:
+        d._check_vertex(x)
     if v in ids:
         raise ValueError("vertex must not belong to the set")
     if gamma <= 0:
@@ -248,11 +251,11 @@ def _gamma_dominates(lines: np.ndarray, v: int, members: Iterable[int],
 
 def is_gamma_out_dominator(d: Digraph, v: int, members: Iterable[int], gamma: int) -> bool:
     """v has at least gamma out-neighbours inside ``members`` (v not a member)."""
-    return _gamma_dominates(d.adjacency, v, members, gamma)
+    return _gamma_dominates(d, d.adjacency, v, members, gamma)
 
 
 def is_gamma_in_dominator(d: Digraph, v: int, members: Iterable[int], gamma: int) -> bool:
-    return _gamma_dominates(d.adjacency.T, v, members, gamma)
+    return _gamma_dominates(d, d.adjacency.T, v, members, gamma)
 
 
 def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int]) -> bool:

@@ -17,7 +17,8 @@ from semilink.counterexample import (CORE_RULES, CounterexampleLayout,
                                      sampled_connectivity_check,
                                      verify_construction_rules,
                                      verify_property_two)
-from semilink.digraph import _MAX_ORDER, Digraph, is_tournament
+from semilink.digraph import (_MAX_ORDER, Digraph, _upper_bands, is_semicomplete,
+                              is_tournament)
 
 
 class TestParams:
@@ -290,6 +291,35 @@ def test_write_puts_in_exactly_what_the_witness_reads(query):
     assert np.count_nonzero(adj) == pairs == np.count_nonzero(adj & block)
 
 
+@given(n=st.one_of(st.sampled_from([0, 1, 2, 255, 256, 257, 513]), st.integers(0, 600)),
+       seed=st.integers(0, 2 ** 64 - 1), odd=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_band_blocks_match_the_whole_block(n, seed, odd):
+    # A tournament with up to `odd` pairs given both arcs or none, read
+    # through ids in random order: the first band with a bad pair names the
+    # pair that the whole ids x ids block names, and the banded predicates
+    # agree with the whole-matrix counts.  Bad pairs favour the rows at band
+    # edges, as positions in ids or as vertices.
+    rng = np.random.default_rng(seed)
+    ori = rng.random((n, n)) < 0.5
+    adj = np.triu(ori, 1) | np.tril(~ori.T, -1)
+    ids = rng.permutation(n)
+    edges = [p for p in (0, 1, 254, 255, 256, 257, 511, 512, n - 2) if 0 <= p < n - 1]
+    for _ in range(odd if n > 1 else 0):
+        u = int(rng.choice(edges)) if rng.random() < 0.5 else int(rng.integers(n))
+        v = int(rng.choice([w for w in ((u + 1) % n, n - 1, int(rng.integers(n))) if w != u]))
+        if rng.random() < 0.5:
+            u, v = ids[u], ids[v]
+        adj[u, v] = adj[v, u] = rng.random() < 0.5
+    bands = (counterexample._orientation_witness(adj, ids[rows], ids[cols], None)
+             for rows, cols in _upper_bands(n))
+    assert next(filter(None, bands), None) == \
+        reference_orientation_witness(adj, ids, ids, None)
+    d = Digraph(adj, copy=False)
+    assert is_tournament(d) == (np.count_nonzero(adj ^ adj.T) == n * (n - 1))
+    assert is_semicomplete(d) == (np.count_nonzero(adj | adj.T) == n * (n - 1))
+
+
 @pytest.mark.parametrize("rule", CORE_RULES)
 def test_builder_needs_every_rule_of_the_table(rule):
     # the builder writes the table and nothing else outside the free zones
@@ -379,11 +409,12 @@ def test_verifier_matches_reference_on_other_layouts(relabel):
 
 
 def test_build_and_verify_allocate_no_whole_matrix_copies():
-    # One build peaks near 2.7 n^2 bytes: the adjacency, the reservoir's
-    # circulant and one n x n compare in the tournament check.  One verify
-    # peaks near 1.1 n^2: the whole-matrix compare of the tournament rule;
-    # every other block is a view or one gathered block.  Row gathers and
-    # index arrays peaked at 11.5 n^2 and 3.1 n^2.
+    # One build peaks near 1.9 n^2 bytes: the adjacency, the reservoir's
+    # circulant and the banded compare of the tournament check.  One verify
+    # peaks near 0.3 n^2: every block is a view, one gathered block or, for
+    # the one-arc rules, one band of the upper triangle.  Row gathers and
+    # index arrays peaked at 11.5 n^2 and 3.1 n^2, and the whole-matrix
+    # compare of the tournament check at 2.7 n^2 and 1.1 n^2.
     n = 1764
     d, lay = _instance(None)
     tracemalloc.start()
@@ -399,6 +430,26 @@ def test_build_and_verify_allocate_no_whole_matrix_copies():
     assert report.all_passed
     assert build_peak <= 4 * n * n, build_peak / n ** 2
     assert verify_peak <= 3 * n * n, verify_peak / n ** 2
+
+
+def test_pair_checks_allocate_bands_not_the_matrix():
+    # Each pair check holds about two bands of 256 x n compare results
+    # (measured 0.28 n^2 each, and 0.31 n^2 for a verify); the whole-matrix
+    # compare took n^2.
+    n = 1764
+    d, lay = _instance(None)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for check in (is_tournament, is_semicomplete,
+                      lambda d: verify_construction_rules(d, lay).all_passed):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert check(d)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 0.5 * n * n, [p / n ** 2 for p in peaks]
 
 
 class TestPropertyTwo:

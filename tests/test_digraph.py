@@ -54,6 +54,12 @@ class TestNeighbourhoods:
         with pytest.raises(ValueError):
             three_cycle().out_neighbours(3)
 
+    @pytest.mark.parametrize("u, v", [(-5, 2), (2, -5), (-1, 0), (5, 0), (0, 7)])
+    def test_has_arc_out_of_range_rejected(self, u, v):
+        # has_arc(-5, 2) would read the arc 0 -> 2
+        with pytest.raises(ValueError, match="out of range"):
+            transitive_tournament(5).has_arc(u, v)
+
     def test_min_degrees(self):
         assert transitive_tournament(6).min_out_degree() == 0
         with pytest.raises(ValueError):

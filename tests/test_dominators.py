@@ -435,6 +435,15 @@ class TestGammaDominators:
             with pytest.raises(ValueError, match="must not belong to the set"):
                 check(transitive_tournament(4), 1, [1, 2], 1)
 
+    @pytest.mark.parametrize("v, members, gamma", [
+        (-5, [2, 3], 2), (0, [-1, -2], 2), (7, [2], 1), (0, [5], 1), (2, [3, -5], 0)])
+    def test_out_of_range_vertices_rejected(self, v, members, gamma):
+        # numpy would wrap a negative id round: (-5, [2, 3]) would read row 0
+        d = transitive_tournament(5)
+        for check in (is_gamma_out_dominator, is_gamma_in_dominator):
+            with pytest.raises(ValueError, match="out of range"):
+                check(d, v, members, gamma)
+
     def test_matches_direct_count(self):
         d = random_tournament(15, seed=11)
         group = [3, 5, 8, 11, 14]
