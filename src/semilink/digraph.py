@@ -36,6 +36,7 @@ class Digraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
+        _check_order(n)
         adj = np.zeros((n, n), dtype=bool)
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -210,14 +211,20 @@ def spanning_tournament(d: Digraph, seed: int | None = None) -> Digraph:
     """
     if not is_semicomplete(d):
         raise ValueError("spanning_tournament requires a semicomplete digraph")
-    single = d.adjacency.copy()
-    iu, iv = np.nonzero(np.triu(single & single.T, 1))
-    if iu.size:
-        if seed is None:
+    a = d.adjacency
+    single = a.copy()
+    rng = None if seed is None else np.random.Generator(np.random.PCG64(seed))
+    for rows, cols in _upper_bands(d.n):
+        # the band's bidirected pairs u < v, in row-major order
+        iu, iv = np.nonzero(np.triu(a[rows, cols] & a[cols, rows].T, 1))
+        iu += rows.start
+        iv += cols.start
+        if rng is None:
             single[iv, iu] = False
         else:
-            # one PCG64 draw per pair, in row-major order of the upper triangle
-            rng = np.random.Generator(np.random.PCG64(seed))
+            # one PCG64 draw per pair, in row-major order of the upper
+            # triangle; one draw per band continues the stream as one
+            # draw for all pairs would
             keep_low = rng.integers(0, 2, size=iu.size).astype(bool)
             single[iv[keep_low], iu[keep_low]] = False
             single[iu[~keep_low], iv[~keep_low]] = False
@@ -359,7 +366,9 @@ def reduce_to_minimal_path(d: Digraph, p: Path) -> Path:
 
 
 def _check_order(n: int) -> None:
-    """Reject orders above ``_MAX_ORDER``, before anything of order n is built."""
+    """Reject an order below 0 or above ``_MAX_ORDER``, before anything is built."""
+    if n < 0:
+        raise ValueError(f"order {n} is negative")
     if n > _MAX_ORDER:
         raise ValueError(f"order {n} exceeds the supported maximum {_MAX_ORDER}")
 

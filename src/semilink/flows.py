@@ -247,7 +247,7 @@ class _SplitFlow:
 
         With no flow yet, BFS finds these paths first and in this order: each
         is a shortest augmenting path, and ties go to the lowest-id middle.
-        ``adj`` has no arc at a forbidden vertex, so every middle is passable.
+        A pair query forbids no vertex, so every middle is passable.
         """
         (s,), (t,) = self.sources.tolist(), self.sinks.tolist()
         mids = (self.adj[s] & self.adj[:, t]).nonzero()[0][:cap]
@@ -554,8 +554,8 @@ def _minimal_within(d: Digraph, p: Path, forbidden: set[int]) -> Path:
     return reduce_to_minimal_path(d, p)
 
 
-def _pair_flow(d: Digraph, u: int, v: int, cap: int | None,
-               forbidden: Iterable[int] = ()) -> tuple[bool, int, int, _SplitFlow | None]:
+def _pair_flow(d: Digraph, u: int, v: int, cap: int | None
+               ) -> tuple[bool, int, int, _SplitFlow | None]:
     """The set-up shared by the pair queries: ``(direct, budget, pushed, flow)``.
 
     The arc u->v, if present, is removed and counted apart (``direct``).
@@ -567,26 +567,24 @@ def _pair_flow(d: Digraph, u: int, v: int, cap: int | None,
         raise ValueError("local_cut requires distinct vertices")
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
-    forbidden = list(forbidden)
-    (u,), (v,) = _validate_terminals(d, (u,), (v,), forbidden)
+    (u,), (v,) = _validate_terminals(d, (u,), (v,), ())
     direct = d.has_arc(u, v)
     budget = d.n if cap is None else cap - direct
     if budget == 0:
         return direct, budget, 0, None
-    fl = _SplitFlow(d, (u,), (v,), d.n, forbidden)
+    fl = _SplitFlow(d, (u,), (v,), d.n)
     fl.adj[u, v] = False
     return direct, budget, fl.push_two_arc_paths(budget), fl
 
 
-def local_cut(d: Digraph, u: int, v: int, cap: int | None = None,
-              forbidden: Iterable[int] = ()) -> LocalCut:
+def local_cut(d: Digraph, u: int, v: int, cap: int | None = None) -> LocalCut:
     """Maximum internally disjoint u->v paths and the matching vertex cut.
 
     When the arc u->v exists it is removed first and the result is increased
     by one (``direct_arc`` is set).  With ``cap`` given, augmentation stops
     early and no separator is reported once ``cap`` is reached.
     """
-    direct, budget, got, fl = _pair_flow(d, u, v, cap, forbidden)
+    direct, budget, got, fl = _pair_flow(d, u, v, cap)
     paths = [Path(d, (int(u), int(v)))] if direct else []
     separator = None
     if fl is not None:

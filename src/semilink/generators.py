@@ -27,9 +27,13 @@ def transitive_tournament(order: Sequence[int] | int) -> Digraph:
     ``order`` is either a permutation of 0..n-1 or an integer n (identity
     order).  There is an arc from ``order[i]`` to ``order[j]`` iff i < j.
     """
-    perm = range(order) if isinstance(order, int) else [int(v) for v in order]
+    if isinstance(order, int):
+        _check_order(order)
+        perm = range(order)
+    else:
+        perm = [int(v) for v in order]
+        _check_order(len(perm))
     n = len(perm)
-    _check_order(n)
     if sorted(perm) != list(range(n)):
         raise ValueError("order must be a permutation of 0..n-1")
     rank = np.empty(n, dtype=np.int64)

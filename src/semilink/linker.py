@@ -261,11 +261,16 @@ class AdjustResult:
     rounds: int
 
 
+# Key of the special path in the path system Q*: the deliveries are keyed by
+# their targets, in the order initial_path_system gave them, and the special
+# path comes last.
+_SPECIAL = "special"
+
+
 def _validate_path_state(d: Digraph, starts, targets, pool, split,
-                         deliveries: Mapping[int, Path], special: Path | None,
-                         matched: Mapping[int, int], stand_ins: set[int],
-                         step: str) -> None:
-    paths = list(deliveries.values()) + ([special] if special is not None else [])
+                         qstar: Mapping, matched: Mapping[int, int],
+                         stand_ins: set[int], step: str) -> None:
+    paths = list(qstar.values())
     try:
         PathSystem(paths)
     except ValueError as exc:
@@ -284,11 +289,10 @@ def _validate_path_state(d: Digraph, starts, targets, pool, split,
         _check(shortcut_free.vertices == p.vertices, step,
                "path is not minimal", path=list(p.vertices))
     for y in targets:
-        _check(y in deliveries and deliveries[y].last == y, step,
+        _check(y in qstar and qstar[y].last == y, step,
                "every target needs its delivery", target=y)
-    if special is not None:
-        _check(special.last in set(split.reach_union), step,
-               "special terminal must lie in the reach union")
+    _check(qstar[_SPECIAL].last in set(split.reach_union), step,
+           "special terminal must lie in the reach union")
     _check(len(set(matched.values())) == len(matched), step,
            "stand-in matching must be injective")
     _check(set(matched.values()) == stand_ins, step,
@@ -317,21 +321,18 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
     stand_ins: set[int] = set()
     retired: set[int] = set()
     rounds = 0
-    deliveries = dict(deliveries)
     if not split.rich:
         trace.add("adjust-skip", reason="no rich starts")
-        return AdjustResult(deliveries, special, matched, (), (), 0)
+        return AdjustResult(dict(deliveries), special, matched, (), (), 0)
     _check(special is not None, "adjust", "rich starts need the spare-target path")
+    qstar = {**deliveries, _SPECIAL: special}
     reach_union = set(split.reach_union)
-
-    def qstar_paths() -> list[Path]:
-        return list(deliveries.values()) + [special]
 
     while True:
         # Greedy matching into vertices off the path system.  One pass
         # suffices: a start left unmatched saw no fresh vertex, and the
         # paths do not change before the next reroute.
-        occupied = {v for p in qstar_paths() for v in p.vertices}
+        occupied = {v for p in qstar.values() for v in p.vertices}
         for x in split.rich:
             if x in matched:
                 continue
@@ -346,12 +347,9 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         rounds += 1
         _check(rounds <= len(split.rich), "adjust",
                "more reroute rounds than rich starts", rounds=rounds)
-        spare = special.last
+        spare = qstar[_SPECIAL].last
         hungry = [x for x in split.rich if x not in matched]
-        scope = set()
-        for x in hungry:
-            scope.update(split.reach[x])
-        scope -= retired | stand_ins
+        scope = set().union(*(split.reach[x] for x in hungry)) - retired - stand_ins
         # The current spare can sit inside the reach union but is never a
         # candidate for the next one.
         scope.discard(spare)
@@ -368,11 +366,9 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         retired.add(spare)
         retired |= bad
         retired |= stand_ins
-        guards: set[int] = set()
-        for p in qstar_paths():
-            onpath = [v for v in p.vertices if v in good]
-            guards.update(onpath[-2:])
-        retired |= guards
+        for p in qstar.values():
+            # guards: the last two well-linked vertices of every path
+            retired.update([v for v in p.vertices if v in good][-2:])
         # 4k+4 bad + at most k-1 stand-ins mid-run + 2(k+1) guards + the
         # spare itself: at most 7k+6 new retirees.
         growth = len(retired) - before
@@ -383,14 +379,11 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
                scope=len(scope))
         next_spare = find_nearly_out_dominating(d, within=sorted(cand))
 
-        host_key = None
-        for key, p in [(y, q) for y, q in deliveries.items()] + [("special", special)]:
-            if next_spare in p.vertices:
-                host_key = key
-                break
+        host_key = next((key for key, p in qstar.items() if next_spare in p.vertices),
+                        None)
         _check(host_key is not None, "adjust",
                "candidate spare must sit on the path system", vertex=next_spare)
-        host = special if host_key == "special" else deliveries[host_key]
+        host = qstar[host_key]
         after = [v for v in host.vertices[host.index_of(next_spare) + 1:] if v in good]
         _check(len(after) >= 2, "adjust",
                "need two well-linked vertices after the next spare",
@@ -401,57 +394,54 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         donor = min(donors)
 
         try:
-            case, new_special, updates = _reroute(
-                d, deliveries, special, host_key, host, spare, next_spare,
-                reconnect, stand_ins, reach_union, k)
+            case, updates = _reroute(d, qstar, host_key, spare, next_spare,
+                                     reconnect, stand_ins, reach_union, k)
         except ValueError as exc:
             raise LinkerCheckError("adjust", f"reroute splice failed: {exc}",
                                    case_host=str(host_key)) from exc
-        prev_inits = sorted(p.first for p in qstar_paths())
-        # _reroute updates deliveries only; the special path is its prefix.
+        prev_inits = sorted(p.first for p in qstar.values())
         for key, path in updates.items():
-            deliveries[key] = reduce_to_minimal_path(d, path)
-        special = reduce_to_minimal_path(d, new_special)
+            qstar[key] = reduce_to_minimal_path(d, path)
         matched[donor] = released_holder
         stand_ins.add(released_holder)
         trace.add("adjust-round", round=rounds, case=case,
-                  spare=int(spare), next_spare=int(next_spare),
-                  host="special" if host_key == "special" else int(host_key),
+                  spare=int(spare), next_spare=int(next_spare), host=host_key,
                   released=int(released_holder), donor=int(donor),
                   retired_growth=growth, retired_total=len(retired),
                   candidates=len(cand), scope=len(scope),
                   inits_before=prev_inits,
-                  inits_after=sorted(p.first for p in qstar_paths()))
-        _validate_path_state(d, starts, targets, pool, split, deliveries,
-                             special, matched, stand_ins, "adjust")
+                  inits_after=sorted(p.first for p in qstar.values()))
+        _validate_path_state(d, starts, targets, pool, split, qstar, matched,
+                             stand_ins, "adjust")
 
-    _validate_path_state(d, starts, targets, pool, split, deliveries, special,
-                         matched, stand_ins, "adjust-final")
+    _validate_path_state(d, starts, targets, pool, split, qstar, matched,
+                         stand_ins, "adjust-final")
     trace.add("adjust-done", rounds=rounds,
               stand_ins=sorted(stand_ins), retired=len(retired))
-    return AdjustResult(deliveries, special, matched,
+    deliveries = {y: p for y, p in qstar.items() if y != _SPECIAL}
+    return AdjustResult(deliveries, qstar[_SPECIAL], matched,
                         tuple(sorted(stand_ins)), tuple(sorted(retired)), rounds)
 
 
-def _reroute(d: Digraph, deliveries: dict[int, Path], special: Path,
-             host_key, host: Path, spare: int, next_spare: int, reconnect: int,
-             stand_ins: set[int], reach_union: set[int], k: int):
-    """Execute one reroute, returning (case, new_special, path updates).
+def _reroute(d: Digraph, qstar: Mapping, host_key, spare: int, next_spare: int,
+             reconnect: int, stand_ins: set[int], reach_union: set[int], k: int):
+    """Execute one reroute on the path system Q*, returning (case, updates).
 
     The segment of the host strictly after ``next_spare`` up to the
     reconnect point is released from the system; the host's prefix becomes
-    the new special path.
+    the new special path, under ``_SPECIAL`` in the updates.
     """
-    if host_key == "special":
+    host = qstar[host_key]
+    prefix = host.subpath(d, host.first, next_spare)
+    if host_key == _SPECIAL:
         # The candidate sits on the special path itself: trim it and release
         # everything behind.
-        return "truncate", host.subpath(d, host.first, next_spare), {}
+        return "truncate", {_SPECIAL: prefix}
 
-    prefix = host.subpath(d, host.first, next_spare)
     suffix = host.subpath(d, reconnect, host.last)
     if d.has_arc(spare, reconnect):
-        new_host = Path(d, special.vertices + suffix.vertices)
-        return "arc", prefix, {host_key: new_host}
+        new_host = Path(d, qstar[_SPECIAL].vertices + suffix.vertices)
+        return "arc", {_SPECIAL: prefix, host_key: new_host}
 
     two_arc = {int(w) for w in
                np.flatnonzero(d.adjacency[spare] & d.adjacency[:, reconnect])}
@@ -460,37 +450,30 @@ def _reroute(d: Digraph, deliveries: dict[int, Path], special: Path,
            "well-linked vertex lost its two-arc connections",
            middles=len(middles))
     usable = [w for w in middles if w not in stand_ins]
-    occupied = {v for p in list(deliveries.values()) + [special] for v in p.vertices}
+    occupied = {v for p in qstar.values() for v in p.vertices}
     fresh = [w for w in usable if w not in occupied]
     if fresh:
         w = fresh[0]
-        new_host = Path(d, special.vertices + (w,) + suffix.vertices)
-        return "fresh-middle", prefix, {host_key: new_host}
+        new_host = Path(d, qstar[_SPECIAL].vertices + (w,) + suffix.vertices)
+        return "fresh-middle", {_SPECIAL: prefix, host_key: new_host}
 
     # Every usable middle sits on the path system; find a path other than
-    # the host carrying two of them.
-    carrier_key = None
-    keys = sorted(deliveries) + ["special"]
-    for key in keys:
-        if key == host_key:
+    # the host carrying two of them, r1 before r2.  The host's suffix hangs
+    # off the carrier's head up to r1; a delivery's tail from r2 hangs off
+    # the old special path.
+    for key in sorted(qstar.keys() - {_SPECIAL}) + [_SPECIAL]:
+        carrier = qstar[key]
+        hits = [v for v in carrier.vertices if v in usable]
+        if key == host_key or len(hits) < 2:
             continue
-        p = special if key == "special" else deliveries[key]
-        hits = [v for v in p.vertices if v in usable]
-        if len(hits) >= 2:
-            carrier_key = key
-            r1, r2 = hits[0], hits[1]
-            break
-    if carrier_key is not None:
-        if carrier_key == "special":
-            new_host = Path(d, special.subpath(d, special.first, r1).vertices
-                            + suffix.vertices)
-            return "carrier-special", prefix, {host_key: new_host}
-        carrier = deliveries[carrier_key]
-        new_carrier = Path(d, special.vertices
-                           + carrier.subpath(d, r2, carrier.last).vertices)
-        new_host = Path(d, carrier.subpath(d, carrier.first, r1).vertices
-                        + suffix.vertices)
-        return "carrier", prefix, {host_key: new_host, carrier_key: new_carrier}
+        r1, r2 = hits[0], hits[1]
+        updates = {_SPECIAL: prefix}
+        if key != _SPECIAL:
+            updates[key] = Path(d, qstar[_SPECIAL].vertices
+                                + carrier.subpath(d, r2, carrier.last).vertices)
+        updates[host_key] = Path(d, carrier.subpath(d, carrier.first, r1).vertices
+                                 + suffix.vertices)
+        return ("carrier-special" if key == _SPECIAL else "carrier"), updates
 
     # All multi-middle paths are the host itself; use a middle behind the
     # reconnect point and skip the reconnect vertex entirely.
@@ -499,8 +482,34 @@ def _reroute(d: Digraph, deliveries: dict[int, Path], special: Path,
     _check(bool(behind), "adjust", "no reroute strategy applies",
            reconnect=reconnect)
     w = behind[0]
-    new_host = Path(d, special.vertices + host.subpath(d, w, host.last).vertices)
-    return "host-middle", prefix, {host_key: new_host}
+    new_host = Path(d, qstar[_SPECIAL].vertices + host.subpath(d, w, host.last).vertices)
+    return "host-middle", {_SPECIAL: prefix, host_key: new_host}
+
+
+def _first_swap(d: Digraph, paths: Mapping[int, Path], pool,
+                banned: set[int]) -> tuple[int, tuple[int, ...]] | None:
+    """The first swap of ``finalize_deliveries``, as (target, new vertices).
+
+    Targets go in id order and, per target, the one-hop rule before the
+    two-hop one; each takes the earliest position, then the lowest ids.
+    """
+    occupied = {v for p in paths.values() for v in p.vertices}
+    free_pool = sorted(set(pool) - occupied)
+    free = np.ones(d.n, dtype=bool)
+    free[list(occupied | banned)] = False
+    for y in sorted(paths):
+        verts = paths[y].vertices
+        for pos in range(2, len(verts)):
+            for u in free_pool:
+                if d.has_arc(u, verts[pos]):
+                    return y, (u,) + verts[pos:]
+        for pos in range(3, len(verts)):
+            into_w = d.adjacency[:, verts[pos]] & free
+            for u in free_pool:
+                mids = np.flatnonzero(d.adjacency[u] & into_w)[:1]
+                if mids.size:
+                    return y, (u, int(mids[0])) + verts[pos:]
+    return None
 
 
 def finalize_deliveries(d: Digraph, starts, pool, deliveries: dict[int, Path],
@@ -514,47 +523,12 @@ def finalize_deliveries(d: Digraph, starts, pool, deliveries: dict[int, Path],
     middle into its fourth-or-later vertex.
     """
     paths = dict(deliveries)
-    pool_set = set(pool)
-    banned = set(starts) | set(stand_ins) | pool_set
+    banned = set(starts) | set(stand_ins) | set(pool)
     swaps = 0
-    changed = True
-    while changed:
-        changed = False
-        occupied = {v for p in paths.values() for v in p.vertices}
-        free_pool = sorted(pool_set - occupied)
-        free = np.ones(d.n, dtype=bool)
-        free[list(occupied | banned)] = False
-        for y in sorted(paths):
-            p = paths[y]
-            for pos in range(2, len(p.vertices)):
-                v = p.vertices[pos]
-                entry = [u for u in free_pool if d.has_arc(u, v)]
-                if entry:
-                    paths[y] = reduce_to_minimal_path(
-                        d, Path(d, (entry[0],) + p.vertices[pos:]))
-                    swaps += 1
-                    changed = True
-                    break
-            if changed:
-                break
-            for pos in range(3, len(p.vertices)):
-                w = p.vertices[pos]
-                into_w = d.adjacency[:, w] & free
-                hop = None
-                for u in free_pool:
-                    mids = np.flatnonzero(d.adjacency[u] & into_w)[:1]
-                    if mids.size:
-                        hop = (u, int(mids[0]))
-                        break
-                if hop is not None:
-                    u, m = hop
-                    paths[y] = reduce_to_minimal_path(
-                        d, Path(d, (u, m) + p.vertices[pos:]))
-                    swaps += 1
-                    changed = True
-                    break
-            if changed:
-                break
+    while (swap := _first_swap(d, paths, pool, banned)) is not None:
+        y, vertices = swap
+        paths[y] = reduce_to_minimal_path(d, Path(d, vertices))
+        swaps += 1
     trace.add("finalize", swaps=swaps,
               total_vertices=sum(len(p.vertices) for p in paths.values()))
     return paths

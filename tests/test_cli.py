@@ -54,6 +54,11 @@ class TestGen:
         assert code == 2
         assert "exceeds the supported maximum" in capsys.readouterr().err
 
+    def test_negative_order_is_usage_error(self, capsys):
+        code = main(["gen", "--kind", "transitive", "--n", "-5"])
+        assert code == 2
+        assert "order -5 is negative" in capsys.readouterr().err
+
     def test_stdout_mode(self, capsys):
         code, out = run(capsys, "gen", "--kind", "transitive", "--n", "3")
         assert code == 0

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from semilink.digraph import (_MAX_ORDER, Digraph, Path, PathSystem, digraph_fro
                               digraph_to_arc_list, dominates_set,
                               is_semicomplete, is_tournament,
                               reduce_to_minimal_path, spanning_tournament)
-from semilink.generators import random_tournament, transitive_tournament
+from semilink.generators import (random_semicomplete, random_tournament,
+                                 rotational_tournament, transitive_tournament)
 
 from conftest import complete_digraph, random_digraph
 
@@ -120,6 +122,43 @@ class TestSpanningTournament:
         assert sorted(st_.arcs()) == [
             (0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
             (2, 4), (2, 5), (3, 4), (3, 5), (4, 0), (4, 5), (5, 0)]
+
+    @staticmethod
+    def whole_matrix_reference(d, seed):
+        """The bidirected pairs read off one n x n compare."""
+        single = d.adjacency.copy()
+        iu, iv = np.nonzero(np.triu(single & single.T, 1))
+        if seed is None:
+            single[iv, iu] = False
+        else:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            keep_low = rng.integers(0, 2, size=iu.size).astype(bool)
+            single[iv[keep_low], iu[keep_low]] = False
+            single[iu[~keep_low], iv[~keep_low]] = False
+        return Digraph(single)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    @pytest.mark.parametrize("seed", [None, 9])
+    def test_bands_match_the_whole_matrix(self, n, seed):
+        # bands of 256 rows: the pairs, and so the PCG64 draws, keep their order
+        for density in (0.05, 0.5, 1.0):
+            d = random_semicomplete(n, density, seed=n)
+            assert spanning_tournament(d, seed) == self.whole_matrix_reference(d, seed)
+
+    @pytest.mark.parametrize("n, seed, bound", [(1765, None, 2), (1000, 9, 10)])
+    def test_peak_allocation(self, n, seed, bound):
+        # The result's copy is n^2 and each band adds its compare and its pair
+        # indices.  The whole-matrix compare peaked at 4.0 n^2 on the
+        # tournament and 14.7 n^2 on the complete digraph (measured 1.4, 8.3).
+        d = rotational_tournament(n) if seed is None else complete_digraph(n)
+        tracemalloc.start()
+        try:
+            single = spanning_tournament(d, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert is_tournament(single)
+        assert peak <= bound * n * n, peak / n ** 2
 
 
 class TestPaths:
@@ -302,6 +341,12 @@ class TestArcListFormat:
         for text in ("1000000 0\n", f"{_MAX_ORDER + 1} 0\n"):
             with pytest.raises(ValueError, match="order"):
                 digraph_from_arc_list(text)
+
+    def test_from_arcs_checks_the_order_first(self, no_large_allocation):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            Digraph.from_arcs(_MAX_ORDER + 1, [])
+        with pytest.raises(ValueError, match="order -1 is negative"):
+            Digraph.from_arcs(-1, [])
 
 
 class TestImmutability:

@@ -219,8 +219,6 @@ class TestLocalCut:
         with pytest.raises(ValueError):
             local_cut(complete_digraph(3), 1, 1)
         d = rotational_tournament(7)
-        with pytest.raises(ValueError, match="forbidden"):
-            local_cut(d, 0, 3, forbidden=[3])
         with pytest.raises(ValueError, match="range"):
             local_cut(d, 0, 9)
 
@@ -319,6 +317,15 @@ def test_menger_equality_property(seed, n):
     assert cert is not None and len(cert.separator) == len(system)
 
 
+def _isolated(d: Digraph, fb) -> Digraph:
+    """``d`` with every arc at the vertices of ``fb`` removed, so that no
+    u->v path passes them, as if the flow kernel forbade them."""
+    adj = d.adjacency.copy()
+    adj[fb] = False
+    adj[:, fb] = False
+    return Digraph(adj, copy=False)
+
+
 def _kernel_outputs(count: int = 300) -> list:
     """Every output of the three flow entry points on a seeded corpus.
 
@@ -342,8 +349,9 @@ def _kernel_outputs(count: int = 300) -> list:
         u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
         fb = [w for w in range(n) if w not in (u, v) and rng.random() < 0.2]
         cap = int(rng.integers(1, n + 1))
-        for kw in ({}, {"cap": cap}, {"forbidden": fb}, {"cap": cap, "forbidden": fb}):
-            r = local_cut(d, u, v, **kw)
+        for g, kw in ((d, {}), (d, {"cap": cap}), (_isolated(d, fb), {}),
+                      (_isolated(d, fb), {"cap": cap})):
+            r = local_cut(g, u, v, **kw)
             out.append(("cut", r.value,
                         None if r.separator is None else tuple(sorted(r.separator)),
                         tuple(p.vertices for p in r.paths), r.direct_arc))
@@ -384,8 +392,8 @@ def test_kernel_golden_at_scale():
     for _ in range(10):
         u, v = (int(x) for x in rng.choice(251, size=2, replace=False))
         fb = [int(w) for w in rng.choice(251, size=60, replace=False) if w not in (u, v)]
-        for kw in ({}, {"cap": 5}, {"forbidden": fb}):
-            rows.append(_cut_row(local_cut(d, u, v, **kw)))
+        for g, kw in ((d, {}), (d, {"cap": 5}), (_isolated(d, fb), {})):
+            rows.append(_cut_row(local_cut(g, u, v, **kw)))
     verts = [int(x) for x in rng.permutation(251)]
     rows.append(tuple(p.vertices for p in min_weight_disjoint_paths(
         d, verts[:12], verts[12:24], 12)))
@@ -563,9 +571,9 @@ def test_local_cut_matches_separator_enumeration(seed, n, semicomplete, density,
     u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
     fb = [w for w in range(n) if w not in (u, v) and rng.random() < forbid]
     cap = cap or None  # 0 draws the uncapped query
-    res = local_cut(d, u, v, cap=cap, forbidden=fb)
+    res = local_cut(_isolated(d, fb), u, v, cap=cap)
     with mock.patch.object(flows._SplitFlow, "push_two_arc_paths", lambda self, cap: 0):
-        plain = local_cut(d, u, v, cap=cap, forbidden=fb)
+        plain = local_cut(_isolated(d, fb), u, v, cap=cap)
     # the warm start changes nothing: not the flow, not the paths, not the cut
     assert _cut_row(res) == _cut_row(plain)
     true = brute_local_cut(d, u, v, fb)

@@ -31,6 +31,11 @@ class TestTransitive:
         with pytest.raises(ValueError):
             transitive_tournament([0, 0, 1])
 
+    def test_negative_order_rejected(self):
+        # range(-1) is empty, so an unchecked order would build Digraph(n=0)
+        with pytest.raises(ValueError, match="negative"):
+            transitive_tournament(-1)
+
     def test_acyclic(self):
         d = transitive_tournament(7)
         # arcs strictly increase along the order, so no cycle can close

@@ -14,8 +14,8 @@ from semilink.generators import (near_regular_tournament, random_semicomplete,
                                  random_tournament)
 from semilink.instances import adjustment_stress_instance, planted_cut_instance
 from semilink.linker import (FailureReport, LinkageCertificate,
-                             LinkageInstance, LinkerTrace, _bipartite_matching,
-                             _reroute, adjust_paths, build_bridges,
+                             LinkageInstance, LinkerTrace, _SPECIAL,
+                             _bipartite_matching, _reroute, adjust_paths, build_bridges,
                              build_dominating_set, check_hypotheses,
                              classify_terminals, finalize_deliveries,
                              initial_path_system, link)
@@ -277,27 +277,26 @@ class TestRerouteBranches:
     def run(self, extra, host_verts=(3, 4, 5, 6, 7), deliveries_extra=(),
             reach=(), stand_ins=()):
         d = _mini(self.base + extra)
-        special = Path(d, (0, 1, 2))
-        host = Path(d, host_verts)
-        deliveries = {host_verts[-1]: host}
+        qstar = {host_verts[-1]: Path(d, host_verts)}
         for verts in deliveries_extra:
-            deliveries[verts[-1]] = Path(d, verts)
-        return d, _reroute(d, deliveries, special, host_verts[-1], host,
+            qstar[verts[-1]] = Path(d, verts)
+        qstar[_SPECIAL] = Path(d, (0, 1, 2))
+        return d, _reroute(d, qstar, host_verts[-1],
                            spare=2, next_spare=4, reconnect=6,
                            stand_ins=set(stand_ins),
                            reach_union=set(reach) | {4, 5, 6}, k=1)
 
     def test_direct_arc_case(self):
-        d, (case, new_special, updates) = self.run([(2, 6)])
+        d, (case, updates) = self.run([(2, 6)])
         assert case == "arc"
-        assert new_special.vertices == (3, 4)
+        assert updates[_SPECIAL].vertices == (3, 4)
         assert updates[7].vertices == (0, 1, 2, 6, 7)
 
     def test_fresh_middle_case(self):
         extra = [(2, w) for w in (8, 9, 10, 11)] + [(w, 6) for w in (8, 9, 10, 11)]
-        d, (case, new_special, updates) = self.run(extra, reach=(8, 9, 10, 11))
+        d, (case, updates) = self.run(extra, reach=(8, 9, 10, 11))
         assert case == "fresh-middle"
-        assert new_special.vertices == (3, 4)
+        assert updates[_SPECIAL].vertices == (3, 4)
         assert updates[7].vertices == (0, 1, 2, 8, 6, 7)
 
     def test_carrier_case(self):
@@ -305,10 +304,10 @@ class TestRerouteBranches:
         chain = list(zip(carrier, carrier[1:]))
         extra = chain + [(2, w) for w in (21, 22, 23, 24)] \
             + [(w, 6) for w in (21, 22, 23, 24)]
-        d, (case, new_special, updates) = self.run(
+        d, (case, updates) = self.run(
             extra, deliveries_extra=(carrier,), reach=(21, 22, 23, 24))
         assert case == "carrier"
-        assert new_special.vertices == (3, 4)
+        assert updates[_SPECIAL].vertices == (3, 4)
         assert updates[25].vertices == (0, 1, 2, 22, 23, 24, 25)
         assert updates[7].vertices == (20, 21, 6, 7)
 
@@ -320,12 +319,12 @@ class TestRerouteBranches:
         d = _mini(self.base + extra)
         special = Path(d, (0, 28, 29, 30, 31, 2))
         host = Path(d, (3, 4, 5, 6, 7))
-        case, new_special, updates = _reroute(
-            d, {7: host}, special, 7, host, spare=2, next_spare=4,
+        case, updates = _reroute(
+            d, {7: host, _SPECIAL: special}, 7, spare=2, next_spare=4,
             reconnect=6, stand_ins=set(),
             reach_union={4, 5, 6, 28, 29, 30, 31}, k=1)
         assert case == "carrier-special"
-        assert new_special.vertices == (3, 4)
+        assert updates[_SPECIAL].vertices == (3, 4)
         assert updates[7].vertices == (0, 28, 6, 7)
 
     def test_host_middle_case(self):
@@ -334,11 +333,11 @@ class TestRerouteBranches:
         extra = [a for a in chain if a not in self.base] \
             + [(2, w) for w in (40, 41, 42, 43)] \
             + [(w, 6) for w in (40, 41, 42, 43)]
-        d, (case, new_special, updates) = self.run(
+        d, (case, updates) = self.run(
             [a for a in extra if a != (6, 7)], host_verts=host,
             reach=(40, 41, 42, 43))
         assert case == "host-middle"
-        assert new_special.vertices == (3, 4)
+        assert updates[_SPECIAL].vertices == (3, 4)
         assert updates[7].vertices == (0, 1, 2, 40, 41, 42, 43, 7)
 
     def test_stand_ins_are_not_middles(self):
@@ -348,7 +347,7 @@ class TestRerouteBranches:
         chain = list(zip(carrier, carrier[1:]))
         extra = chain + [(2, w) for w in (8, 9, 21, 22)] \
             + [(w, 6) for w in (8, 9, 21, 22)]
-        d, (case, _, updates) = self.run(
+        d, (case, updates) = self.run(
             extra, deliveries_extra=(carrier,), reach=(8, 9, 21, 22),
             stand_ins=(8, 9))
         assert case == "carrier"
@@ -360,12 +359,12 @@ class TestRerouteBranches:
         d = _mini(self.base)
         special = Path(d, (0, 1, 2))
         host = Path(d, (3, 4, 5, 6, 7))
-        case, new_special, updates = _reroute(
-            d, {7: host}, special, "special", special, spare=2, next_spare=1,
+        case, updates = _reroute(
+            d, {7: host, _SPECIAL: special}, _SPECIAL, spare=2, next_spare=1,
             reconnect=2, stand_ins=set(), reach_union={1, 2}, k=1)
         assert case == "truncate"
-        assert new_special.vertices == (0, 1)
-        assert updates == {}
+        assert updates[_SPECIAL].vertices == (0, 1)
+        assert list(updates) == [_SPECIAL]
 
 
 class TestBuildBridges:
@@ -407,13 +406,14 @@ class TestFinalizeDeliveries:
                                   stand_ins=[6], trace=LinkerTrace())
         assert out[4].vertices == (0, 1, 2, 3, 4)
 
-    def test_fixpoint_has_no_remaining_swap(self):
-        d, pairs = adjustment_stress_instance()
+    @staticmethod
+    def assert_fixpoint(d, pairs):
         starts = [x for x, _ in pairs]
         targets = [y for _, y in pairs]
+        k = len(pairs)
         tr = LinkerTrace()
-        pool = build_dominating_set(d, starts, targets, 1, tr)
-        split = classify_terminals(d, starts, targets, pool, 1, tr)
+        pool = build_dominating_set(d, starts, targets, k, tr)
+        split = classify_terminals(d, starts, targets, pool, k, tr)
         deliveries, special = initial_path_system(d, starts, targets, pool,
                                                   split, tr)
         result = adjust_paths(d, starts, targets, pool, split, deliveries,
@@ -427,6 +427,23 @@ class TestFinalizeDeliveries:
             for pos in range(2, len(p.vertices)):
                 for u in free_pool:
                     assert not d.has_arc(u, p.vertices[pos])
+        # nor a two-step one through a middle off the paths, the starts, the
+        # stand-ins and the pool
+        banned = occupied | set(starts) | set(result.stand_ins) | set(pool)
+        middles = [m for m in range(d.n) if m not in banned]
+        for p in finals.values():
+            for w in p.vertices[3:]:
+                for u in free_pool:
+                    assert not any(d.has_arc(u, m) and d.has_arc(m, w) for m in middles)
+
+    def test_fixpoint_has_no_remaining_swap(self):
+        self.assert_fixpoint(*adjustment_stress_instance())
+
+    @pytest.mark.parametrize("n, k, index", [(251, 2, 0), (251, 2, 1), (251, 2, 2),
+                                             (400, 3, 0), (400, 3, 1), (400, 3, 2)])
+    def test_fixpoint_on_seeded_runs(self, n, k, index):
+        # the pair sets of TestPinnedOutputs
+        self.assert_fixpoint(_near_regular(n, 1), _pair_sets(n, k, n, index + 1)[index])
 
 
 class TestBipartiteMatching:
