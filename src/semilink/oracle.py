@@ -4,13 +4,20 @@ These are the ground truth the flow and linkage machinery is tested
 against, so they deliberately share no code with it: plain backtracking
 over adjacency, with reachability pruning and explicit budgets.  Budget
 exhaustion yields an explicit ``unknown`` verdict, never a guess.
+
+The linkage search holds adjacency rows as Python-int bitmasks (bit ``w``
+of row ``u`` set when ``u -> w`` is an arc), packed from the matrix the
+first time the search reads them, so a query that settles after a few
+rows of a large digraph packs only those.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +32,9 @@ class OracleBudget:
     time_limit: float = 60.0
 
     def __post_init__(self):
-        if self.node_limit <= 0 or self.time_limit <= 0:
-            raise ValueError("budget limits must be positive")
+        if not (self.node_limit > 0 and self.time_limit > 0
+                and math.isfinite(self.time_limit)):
+            raise ValueError("budget limits must be positive and finite")
 
 
 @dataclass
@@ -39,24 +47,54 @@ class OracleAnswer:
         raise TypeError("check .verdict explicitly; 'unknown' is a real outcome")
 
 
+def _terminal(t, n: int) -> int:
+    """``t`` as a vertex of an n-vertex digraph, or ValueError."""
+    try:
+        v = operator.index(t)
+    except TypeError:
+        raise ValueError(f"terminal {t!r} is not an integer") from None
+    if not 0 <= v < n:
+        raise ValueError(f"terminal {v} out of range")
+    return v
+
+
 class _Exhausted(Exception):
     pass
 
 
+class _Rows(dict):
+    """Out-neighbour bitmask of each vertex, packed on first lookup."""
+
+    def __init__(self, adj: np.ndarray):
+        super().__init__()
+        self._adj = adj
+
+    def __missing__(self, u: int) -> int:
+        row = int.from_bytes(np.packbits(self._adj[u], bitorder="little").tobytes(),
+                             "little")
+        self[u] = row
+        return row
+
+
 @dataclass
 class _Search:
-    adj: np.ndarray
+    rows: _Rows
     pairs: Sequence[tuple[int, int]]
     budget: OracleBudget
     deadline: float = 0.0
     nodes: int = 0
     result: list[list[int]] | None = None
+    goals: int = 0  # bitmask of every pair's goal
 
     def run(self) -> OracleAnswer:
         self.deadline = time.monotonic() + self.budget.time_limit
         partial = [[x] for x, _ in self.pairs]
+        used = 0
+        for x, y in self.pairs:
+            used |= 1 << x
+            self.goals |= 1 << y
         try:
-            found = self._extend(partial, 0)
+            found = self._extend(partial, 0, used)
         except _Exhausted:
             return OracleAnswer("unknown", nodes_explored=self.nodes)
         if found:
@@ -72,55 +110,62 @@ class _Search:
         if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _Exhausted
 
-    def _reachable(self, start: int, goal: int, blocked: set[int]) -> bool:
-        if start == goal:
-            return True
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in np.flatnonzero(self.adj[u]):
-                w = int(w)
-                if w == goal:
-                    return True
-                if w not in blocked and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+    def _reachable(self, start: int, goal: int, blocked: int) -> bool:
+        """Whether ``goal`` is reached from ``start`` through unblocked vertices.
+
+        The closure grows one frontier at a time: the next frontier is the
+        OR of the frontier's rows, less what is blocked or already seen.
+        """
+        rows = self.rows
+        goal_bit = 1 << goal
+        frontier = 1 << start
+        blocked |= frontier
+        while frontier:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reached |= rows[low.bit_length() - 1]
+            if reached & goal_bit:
+                return True
+            frontier = reached & ~blocked
+            blocked |= frontier
         return False
 
-    def _extend(self, partial: list[list[int]], i: int) -> bool:
+    def _extend(self, partial: list[list[int]], i: int, used: int) -> bool:
+        """Extend path i by each out-neighbour of its tip, lowest id first.
+
+        ``used`` is the bitmask of every vertex on a partial path.
+        """
         k = len(self.pairs)
         if i == k:
             self.result = [list(p) for p in partial]
             return True
         self._tick()
-        used = {v for p in partial for v in p}
+        # Off limits to every pending path: the vertices in use and the
+        # goals (a completed path holds its own).  A path's own tip and goal
+        # are tested before these.
+        taken = used | self.goals
         # A pair with no route left in the residual digraph dooms the branch.
         for j in range(i, k):
-            goal = self.pairs[j][1]
-            blocked = (used - {partial[j][-1]}) | \
-                {self.pairs[m][1] for m in range(i, k) if m != j} | \
-                {partial[m][-1] for m in range(i, k) if m != j}
-            if not self._reachable(partial[j][-1], goal, blocked):
+            if not self._reachable(partial[j][-1], self.pairs[j][1], taken):
                 return False
-        tip = partial[i][-1]
-        goal = self.pairs[i][1]
-        off_limits = used | {self.pairs[m][1] for m in range(i + 1, k)} | \
-            {partial[m][-1] for m in range(i + 1, k)}
-        for w in np.flatnonzero(self.adj[tip]):
-            w = int(w)
-            if w == goal:
-                partial[i].append(w)
-                if self._extend(partial, i + 1):
+        path = partial[i]
+        goal_bit = 1 << self.pairs[i][1]
+        row = self.rows[path[-1]]
+        while row:
+            low = row & -row
+            row ^= low
+            if low == goal_bit:
+                path.append(low.bit_length() - 1)
+                if self._extend(partial, i + 1, used | low):
                     return True
-                partial[i].pop()
-                continue
-            if w in off_limits:
-                continue
-            partial[i].append(w)
-            if self._extend(partial, i):
-                return True
-            partial[i].pop()
+                path.pop()
+            elif not low & taken:
+                path.append(low.bit_length() - 1)
+                if self._extend(partial, i, used | low):
+                    return True
+                path.pop()
         return False
 
 
@@ -130,20 +175,18 @@ def exists_disjoint_linkage(d: Digraph, pairs: Sequence[tuple[int, int]],
 
     Extends the first incomplete path by the lowest-id admissible vertex,
     backtracking over all choices; ``no`` is returned only after the whole
-    space is exhausted.
+    space is exhausted.  Terminals must be integers in ``range(d.n)``.
     """
     budget = budget or OracleBudget()
-    terms = [t for pair in pairs for t in pair]
-    for t in terms:
-        if not 0 <= t < d.n:
-            raise ValueError(f"terminal {t} out of range")
+    pairs = [(_terminal(x, d.n), _terminal(y, d.n)) for x, y in pairs]
     for x, y in pairs:
         if x == y:
             raise ValueError(f"degenerate pair ({x}, {y})")
+    terms = [t for pair in pairs for t in pair]
     if len(set(terms)) != len(terms):
         # Two pairs sharing a vertex can never be linked disjointly.
         return OracleAnswer("no")
-    return _Search(d.adjacency, list(pairs), budget).run()
+    return _Search(_Rows(d.adjacency), pairs, budget).run()
 
 
 def max_disjoint_ST_paths_bruteforce(d: Digraph, sources: Sequence[int],
@@ -152,48 +195,57 @@ def max_disjoint_ST_paths_bruteforce(d: Digraph, sources: Sequence[int],
 
     Uses the same path family as the flow solver: sources occur only as
     first vertices, sinks only as last ones, and vertices in both sets
-    count as trivial one-vertex paths.
+    count as trivial one-vertex paths.  Terminals must be integers in
+    ``range(d.n)``.
+
+    Each source's paths are listed lazily, depth first over out-neighbour
+    lists built once per query, and the search ends as soon as it holds
+    ``min(sources, free sinks)`` paths, which no path system can beat.
     """
     if d.n > _BRUTEFORCE_MAX_N:
         raise ValueError(f"instance too large for brute force (n={d.n})")
-    src = sorted(set(int(v) for v in sources))
-    snk = set(int(v) for v in sinks)
+    src = sorted({_terminal(v, d.n) for v in sources})
+    snk = {_terminal(v, d.n) for v in sinks}
     if not src or not snk:
         raise ValueError("sources and sinks must be non-empty")
-    adj = d.adjacency
     overlap = [v for v in src if v in snk]
     src = [v for v in src if v not in snk]
     free_snk = snk - set(overlap)
-
+    # A path steps only onto a free sink, where it ends, or onto a vertex
+    # in no terminal set.
+    steps = free_snk | (set(range(d.n)) - snk - set(src))
+    nbrs = [[w for w, arc in enumerate(row) if arc and w in steps]
+            for row in d.adjacency.tolist()]
+    bound = min(len(src), len(free_snk))
     best = 0
 
-    def paths_from(s: int, used: frozenset[int]) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
+    def paths_from(s: int, used: frozenset[int]) -> Iterator[tuple[int, ...]]:
         stack: list[tuple[int, ...]] = [(s,)]
         while stack:
             p = stack.pop()
-            for w in np.flatnonzero(adj[p[-1]]):
-                w = int(w)
+            for w in nbrs[p[-1]]:
                 if w in used or w in p:
                     continue
                 if w in free_snk:
-                    out.append(p + (w,))
-                elif w not in snk and w not in src and w not in overlap:
+                    yield p + (w,)
+                else:
                     stack.append(p + (w,))
-        return out
 
-    def search(idx: int, used: frozenset[int], count: int) -> None:
+    def search(idx: int, used: frozenset[int], count: int) -> bool:
+        """Raise ``best`` to what the sources from idx on can add; True at the bound."""
         nonlocal best
         best = max(best, count)
+        if best == bound:
+            return True
         if idx == len(src):
-            return
-        remaining_sinks = len([t for t in free_snk if t not in used])
+            return False
+        remaining_sinks = len(free_snk - used)
         if count + min(len(src) - idx, remaining_sinks) <= best:
-            return
-        s = src[idx]
-        for p in paths_from(s, used):
-            search(idx + 1, used | frozenset(p), count + 1)
-        search(idx + 1, used, count)
+            return False
+        for p in paths_from(src[idx], used):
+            if search(idx + 1, used | frozenset(p), count + 1):
+                return True
+        return search(idx + 1, used, count)
 
     search(0, frozenset(), 0)
     return best + len(overlap)

@@ -250,6 +250,14 @@ class TestOracle:
         assert code == 1
         assert last_json(out)["verdicts"]["verdict"] == "unknown"
 
+    @pytest.mark.parametrize("limit", ["nan", "inf", "-inf"])
+    def test_non_finite_time_limit_is_usage_error(self, tmp_path, capsys, limit):
+        f = tmp_path / "r15.txt"
+        run(capsys, "gen", "--kind", "rotational", "--n", "15", "--out", str(f))
+        code, out = run(capsys, "oracle", "--in", str(f), "--pairs", "0:7,3:11",
+                        "--time-limit", limit)
+        assert code == 2 and out == ""
+
 
 class TestExport:
     def test_three_cycle_dot(self, tmp_path, capsys):
