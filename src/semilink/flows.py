@@ -20,7 +20,10 @@ The minimum-weight variant (unit cost per vertex) augments along successive
 cheapest paths: a Bellman-Ford relaxation that follows each node copy's few
 entry arcs and takes the original arcs one distance level at a time, then a
 BFS restricted to tight arcs.  Distances are unique, so no path depends on
-the relaxation order.  A vertex carries at most one unit, so the flow is
+the relaxation order.  It first pushes its one-arc paths s->t in one step,
+lowest sink first: while the flow is only such arcs no residual cost is
+negative, so each of them is the path the relaxation and the tight BFS
+would pick next.  A vertex carries at most one unit, so the flow is
 stored as two per-vertex links (the flow arc into it and the one out of
 it), never as an n x n matrix.  A pair query first pushes all its two-arc
 paths u->m->v in one step: they are exactly the augmentations its first BFS
@@ -414,9 +417,43 @@ class _SplitFlow:
             dist_in = new_in
         raise AssertionError("cost relaxation failed to converge")
 
+    def push_direct_arcs(self, count: int) -> int:
+        """Push up to ``count`` one-arc paths s->t of a set query at once.
+
+        Sinks go lowest id first, each with the lowest-id open source that
+        has an arc to it.  Sources only close, so a sink passed over never
+        gains such an arc: each push joins the lowest open sink that has an
+        arc from an open source to the lowest of those sources.
+        """
+        src, snk = self.open_src, self.open_snk
+        hit = self.adj[np.ix_(src, snk)]
+        free = np.ones(src.size, dtype=bool)
+        pushed = 0
+        for j in hit.any(axis=0).nonzero()[0]:
+            if pushed == count:
+                break
+            rows = hit[:, j] & free
+            if rows.any():
+                i = rows.argmax()
+                free[i] = False
+                self._augment([("out", int(src[i])), ("in", int(snk[j]))])
+                pushed += 1
+        return pushed
+
     def run_min_cost(self, count: int) -> None:
-        """Push ``count`` units along successive cheapest paths."""
-        for achieved in range(count):
+        """Push ``count`` units along successive cheapest paths.
+
+        The one-arc paths go first, in one step (``push_direct_arcs``), and
+        each later unit takes one relaxation and one tight BFS.  The step
+        changes no path: while the flow is only one-arc paths no internal
+        arc carries flow, so no residual cost is negative.  An open sink
+        with an arc from an open source is then at distance 0, the minimum,
+        and the tight BFS stops at depth 1 with the lowest such sink and its
+        lowest such source, the pair the step takes.  Cost-0 paths that
+        reroute through a filled sink are left to the loop.
+        ``FlowInfeasible.achieved`` counts the units of both kinds.
+        """
+        for achieved in range(self.push_direct_arcs(count), count):
             dist_in, dist_out = self._bellman()
             if not (dist_in[self.open_snk] < _INF).any():
                 if self._bfs() is not None:

@@ -24,10 +24,21 @@ import numpy as np
 from .digraph import Digraph
 
 _BRUTEFORCE_MAX_N = 12
+# The linkage search appends at most this many vertices along one branch;
+# it recurses once per vertex, so a deeper branch (a long path in a large
+# digraph) ends in ``unknown`` rather than overflowing the interpreter stack.
+_DEPTH_LIMIT = 500
 
 
 @dataclass(frozen=True)
 class OracleBudget:
+    """Limits of one linkage search, each ending it with ``unknown``.
+
+    ``node_limit`` caps the search nodes and ``time_limit`` the seconds.  A
+    third limit is fixed: no branch appends more than ``_DEPTH_LIMIT``
+    vertices, whatever the caller's stack depth.
+    """
+
     node_limit: int = 2_000_000
     time_limit: float = 60.0
 
@@ -94,7 +105,7 @@ class _Search:
             used |= 1 << x
             self.goals |= 1 << y
         try:
-            found = self._extend(partial, 0, used)
+            found = self._extend(partial, 0, used, 0)
         except _Exhausted:
             return OracleAnswer("unknown", nodes_explored=self.nodes)
         if found:
@@ -132,16 +143,19 @@ class _Search:
             blocked |= frontier
         return False
 
-    def _extend(self, partial: list[list[int]], i: int, used: int) -> bool:
+    def _extend(self, partial: list[list[int]], i: int, used: int, depth: int) -> bool:
         """Extend path i by each out-neighbour of its tip, lowest id first.
 
-        ``used`` is the bitmask of every vertex on a partial path.
+        ``used`` is the bitmask of every vertex on a partial path, and
+        ``depth`` the number of vertices appended to reach this node.
         """
         k = len(self.pairs)
         if i == k:
             self.result = [list(p) for p in partial]
             return True
         self._tick()
+        if depth == _DEPTH_LIMIT:
+            raise _Exhausted
         # Off limits to every pending path: the vertices in use and the
         # goals (a completed path holds its own).  A path's own tip and goal
         # are tested before these.
@@ -158,12 +172,12 @@ class _Search:
             row ^= low
             if low == goal_bit:
                 path.append(low.bit_length() - 1)
-                if self._extend(partial, i + 1, used | low):
+                if self._extend(partial, i + 1, used | low, depth + 1):
                     return True
                 path.pop()
             elif not low & taken:
                 path.append(low.bit_length() - 1)
-                if self._extend(partial, i, used | low):
+                if self._extend(partial, i, used | low, depth + 1):
                     return True
                 path.pop()
         return False
@@ -175,7 +189,8 @@ def exists_disjoint_linkage(d: Digraph, pairs: Sequence[tuple[int, int]],
 
     Extends the first incomplete path by the lowest-id admissible vertex,
     backtracking over all choices; ``no`` is returned only after the whole
-    space is exhausted.  Terminals must be integers in ``range(d.n)``.
+    space is exhausted, and ``unknown`` once a budget limit or the depth
+    limit stops the search.  Terminals must be integers in ``range(d.n)``.
     """
     budget = budget or OracleBudget()
     pairs = [(_terminal(x, d.n), _terminal(y, d.n)) for x, y in pairs]

@@ -250,6 +250,16 @@ class TestOracle:
         assert code == 1
         assert last_json(out)["verdicts"]["verdict"] == "unknown"
 
+    def test_deep_search_is_unknown_not_a_traceback(self, tmp_path, capsys):
+        # a directed path on 1200 vertices: the one linkage is deeper than
+        # the search goes
+        f = tmp_path / "path.txt"
+        f.write_text("1200 1199\n" + "".join(f"{v} {v + 1}\n" for v in range(1199)))
+        code, out = run(capsys, "oracle", "--in", str(f), "--pairs", "0:1199")
+        assert code == 1
+        verdicts = last_json(out)["verdicts"]
+        assert verdicts["verdict"] == "unknown" and verdicts["nodes_explored"] == 501
+
     @pytest.mark.parametrize("limit", ["nan", "inf", "-inf"])
     def test_non_finite_time_limit_is_usage_error(self, tmp_path, capsys, limit):
         f = tmp_path / "r15.txt"

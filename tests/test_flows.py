@@ -483,6 +483,7 @@ def test_bellman_matches_four_pass_sweep(seed, n, density, forbid, extra):
     src, snk = verts[:a], verts[a:a + b]
     fb = [w for w in verts[a + b:] if rng.random() < forbid]
     real = flows._SplitFlow._bellman
+    real_direct = flows._SplitFlow.push_direct_arcs
     calls = []
 
     def compared(self):
@@ -491,14 +492,91 @@ def test_bellman_matches_four_pass_sweep(seed, n, density, forbid, extra):
         calls.append(None)
         return got
 
+    def direct_then_compared(self, count):
+        # An all-direct query makes no relaxation of its own, so the state
+        # the direct step leaves is compared in every example.
+        pushed = real_direct(self, count)
+        compared(self)
+        return pushed
+
     # extra > 0 asks for more paths than there are terminals: infeasible
     count = min(a, b) + extra
-    with mock.patch.object(flows._SplitFlow, "_bellman", compared):
+    with mock.patch.object(flows._SplitFlow, "_bellman", compared), \
+            mock.patch.object(flows._SplitFlow, "push_direct_arcs", direct_then_compared):
         try:
             min_weight_disjoint_paths(d, src, snk, count, forbidden=fb)
         except FlowInfeasible as exc:
             assert exc.achieved < count
     assert calls
+
+
+def plain_min_cost(fl, count):
+    """The min-cost loop with no direct step: one relaxation and one tight
+    BFS for every unit, one-arc paths included."""
+    for achieved in range(count):
+        dist_in, dist_out = fl._bellman()
+        if not (dist_in[fl.open_snk] < np.inf).any():
+            if fl._bfs() is not None:
+                raise AssertionError("cost relaxation missed an augmenting path")
+            raise FlowInfeasible(achieved, fl.cut_certificate())
+        seq = fl._bfs(dist_in, dist_out)
+        if seq is None:
+            raise AssertionError("tight BFS must reach a cheapest sink")
+        fl._augment(seq)
+
+
+def _min_cost_row(d, src, snk, count, fb) -> tuple:
+    """Paths of a min-cost query, or its achieved count and cut sides."""
+    try:
+        system = min_weight_disjoint_paths(d, src, snk, count, forbidden=fb)
+    except FlowInfeasible as exc:
+        c = exc.cut
+        return ("infeasible", exc.achieved, sorted(c.separator), sorted(c.source_side),
+                sorted(c.sink_side))
+    return ("paths", tuple(p.vertices for p in system))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 14),
+       st.sampled_from(["digraph", "tournament", "semicomplete"]),
+       st.sampled_from([0.1, 0.3, 0.6, 0.9]), st.sampled_from([0.0, 0.25]),
+       st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_min_cost_matches_plain_loop(seed, n, kind, density, forbid, extra):
+    if kind == "tournament":
+        d = random_tournament(n, seed=seed)
+    elif kind == "semicomplete":
+        d = random_semicomplete(n, density, seed)
+    else:
+        d = random_digraph(n, density, seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # drawn independently, so sources and sinks may overlap
+    src = [int(v) for v in rng.choice(n, size=int(rng.integers(1, n // 2 + 2)), replace=False)]
+    snk = [int(v) for v in rng.choice(n, size=int(rng.integers(1, n // 2 + 2)), replace=False)]
+    fb = [w for w in range(n) if w not in src and w not in snk and rng.random() < forbid]
+    # extra > 0 may ask for more paths than exist: infeasible
+    count = int(rng.integers(1, min(len(src), len(snk)) + 1)) + extra
+    got = _min_cost_row(d, src, snk, count, fb)
+    with mock.patch.object(flows._SplitFlow, "run_min_cost", plain_min_cost):
+        assert got == _min_cost_row(d, src, snk, count, fb)
+
+
+def test_direct_step_leaves_the_reroute_to_the_loop():
+    # The direct step takes 0->2, the lowest sink's lowest source; 1 then
+    # reaches sink 3 only through the cost-0 reroute 1->2, back to 0, 0->3.
+    d = Digraph.from_arcs(4, [(0, 2), (1, 2), (0, 3)])
+    real = flows._SplitFlow._bellman
+    calls = []
+
+    def counting(self):
+        calls.append(None)
+        return real(self)
+
+    with mock.patch.object(flows._SplitFlow, "_bellman", counting):
+        system = min_weight_disjoint_paths(d, [0, 1], [2, 3], 2)
+    assert [p.vertices for p in system] == [(0, 3), (1, 2)] and len(calls) == 1
+    with mock.patch.object(flows._SplitFlow, "run_min_cost", plain_min_cost):
+        plain = min_weight_disjoint_paths(d, [0, 1], [2, 3], 2)
+    assert [p.vertices for p in plain] == [(0, 3), (1, 2)]
 
 
 def test_min_cost_query_allocates_no_float_matrix():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semilink.flows as flows
 from semilink.certificates import CertificateError, verify_linkage_certificate
 from semilink.digraph import Digraph, Path
 from semilink.dominators import is_nearly_in_dominating_set
@@ -218,6 +219,35 @@ class TestPinnedOutputs:
         assert pool[:6] == [1763, 211, 925, 212, 926, 213] and len(pool) == 126
         assert _sha256(res.to_json()) == \
             "0b2ecc856527b8360720c01d9d60cbec5f42ed9d67004f7b34d5d9ed74b92f3d"
+
+
+class TestMinCostRelaxations:
+    """How many cost relaxations the initial path system's min-cost flow runs."""
+
+    @pytest.fixture
+    def bellman_calls(self, monkeypatch):
+        calls = []
+        real = flows._SplitFlow._bellman
+
+        def counting(self):
+            calls.append(None)
+            return real(self)
+
+        monkeypatch.setattr(flows._SplitFlow, "_bellman", counting)
+        return calls
+
+    def test_single_arc_deliveries_need_none(self, bellman_calls):
+        # every delivery on a near-regular tournament is one arc, pushed by
+        # the direct step
+        d = _near_regular(251, 1)
+        for pairs in _pair_sets(251, 2, 251, 3):
+            assert isinstance(link(LinkageInstance(d, pairs)), LinkageCertificate)
+        assert bellman_calls == []
+
+    def test_stress_instance_count(self, bellman_calls):
+        d, pairs = adjustment_stress_instance()
+        assert isinstance(link(LinkageInstance(d, pairs)), LinkageCertificate)
+        assert len(bellman_calls) == 2
 
 
 class TestTheoremHypotheses:

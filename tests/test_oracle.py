@@ -13,8 +13,8 @@ from semilink.certificates import verify_linkage_certificate
 from semilink.digraph import Digraph
 from semilink.generators import (random_semicomplete, random_tournament,
                                  rotational_tournament)
-from semilink.oracle import (OracleAnswer, OracleBudget, exists_disjoint_linkage,
-                             max_disjoint_ST_paths_bruteforce)
+from semilink.oracle import (_DEPTH_LIMIT, OracleAnswer, OracleBudget,
+                             exists_disjoint_linkage, max_disjoint_ST_paths_bruteforce)
 
 from conftest import complete_digraph, random_digraph
 
@@ -114,6 +114,26 @@ class TestExistsDisjointLinkage:
             tracemalloc.stop()
         assert answer.verdict == "yes" and answer.nodes_explored == 2
         assert peak < 0.3 * d.n ** 2
+
+    def test_deep_branch_ends_in_unknown(self):
+        # Lowest id first, the one path runs through low ids long before it
+        # tries its goal; the branch stops at the depth limit instead of
+        # overflowing the interpreter stack.
+        answer = exists_disjoint_linkage(random_tournament(4000, seed=1), [(0, 3999)])
+        assert answer.verdict == "unknown" and answer.paths is None
+        assert answer.nodes_explored == _DEPTH_LIMIT + 1
+
+    @pytest.mark.parametrize("appended", [_DEPTH_LIMIT, _DEPTH_LIMIT + 1])
+    def test_depth_limit_is_exact(self, appended):
+        # On a directed path the only linkage appends every other vertex.
+        n = appended + 1
+        d = Digraph.from_arcs(n, [(v, v + 1) for v in range(n - 1)])
+        answer = exists_disjoint_linkage(d, [(0, n - 1)])
+        if appended == _DEPTH_LIMIT:
+            assert answer.verdict == "yes" and answer.paths == (tuple(range(n)),)
+        else:
+            assert answer.verdict == "unknown"
+        assert answer.nodes_explored == min(appended, _DEPTH_LIMIT + 1)
 
     def test_criterion_four_full_node_count(self):
         # The full profile's 2-linkage queries, searched in lowest-id order,
