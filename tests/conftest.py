@@ -40,6 +40,21 @@ def no_large_allocation(monkeypatch):
     monkeypatch.setattr(np, "zeros", small_zeros)
 
 
+@pytest.fixture
+def bellman_calls(monkeypatch):
+    """One entry per cost relaxation (``_SplitFlow._bellman`` call)."""
+    import semilink.flows as flows
+    calls = []
+    real = flows._SplitFlow._bellman
+
+    def counting(self):
+        calls.append(None)
+        return real(self)
+
+    monkeypatch.setattr(flows._SplitFlow, "_bellman", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def reference_counterexample():
     from semilink.counterexample import build_counterexample

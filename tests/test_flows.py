@@ -560,20 +560,12 @@ def test_min_cost_matches_plain_loop(seed, n, kind, density, forbid, extra):
         assert got == _min_cost_row(d, src, snk, count, fb)
 
 
-def test_direct_step_leaves_the_reroute_to_the_loop():
+def test_direct_step_leaves_the_reroute_to_the_loop(bellman_calls):
     # The direct step takes 0->2, the lowest sink's lowest source; 1 then
     # reaches sink 3 only through the cost-0 reroute 1->2, back to 0, 0->3.
     d = Digraph.from_arcs(4, [(0, 2), (1, 2), (0, 3)])
-    real = flows._SplitFlow._bellman
-    calls = []
-
-    def counting(self):
-        calls.append(None)
-        return real(self)
-
-    with mock.patch.object(flows._SplitFlow, "_bellman", counting):
-        system = min_weight_disjoint_paths(d, [0, 1], [2, 3], 2)
-    assert [p.vertices for p in system] == [(0, 3), (1, 2)] and len(calls) == 1
+    system = min_weight_disjoint_paths(d, [0, 1], [2, 3], 2)
+    assert [p.vertices for p in system] == [(0, 3), (1, 2)] and len(bellman_calls) == 1
     with mock.patch.object(flows._SplitFlow, "run_min_cost", plain_min_cost):
         plain = min_weight_disjoint_paths(d, [0, 1], [2, 3], 2)
     assert [p.vertices for p in plain] == [(0, 3), (1, 2)]

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import semilink.flows as flows
 from semilink.certificates import CertificateError, verify_linkage_certificate
 from semilink.digraph import Digraph, Path
 from semilink.dominators import is_nearly_in_dominating_set
@@ -223,18 +222,6 @@ class TestPinnedOutputs:
 
 class TestMinCostRelaxations:
     """How many cost relaxations the initial path system's min-cost flow runs."""
-
-    @pytest.fixture
-    def bellman_calls(self, monkeypatch):
-        calls = []
-        real = flows._SplitFlow._bellman
-
-        def counting(self):
-            calls.append(None)
-            return real(self)
-
-        monkeypatch.setattr(flows._SplitFlow, "_bellman", counting)
-        return calls
 
     def test_single_arc_deliveries_need_none(self, bellman_calls):
         # every delivery on a near-regular tournament is one arc, pushed by
