@@ -14,15 +14,11 @@ from .counterexample import (CounterexampleLayout, CounterexampleParams,
                              build_counterexample, sampled_connectivity_check,
                              verify_construction_rules, verify_property_two)
 from .digraph import (Digraph, Path, PathSystem, digraph_from_arc_list,
-                      digraph_to_arc_list, dominates_set, is_semicomplete,
-                      is_tournament, reduce_to_minimal_path,
-                      spanning_tournament)
+                      digraph_to_arc_list, is_semicomplete, is_tournament,
+                      reduce_to_minimal_path)
 from .dominators import (count_two_paths, find_nearly_in_dominating,
-                         find_nearly_out_dominating, is_c_in_good,
-                         is_c_out_good, is_gamma_in_dominator,
-                         is_gamma_out_dominator, is_nearly_in_dominating,
+                         find_nearly_out_dominating,
                          is_nearly_in_dominating_set,
-                         is_nearly_out_dominating,
                          nearly_in_dominating_profile,
                          nearly_out_dominating_profile)
 from .flows import (CutCertificate, FlowInfeasible, LocalCut, is_k_connected,

@@ -461,10 +461,6 @@ class ConstructionReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def core_passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.name in CORE_RULES)
-
     def failed(self) -> tuple[RuleCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
 

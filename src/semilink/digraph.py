@@ -62,10 +62,6 @@ class Digraph:
         self._check_vertex(v)
         return bool(self._adj[u, v])
 
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        for u, v in np.argwhere(self._adj):
-            yield int(u), int(v)
-
     @property
     def arc_count(self) -> int:
         return int(self._adj.sum())
@@ -74,22 +70,6 @@ class Digraph:
         # len() is the cheapest read of n, and has_arc checks two vertices per call
         if not 0 <= v < len(self._adj):
             raise ValueError(f"vertex {v} out of range (n={self.n})")
-
-    def out_neighbours(self, v: int) -> np.ndarray:
-        self._check_vertex(v)
-        return np.flatnonzero(self._adj[v])
-
-    def in_neighbours(self, v: int) -> np.ndarray:
-        self._check_vertex(v)
-        return np.flatnonzero(self._adj[:, v])
-
-    def out_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(self._adj[v].sum())
-
-    def in_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(self._adj[:, v].sum())
 
     def out_degrees(self) -> np.ndarray:
         return self._adj.sum(axis=1)
@@ -119,13 +99,6 @@ class Digraph:
         if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
             raise ValueError("vertex id out of range")
         return Digraph(self._adj[ids][:, ids], copy=False)
-
-    def delete(self, vertices: Iterable[int]) -> "Digraph":
-        drop = set(int(v) for v in vertices)
-        for v in drop:
-            self._check_vertex(v)
-        keep = [v for v in range(self.n) if v not in drop]
-        return self.induced(keep)
 
     def with_flipped_arc(self, u: int, v: int) -> "Digraph":
         """Copy of this digraph with the arc between u and v reversed."""
@@ -189,48 +162,6 @@ def is_tournament(d: Digraph) -> bool:
     return _every_pair(d, np.logical_xor)
 
 
-def dominates_set(d: Digraph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """True iff every vertex of ``a`` has an arc to every vertex of ``b``.
-
-    Vacuously true when either set is empty; the sets must be disjoint.
-    """
-    sa = sorted(set(int(v) for v in a))
-    sb = sorted(set(int(v) for v in b))
-    if set(sa) & set(sb):
-        raise ValueError("dominates_set requires disjoint sets")
-    if not sa or not sb:
-        return True
-    return bool(d.adjacency[sa][:, sb].all())
-
-
-def spanning_tournament(d: Digraph, seed: int | None = None) -> Digraph:
-    """Keep exactly one arc of every bidirected pair of a semicomplete digraph.
-
-    With ``seed=None`` the kept arc is the one from the lower to the higher
-    id; a seed picks one of the two uniformly per pair.
-    """
-    if not is_semicomplete(d):
-        raise ValueError("spanning_tournament requires a semicomplete digraph")
-    a = d.adjacency
-    single = a.copy()
-    rng = None if seed is None else np.random.Generator(np.random.PCG64(seed))
-    for rows, cols in _upper_bands(d.n):
-        # the band's bidirected pairs u < v, in row-major order
-        iu, iv = np.nonzero(np.triu(a[rows, cols] & a[cols, rows].T, 1))
-        iu += rows.start
-        iv += cols.start
-        if rng is None:
-            single[iv, iu] = False
-        else:
-            # one PCG64 draw per pair, in row-major order of the upper
-            # triangle; one draw per band continues the stream as one
-            # draw for all pairs would
-            keep_low = rng.integers(0, 2, size=iu.size).astype(bool)
-            single[iv[keep_low], iu[keep_low]] = False
-            single[iu[~keep_low], iv[~keep_low]] = False
-    return Digraph(single, copy=False)
-
-
 class Path:
     """A directed path; consecutive vertices must be arcs of the host digraph.
 
@@ -246,8 +177,7 @@ class Path:
         if len(set(verts)) != len(verts):
             raise ValueError("path vertices must be distinct")
         for v in verts:
-            if not 0 <= v < d.n:
-                raise ValueError(f"vertex {v} out of range")
+            d._check_vertex(v)
         for a, b in zip(verts, verts[1:]):
             if not d.has_arc(a, b):
                 raise ValueError(f"missing arc ({a}, {b})")
@@ -315,18 +245,6 @@ class PathSystem:
 
     def __iter__(self) -> Iterator[Path]:
         return iter(self.paths)
-
-    def __getitem__(self, i: int) -> Path:
-        return self.paths[i]
-
-    def initials(self) -> set[int]:
-        return {p.first for p in self.paths}
-
-    def terminals(self) -> set[int]:
-        return {p.last for p in self.paths}
-
-    def interiors(self) -> set[int]:
-        return self.vertex_set() - self.initials() - self.terminals()
 
     def vertex_set(self) -> set[int]:
         out: set[int] = set()

@@ -1,16 +1,17 @@
-"""Goodness predicates and nearly-dominating vertex machinery.
+"""c-goodness scores and nearly-dominating vertex machinery.
 
 A vertex v is c-out-good for u when u beats v directly or at least c
 internally disjoint two-arc paths run from u to v (distinct middle
-vertices).  A vertex is nearly out-dominating when, for every c, all but at
+vertices): exactly when its ``goodness_scores`` entry is at least
+min(c, n).  A vertex is nearly out-dominating when, for every c, all but at
 most 2c vertices are c-out-good for it; every semicomplete digraph has one,
 and a maximum out-degree vertex of any spanning tournament qualifies.
 
-The two-path count, the goodness predicates, the profiles and the finders
-accept an optional ``within`` vertex pool restricting the computation to the
-induced subgraph on that pool while keeping original vertex ids.
-``goodness_scores`` takes the pool as a ready boolean mask instead; the gamma
-predicates and the set check always work in the whole digraph.
+The two-path count, the profiles and the finders accept an optional
+``within`` vertex pool restricting the computation to the induced subgraph
+on that pool while keeping original vertex ids.  ``goodness_scores`` takes
+the pool as a ready boolean mask instead; the set check always works in the
+whole digraph.
 """
 
 from __future__ import annotations
@@ -49,24 +50,6 @@ def count_two_paths(d: Digraph, src: int, dst: int,
     mask = _pool_mask(d, within)
     a = d.adjacency
     return int(np.count_nonzero(a[src] & a[:, dst] & mask))
-
-
-def is_c_out_good(d: Digraph, u: int, v: int, c: int,
-                  within: Iterable[int] | None = None) -> bool:
-    """Arc u->v, or at least c internally disjoint 2-paths from u to v."""
-    d._check_vertex(u)
-    d._check_vertex(v)
-    if u == v:
-        raise ValueError("vertices must differ")
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    return d.has_arc(u, v) or count_two_paths(d, u, v, within) >= c
-
-
-def is_c_in_good(d: Digraph, u: int, v: int, c: int,
-                 within: Iterable[int] | None = None) -> bool:
-    """Arc v->u, or at least c internally disjoint 2-paths from v to u."""
-    return is_c_out_good(d, v, u, c, within)
 
 
 def _scores(lines: np.ndarray, u: int, pool: np.ndarray, n: int) -> np.ndarray:
@@ -129,8 +112,7 @@ class DominationProfile:
 
 def _profile(d: Digraph, u: int, direction: str, c_max: int | None,
              within: Iterable[int] | None) -> DominationProfile:
-    if not 0 <= u < d.n:
-        raise ValueError(f"vertex {u} out of range")
+    d._check_vertex(u)
     mask = _pool_mask(d, within)
     if not mask[u]:
         raise ValueError("vertex must belong to the pool")
@@ -153,17 +135,6 @@ def nearly_out_dominating_profile(d: Digraph, u: int, c_max: int | None = None,
 def nearly_in_dominating_profile(d: Digraph, u: int, c_max: int | None = None,
                                  within: Iterable[int] | None = None) -> DominationProfile:
     return _profile(d, u, "in", c_max, within)
-
-
-def is_nearly_out_dominating(d: Digraph, u: int, c_max: int | None = None,
-                             within: Iterable[int] | None = None) -> bool:
-    """For every c <= c_max, at most 2c pool vertices are not c-out-good for u."""
-    return _profile(d, u, "out", c_max, within).is_nearly_dominating()
-
-
-def is_nearly_in_dominating(d: Digraph, u: int, c_max: int | None = None,
-                            within: Iterable[int] | None = None) -> bool:
-    return _profile(d, u, "in", c_max, within).is_nearly_dominating()
 
 
 def _picks(d: Digraph, direction: str, within: Iterable[int] | None,
@@ -233,29 +204,6 @@ def find_nearly_out_dominating(d: Digraph, within: Iterable[int] | None = None) 
 
 def find_nearly_in_dominating(d: Digraph, within: Iterable[int] | None = None) -> int:
     return _picks(d, "in", within, 1)[0]
-
-
-def _gamma_dominates(d: Digraph, lines: np.ndarray, v: int, members: Iterable[int],
-                     gamma: int) -> bool:
-    """Row v of ``lines`` (d's adjacency or its transpose) has at least gamma
-    ones inside ``members``."""
-    ids = sorted(set(int(x) for x in members))
-    for x in [v, *ids]:
-        d._check_vertex(x)
-    if v in ids:
-        raise ValueError("vertex must not belong to the set")
-    if gamma <= 0:
-        return True
-    return int(lines[v][ids].sum()) >= gamma
-
-
-def is_gamma_out_dominator(d: Digraph, v: int, members: Iterable[int], gamma: int) -> bool:
-    """v has at least gamma out-neighbours inside ``members`` (v not a member)."""
-    return _gamma_dominates(d, d.adjacency, v, members, gamma)
-
-
-def is_gamma_in_dominator(d: Digraph, v: int, members: Iterable[int], gamma: int) -> bool:
-    return _gamma_dominates(d, d.adjacency.T, v, members, gamma)
 
 
 def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int]) -> bool:

@@ -28,6 +28,28 @@ def complete_digraph(n: int) -> Digraph:
     return Digraph(~np.eye(n, dtype=bool), copy=False)
 
 
+def plain_spanning_tournament(d: Digraph, seed: int | None = None) -> Digraph:
+    """Keep one arc of every bidirected pair, read off one n x n compare.
+
+    With ``seed=None`` the arc from the lower to the higher id stays, the
+    tie-break of the dominator finders; a seed keeps either arc with one
+    PCG64 draw per pair, in row-major order of the upper triangle.  Raises
+    ValueError unless ``d`` is semicomplete.
+    """
+    single = d.adjacency.copy()
+    if not (single | single.T | np.eye(d.n, dtype=bool)).all():
+        raise ValueError("spanning tournament of a digraph that is not semicomplete")
+    iu, iv = np.nonzero(np.triu(single & single.T, 1))
+    if seed is None:
+        single[iv, iu] = False
+    else:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        keep_low = rng.integers(0, 2, size=iu.size).astype(bool)
+        single[iv[keep_low], iu[keep_low]] = False
+        single[iu[~keep_low], iv[~keep_low]] = False
+    return Digraph(single, copy=False)
+
+
 @pytest.fixture
 def no_large_allocation(monkeypatch):
     """Make ``np.zeros`` fail on shapes above a million entries."""

@@ -358,6 +358,16 @@ class TestUsageErrors:
         assert main(["connectivity", "--in", "/definitely/not/here",
                      "--exact"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["connectivity", "--exact", "--in"],
+        ["gen", "--kind", "rotational", "--n", "7", "--out"]])
+    def test_directory_path_is_usage_error(self, tmp_path, capsys, argv):
+        # IsADirectoryError, not a traceback and exit 1 (a verdict failure)
+        code = main(argv + [str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_version(self, capsys):
         assert main(["--version"]) == 0
 

@@ -5,21 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semilink.digraph import Digraph, spanning_tournament
+from semilink.digraph import Digraph
 from semilink.dominators import (_picks, count_two_paths, find_nearly_in_dominating,
                                  find_nearly_out_dominating, goodness_scores,
-                                 is_c_in_good, is_c_out_good, is_gamma_in_dominator,
-                                 is_gamma_out_dominator,
-                                 is_nearly_in_dominating,
                                  is_nearly_in_dominating_set,
-                                 is_nearly_out_dominating,
                                  nearly_in_dominating_profile,
                                  nearly_out_dominating_profile)
 from semilink.generators import (random_semicomplete, random_tournament,
                                  rotational_tournament, transitive_tournament)
 from semilink.linker import LinkerTrace, build_dominating_set
 
-from conftest import random_digraph, run_optimized
+from conftest import plain_spanning_tournament, random_digraph, run_optimized
+
+PROFILES = (nearly_out_dominating_profile, nearly_in_dominating_profile)
 
 
 def three_cycle():
@@ -63,37 +61,46 @@ class TestCountTwoPaths:
             count_two_paths(transitive_tournament(5), src, dst)
 
 
+def is_good(d, u, v, c, direction="out"):
+    """v is c-good for u: its goodness score in the whole digraph is at least c.
+
+    An arc scores n, above every two-arc count, so c is capped at n as the
+    bad counts cap their thresholds.
+    """
+    return goodness_scores(d, u, direction, np.ones(d.n, dtype=bool))[v] >= min(c, d.n)
+
+
 class TestGoodness:
     def test_arc_case_good_for_all_c(self):
         d = transitive_tournament(4)
         for c in (1, 5, 50):
-            assert is_c_out_good(d, 0, 3, c)
-            assert is_c_in_good(d, 3, 0, c)
+            assert is_good(d, 0, 3, c)
+            assert is_good(d, 3, 0, c, "in")
 
     def test_boundary(self):
         d = transitive_tournament(5)
         # no arc 4 -> 0; exactly zero 2-paths from 4 to 0
-        assert not is_c_out_good(d, 4, 0, 1)
+        assert not is_good(d, 4, 0, 1)
         # 0 -> m -> 4 has 3 middles: c = 4 is one too many without the arc
         flipped = d.with_flipped_arc(0, 4)
-        assert is_c_out_good(flipped, 0, 4, 3)
-        assert not is_c_out_good(flipped, 0, 4, 4)
+        assert is_good(flipped, 0, 4, 3)
+        assert not is_good(flipped, 0, 4, 4)
 
     def test_in_errors_match_out_errors(self):
         d = transitive_tournament(4)
-        for args, message in (((1, 1, 1), "vertices must differ"),
-                              ((0, 1, 0), "c must be >= 1")):
-            for check in (is_c_out_good, is_c_in_good):
+        for kwargs, message in (({"within": [1, 2]}, "vertex must belong to the pool"),
+                                ({"c_max": 0}, "c_max must be >= 1")):
+            for profile in PROFILES:
                 with pytest.raises(ValueError, match=message):
-                    check(d, *args)
+                    profile(d, 0, **kwargs)
 
     @pytest.mark.parametrize("u, v", [(-5, 2), (2, -5), (-1, 0), (5, 0), (0, 7)])
     def test_out_of_range_vertices_rejected(self, u, v):
-        # is_c_out_good(d, -5, 2, 1) would read the arc 0 -> 2
+        # numpy would wrap a negative id round: a centre -5 would read row 0
         d = transitive_tournament(5)
-        for check in (is_c_out_good, is_c_in_good):
+        for profile in PROFILES:
             with pytest.raises(ValueError, match="out of range"):
-                check(d, u, v, 1)
+                profile(d, u, within=[u, v])
 
     def test_matches_bruteforce(self):
         d = random_tournament(12, seed=3)
@@ -103,9 +110,9 @@ class TestGoodness:
                     continue
                 for c in (1, 2, 4):
                     expect = d.has_arc(u, v) or brute_two_paths(d, u, v) >= c
-                    assert is_c_out_good(d, u, v, c) == expect
+                    assert is_good(d, u, v, c) == expect
                     expect_in = d.has_arc(v, u) or brute_two_paths(d, v, u) >= c
-                    assert is_c_in_good(d, u, v, c) == expect_in
+                    assert is_good(d, u, v, c, "in") == expect_in
 
 
 def brute_nearly_out_dominating(d, u, pool=None):
@@ -121,21 +128,22 @@ def brute_nearly_out_dominating(d, u, pool=None):
 
 class TestNearlyDominating:
     def test_transitive_source(self):
-        assert is_nearly_out_dominating(transitive_tournament(8), 0)
-        assert is_nearly_in_dominating(transitive_tournament(8), 7)
+        tt8 = transitive_tournament(8)
+        assert nearly_out_dominating_profile(tt8, 0).is_nearly_dominating()
+        assert nearly_in_dominating_profile(tt8, 7).is_nearly_dominating()
 
     def test_cycle_every_vertex(self):
         for v in range(3):
-            assert is_nearly_out_dominating(three_cycle(), v)
+            assert nearly_out_dominating_profile(three_cycle(), v).is_nearly_dominating()
 
     def test_matches_independent_reimplementation(self):
         d = random_tournament(40, seed=5)
         for u in range(0, 40, 7):
-            assert is_nearly_out_dominating(d, u) == \
+            assert nearly_out_dominating_profile(d, u).is_nearly_dominating() == \
                 brute_nearly_out_dominating(d, u)
         d2 = random_semicomplete(24, 0.4, seed=6)
         for u in range(0, 24, 5):
-            assert is_nearly_out_dominating(d2, u) == \
+            assert nearly_out_dominating_profile(d2, u).is_nearly_dominating() == \
                 brute_nearly_out_dominating(d2, u)
 
     def test_bad_counts_non_increasing_in_c(self):
@@ -284,7 +292,7 @@ def reference_find(d, direction, within=None):
     sub = d.adjacency[np.ix_(ids, ids)]
     if direction == "in":
         sub = sub.T
-    single = spanning_tournament(Digraph(sub)).adjacency  # ValueError unless semicomplete
+    single = plain_spanning_tournament(Digraph(sub)).adjacency  # ValueError unless semicomplete
     u = int(ids[int(np.argmax(single.sum(axis=1)))])
     profile = nearly_out_dominating_profile if direction == "out" \
         else nearly_in_dominating_profile
@@ -417,42 +425,6 @@ def test_picks_allocate_no_extra_blocks(p_bidirected):
     rest = sorted(set(range(n)) - set(terminals[0]) - set(terminals[1]))
     assert pool == reference_picks(d, "in", rest, 3 * k)
     assert peak <= 3 * n * n, peak / n ** 2
-
-
-class TestGammaDominators:
-    def test_full_out_neighbourhood(self):
-        d = transitive_tournament(5)
-        assert is_gamma_out_dominator(d, 0, [1, 2, 3], 3)
-        assert not is_gamma_out_dominator(d, 2, [3, 4], 3)
-        assert is_gamma_in_dominator(d, 4, [0, 1], 2)
-
-    def test_gamma_zero_always_true(self):
-        d = transitive_tournament(4)
-        assert is_gamma_out_dominator(d, 3, [0, 1], 0)
-
-    def test_membership_rejected(self):
-        for check in (is_gamma_out_dominator, is_gamma_in_dominator):
-            with pytest.raises(ValueError, match="must not belong to the set"):
-                check(transitive_tournament(4), 1, [1, 2], 1)
-
-    @pytest.mark.parametrize("v, members, gamma", [
-        (-5, [2, 3], 2), (0, [-1, -2], 2), (7, [2], 1), (0, [5], 1), (2, [3, -5], 0)])
-    def test_out_of_range_vertices_rejected(self, v, members, gamma):
-        # numpy would wrap a negative id round: (-5, [2, 3]) would read row 0
-        d = transitive_tournament(5)
-        for check in (is_gamma_out_dominator, is_gamma_in_dominator):
-            with pytest.raises(ValueError, match="out of range"):
-                check(d, v, members, gamma)
-
-    def test_matches_direct_count(self):
-        d = random_tournament(15, seed=11)
-        group = [3, 5, 8, 11, 14]
-        for v in (0, 1, 2):
-            count = int(d.adjacency[v][group].sum())
-            count_in = int(d.adjacency[group, v].sum())
-            for g in range(0, 6):
-                assert is_gamma_out_dominator(d, v, group, g) == (count >= g)
-                assert is_gamma_in_dominator(d, v, group, g) == (count_in >= g)
 
 
 class TestNearlyInDominatingSet:

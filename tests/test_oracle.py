@@ -66,7 +66,7 @@ class TestExistsDisjointLinkage:
         base = exists_disjoint_linkage(d, [(0, 2), (1, 3)])
         # rotate labels by one
         perm = [1, 2, 3, 0]
-        arcs = [(perm[u], perm[v]) for u, v in d.arcs()]
+        arcs = [(perm[u], perm[v]) for u, v in np.argwhere(d.adjacency)]
         d2 = Digraph.from_arcs(4, arcs)
         pairs2 = [(perm[0], perm[2]), (perm[1], perm[3])]
         assert exists_disjoint_linkage(d2, pairs2).verdict == base.verdict
