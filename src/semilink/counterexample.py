@@ -478,14 +478,23 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
     Each rule, apart from ``track_paths`` and ``reservoir_regular``, is a
     list of :func:`_wiring` blocks ``(rows, cols, want)`` read by
     :func:`_orientation_witness`; the rule's witness is the first bad pair
-    of its first failing block.
+    of its first failing block.  The ``tournament`` rule is read first.
+    When it passes and no vertex holds two roles, every other block is read
+    one-sided: adj[v, u] is the complement of adj[u, v], so a block's
+    orientation is its rows->cols arcs, a block that asks only for a
+    tournament passes unread, and the reservoir is regular once its
+    out-degrees are equal.  Verdicts and witnesses are those of the
+    two-sided reads.
     """
     if d.n != layout.n:
         raise ValueError("layout does not match the digraph")
     adj = d.adjacency
     track = layout.track
-    found = {name: next(filter(None, (_orientation_witness(adj, *b) for b in rule)), None)
-             for name, rule in _wiring(layout).items()}
+    wiring = _wiring(layout)
+    found = {"tournament": _rule_witness(adj, wiring.pop("tournament"), False)}
+    tournament = found["tournament"] is None and _roles_distinct(layout)
+    found.update((name, _rule_witness(adj, rule, tournament))
+                 for name, rule in wiring.items())
 
     missing = ~adj[track[:, :-1], track[:, 1:]]
     found["track_paths"] = None
@@ -496,15 +505,19 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
 
     # the reservoir's semidegrees, one heads/core block at a time; a count
     # is at most n, and summing into the smallest type that holds n is the
-    # fastest
+    # fastest.  In a tournament on m vertices each in-degree is m - 1 minus
+    # the out-degree.
     parts = [_as_slice(part, d.n) for part in (layout.heads(), layout.core)]
     count = np.min_scalar_type(d.n)
     outs = np.concatenate([sum(adj[_block_index(r, c)].sum(axis=1, dtype=count)
                                for c in parts) for r in parts])
-    ins = np.concatenate([sum(adj[_block_index(r, c)].sum(axis=0, dtype=count)
-                              for r in parts) for c in parts])
+    regular = (outs == outs[0]).all()
+    if regular and not tournament:
+        ins = np.concatenate([sum(adj[_block_index(r, c)].sum(axis=0, dtype=count)
+                                  for r in parts) for c in parts])
+        regular = (ins == ins[0]).all()
     found["reservoir_regular"] = None
-    if not (outs == outs[0]).all() or not (ins == ins[0]).all():
+    if not regular:
         v = int(layout.reservoir()[int(np.argmax(outs != outs[0]))])
         found["reservoir_regular"] = RuleWitness(
             v, v, "reservoir must induce a regular tournament")
@@ -513,28 +526,59 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
                                     for name in CORE_RULES + EXTRA_CHECKS))
 
 
-def _orientation_witness(adj: np.ndarray, rows, cols, want) -> RuleWitness | None:
+def _rule_witness(adj: np.ndarray, rule: list[tuple], tournament: bool) -> RuleWitness | None:
+    """The witness of the first block of ``rule`` that has a bad pair, if any."""
+    return next(filter(None, (_orientation_witness(adj, *block, tournament)
+                              for block in rule)), None)
+
+
+def _roles_distinct(layout: CounterexampleLayout) -> bool:
+    """True iff no vertex of ``layout`` holds two roles or one role twice.
+
+    Then no block lists a vertex twice on one side, so every pair of a
+    vertex with itself is one that :func:`_orientation_witness` drops.
+    """
+    roles = (layout.track.ravel(), layout.core, layout.relays, layout.targets,
+             layout.mirrors, layout.starts, [layout.outlet])
+    return np.count_nonzero(_mask(layout.n, *roles)) == sum(np.size(r) for r in roles)
+
+
+def _orientation_witness(adj: np.ndarray, rows, cols, want,
+                         tournament: bool = False) -> RuleWitness | None:
     """The first pair of ``rows`` x ``cols``, row-major, oriented against ``want``.
 
     ``want[i, j]`` True asks for the arc rows[i]->cols[j] only, False for
     cols[j]->rows[i] only, and ``want=None`` for exactly one of the two
     arcs.  ``want`` broadcasts against the block.  A vertex is never paired
-    with itself.
+    with itself.  ``tournament`` says that every other pair of the block has
+    exactly one of its two arcs: then ``want=None`` holds unread, and only
+    the arcs rows->cols are read.
     """
+    if tournament and want is None:
+        return None
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     n = adj.shape[0]
     r, c = _as_slice(rows, n), _as_slice(cols, n)
-    fwd = adj[_block_index(r, c)]
-    rev = adj[_block_index(c, r)].T
-    bad = fwd == rev if want is None else (fwd != want) | (rev == want)
-    shared = np.zeros(n, dtype=bool)
-    shared[rows] = True
-    if shared[cols].any():  # most blocks pair two disjoint roles
-        _, same_r, same_c = np.intersect1d(rows, cols, return_indices=True)
-        bad[same_r, same_c] = False
+    if want is None:
+        # the mirror leads, as in digraph._every_pair, so that in a band of
+        # the upper triangle the strided operand walks only the band's rows
+        bad = (adj[_block_index(c, r)] == adj[_block_index(r, c)].T).T
+    else:
+        bad = adj[_block_index(r, c)] != want
+        if not tournament:
+            bad |= adj[_block_index(c, r)].T == want
     if not bad.any():
         return None
+    # most blocks pair two disjoint roles; a vertex's pair with itself is
+    # dropped only once some bad pair is found
+    shared = np.zeros(n, dtype=bool)
+    shared[rows] = True
+    if shared[cols].any():
+        _, same_r, same_c = np.intersect1d(rows, cols, return_indices=True)
+        bad[same_r, same_c] = False
+        if not bad.any():
+            return None
     i, j = divmod(int(bad.argmax()), cols.size)
     u, v = int(rows[i]), int(cols[j])
     if want is None:
@@ -591,7 +635,8 @@ def sampled_connectivity_check(d: Digraph, target: int, pairs: int, seed: int,
 
     Every sampled pair's cut value is computed exactly, uncapped, by the
     phase-based value query (one layered search and one blocking flow per
-    phase, no paths built), and compared against ``target``.
+    phase, no paths built; the two- and three-arc paths go in first, one
+    step each), and compared against ``target``.
     """
     # Serial only: a thread pool gained nothing, since the BFS holds the GIL.
     if threads != 1:

@@ -65,7 +65,11 @@ def goodness_scores(d: Digraph, u: int, direction: str,
 
     Direct arcs count as infinitely good (score n); the score of u itself
     and of vertices outside the pool is -1 so they never count as bad.
+    ``u`` must be a vertex and ``direction`` "out" or "in" (ValueError).
     """
+    d._check_vertex(u)
+    if direction not in ("out", "in"):
+        raise ValueError(f"direction must be 'out' or 'in', not {direction!r}")
     lines = d.adjacency if direction == "out" else d.adjacency.T
     scores = np.where(mask, _scores(lines, u, mask, d.n), -1)
     scores[u] = -1

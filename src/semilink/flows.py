@@ -27,9 +27,12 @@ would pick next.  A vertex carries at most one unit, so the flow is
 stored as two per-vertex links (the flow arc into it and the one out of
 it), never as an n x n matrix.  A pair query first pushes all its two-arc
 paths u->m->v in one step: they are exactly the augmentations its first BFS
-sweeps would find.  All tie-breaking is by lowest vertex id, so outputs are
-deterministic.  Each query allocates its own scratch state, so concurrent
-queries over a shared immutable digraph are safe.
+sweeps would find.  A value query then pushes its three-arc paths
+u->a->b->v in one step too: they are exactly the blocking flow of its first
+phase, so the phases go on from the same flow.  All tie-breaking is by
+lowest vertex id, so outputs are deterministic.  Each query allocates its
+own scratch state, so concurrent queries over a shared immutable digraph
+are safe.
 """
 
 from __future__ import annotations
@@ -260,6 +263,53 @@ class _SplitFlow:
             self.internal_flow[mids] = True
             self.load[s] = self.load[t] = mids.size
         return mids.size
+
+    def push_three_arc_paths(self, cap: int) -> int:
+        """Push up to ``cap`` paths s->a->b->t of a pair query at once.
+
+        Each flow-free out-neighbour a of s, lowest id first, is joined to
+        the lowest-id flow-free in-neighbour b of t not yet taken that has
+        the arc a->b.  It must follow a ``push_two_arc_paths`` that pushed
+        every two-arc path: then every common neighbour of s and t carries
+        flow, so no a beats t and no b is an out-neighbour of s.  These are
+        the paths of the first phase of ``run_phases``, in its order.  Its
+        layered search puts the out-neighbours of s at level 1, the
+        out-copies of the flow-free ones at 2 (the others lead back to s),
+        the vertices they beat outside N+(s) at 3 and 4, and t at 5.  So
+        every level path is s->a->b->t over flow-free vertices, and the
+        depth-first blocking flow takes the lowest live a with the lowest
+        live b and drops both once used.  The step leaves the same
+        ``pred``, ``succ``, ``internal_flow`` and ``load`` as that phase.
+        """
+        (s,), (t,) = self.sources.tolist(), self.sinks.tolist()
+        free = ~self.internal_flow
+        firsts = (self.adj[s] & free).nonzero()[0]
+        lasts = (self.adj[:, t] & free).nonzero()[0]
+        # one Python-int bitmask per a: bit j is the arc a->lasts[j].  Rows
+        # first, then columns: a gather by np.ix_ takes several times longer.
+        hit = np.packbits(self.adj[firsts][:, lasts], axis=1, bitorder="little")
+        width = hit.shape[1]
+        buf = hit.tobytes()
+        free_b = (1 << lasts.size) - 1
+        picks = []
+        for i in range(firsts.size):
+            if len(picks) == cap:
+                break
+            row = int.from_bytes(buf[i * width:(i + 1) * width], "little") & free_b
+            if row:
+                low = row & -row
+                free_b ^= low
+                picks.append((i, low.bit_length() - 1))
+        if picks:
+            i, j = np.array(picks).T
+            a, b = firsts[i], lasts[j]
+            self.pred[a], self.succ[a] = s, b
+            self.pred[b], self.succ[b] = a, t
+            self.internal_flow[a] = self.internal_flow[b] = True
+            self.succ[s], self.pred[t] = a[-1], b[-1]
+            self.load[s] = self.load.get(s, 0) + len(picks)
+            self.load[t] = self.load.get(t, 0) + len(picks)
+        return len(picks)
 
     def run_max(self, cap: int) -> int:
         flow = 0
@@ -635,11 +685,15 @@ def local_cut(d: Digraph, u: int, v: int, cap: int | None = None) -> LocalCut:
 def _cut_value(d: Digraph, u: int, v: int, cap: int | None = None) -> int:
     """``local_cut(d, u, v, cap).value``, found in phases, with no paths or cut.
 
-    The maximum flow value is unique and a capped value is min(it, cap), so
-    the phases change no value.
+    After the two-arc paths, the three-arc paths go in one step
+    (``push_three_arc_paths``): they are the first phase's blocking flow,
+    so later phases start from the same flow.  The maximum flow value is
+    unique and a capped value is min(it, cap), so the phases change no
+    value.
     """
     direct, budget, got, fl = _pair_flow(d, u, v, cap)
-    if fl is not None:
+    if fl is not None and got < budget:
+        got += fl.push_three_arc_paths(budget - got)
         got += fl.run_phases(budget - got)
     return direct + got
 

@@ -179,11 +179,13 @@ class TestRuleVerifier:
             verify_construction_rules(small, small_lay)
 
 
-def reference_orientation_witness(adj, rows, cols, want):
+def reference_orientation_witness(adj, rows, cols, want, tournament=False):
     """``_orientation_witness`` by whole-row gathers, the plain reference.
 
     It copies ``adj[rows]`` and ``adj[cols]`` before cutting the block out,
-    and pairs shared ids by ``np.intersect1d`` on every block.
+    and pairs shared ids by ``np.intersect1d`` on every block.  It ignores
+    ``tournament`` and reads both sides of every block, so a verifier that
+    trusts a passing tournament rule is compared with one that does not.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -384,11 +386,13 @@ def _relabelled(d, lay, ids):
                                                          outlet=int(ids[lay.outlet]))
 
 
-@pytest.mark.parametrize("relabel", ["reversed", "shuffled", "overlapping"])
+@pytest.mark.parametrize("relabel", ["reversed", "shuffled", "overlapping", "repeated"])
 def test_verifier_matches_reference_on_other_layouts(relabel):
     # Layouts read from JSON need not be arithmetic progressions, nor even
-    # disjoint: descending roles that end at vertex 0, shuffled ids, and
-    # targets that share half their ids with the relays.
+    # disjoint: descending roles that end at vertex 0, shuffled ids,
+    # targets that share half their ids with the relays, and a mesh vertex
+    # listed twice, which pairs it with itself inside the mesh's one-arc
+    # blocks.
     d, lay = _instance(None)
     n, k = d.n, lay.k
     if relabel == "reversed":
@@ -396,8 +400,13 @@ def test_verifier_matches_reference_on_other_layouts(relabel):
         assert lay.starts[-1] == 0
     elif relabel == "shuffled":
         d, lay = _relabelled(d, lay, np.random.default_rng(5).permutation(n))
-    else:
+    elif relabel == "overlapping":
         lay = dataclasses.replace(lay, targets=lay.targets - k // 2)
+    else:
+        track = lay.track.copy()
+        track[-1, 1] = track[-2, 1]
+        lay = dataclasses.replace(lay, track=track)
+        assert not verify_construction_rules(d, lay).by_name("ladder_over_mesh").passed
     rng = np.random.default_rng(6)
     for flips in range(3):
         mutant = d
@@ -405,6 +414,41 @@ def test_verifier_matches_reference_on_other_layouts(relabel):
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
             mutant = mutant.with_flipped_arc(*((u, v) if mutant.has_arc(u, v) else (v, u)))
         assert verify_construction_rules(mutant, lay).checks == _reference_checks(mutant, lay)
+
+
+def test_both_arcs_in_an_oriented_block_fail_it_and_the_tournament_rule():
+    # The pair keeps its arc target->mirror and gains mirror->target, so the
+    # instance is no tournament and every block is read on both sides.
+    d, lay = _instance(None)
+    u, v = int(lay.targets[0]), int(lay.mirrors[3])
+    adj = d.adjacency.copy()
+    assert adj[u, v] and not adj[v, u]
+    adj[v, u] = True
+    mutant = Digraph(adj, copy=False)
+    report = verify_construction_rules(mutant, lay)
+    assert report.checks == _reference_checks(mutant, lay)
+    assert [c.name for c in report.failed()] == ["tier_dominance", "tournament"]
+    assert report.by_name("tier_dominance").witness == RuleWitness(u, v, f"{u}->{v} only")
+    assert report.by_name("tournament").witness == RuleWitness(u, v, "exactly one arc")
+
+
+def test_reservoir_in_degrees_are_read_off_a_tournament():
+    # Reservoir vertex b keeps a->b, gains b->a and loses b->c: every
+    # out-degree stays 713, but a and c no longer have in-degree 713.  The
+    # instance is no tournament, so the in-degrees are read, and the
+    # witness is the first reservoir vertex, as every out-degree is equal.
+    d, lay = _instance(None)
+    res = lay.reservoir()
+    adj = d.adjacency.copy()
+    b = int(res[0])
+    a, c = int(res[adj[res, b]][0]), int(res[adj[b, res]][0])
+    adj[b, a], adj[b, c] = True, False
+    mutant = Digraph(adj, copy=False)
+    report = verify_construction_rules(mutant, lay)
+    assert report.checks == _reference_checks(mutant, lay)
+    assert report.by_name("reservoir_regular").witness == \
+        RuleWitness(b, b, "reservoir must induce a regular tournament")
+    assert not report.by_name("tournament").passed
 
 
 def test_build_and_verify_allocate_no_whole_matrix_copies():

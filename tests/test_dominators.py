@@ -229,6 +229,17 @@ def test_goodness_scores_match_arcs_and_two_paths(seed, n, density, semicomplete
         assert scores[v] == expect, (v, direction)
 
 
+@pytest.mark.parametrize("u,direction,match", [
+    (-1, "out", "out of range"),  # numpy would wrap round to vertex n-1
+    (5, "in", "out of range"),
+    (0, "sideways", "direction"),  # used to score "in"
+])
+def test_goodness_scores_reject_bad_centre_and_direction(u, direction, match):
+    d = transitive_tournament(5)
+    with pytest.raises(ValueError, match=match):
+        goodness_scores(d, u, direction, np.ones(d.n, dtype=bool))
+
+
 class TestFinders:
     def test_transitive_extremes(self):
         assert find_nearly_out_dominating(transitive_tournament(9)) == 0

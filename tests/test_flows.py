@@ -436,12 +436,100 @@ def test_pinned_bfs_counts(reference_counterexample, bfs_calls):
 
 def test_pinned_phase_counts(reference_counterexample, bfs_calls):
     d = reference_counterexample[0]
-    # After the same 377 two-arc paths, the other 379 take three layered
-    # searches, each with its blocking flow; the fourth search fails.
-    assert flows._cut_value(d, 1500, 1123) == 756 and len(bfs_calls) == 4
+    # After the same 377 two-arc paths, 285 three-arc paths go in one step;
+    # the other 94 take two layered searches, each with its blocking flow,
+    # and the third search fails.
+    assert flows._cut_value(d, 1500, 1123) == 756 and len(bfs_calls) == 3
     del bfs_calls[:]
-    # 426 two-arc paths, then all 330 others in one phase.
-    assert flows._cut_value(d, 901, 475) == 756 and len(bfs_calls) == 2
+    # 426 two-arc paths, then all 330 others in the three-arc step; only
+    # the failing search is left.
+    assert flows._cut_value(d, 901, 475) == 756 and len(bfs_calls) == 1
+
+
+def _flow_links(fl) -> tuple:
+    return (fl.pred.tolist(), fl.succ.tolist(), fl.internal_flow.tolist(),
+            fl.load, fl.open_src.tolist(), fl.open_snk.tolist())
+
+
+def first_phase(fl, cap: int) -> int:
+    """The first phase of ``run_phases`` if its paths have three arcs, else nothing."""
+    lev_in, lev_out = np.full(fl.n, -1), np.full(fl.n, -1)
+    seq = fl._bfs(levels=(lev_in, lev_out))
+    if seq is None or len(seq) != 6:
+        return 0
+    return fl._blocking_flow(lev_in, lev_out, 5, cap)
+
+
+def _assert_step_is_first_phase(d, u, v, cap) -> int:
+    direct, budget, got, fl = flows._pair_flow(d, u, v, cap)
+    if fl is None or got == budget:
+        return 0
+    ref = flows._pair_flow(d, u, v, cap)[3]
+    pushed = fl.push_three_arc_paths(budget - got)
+    assert pushed == first_phase(ref, budget - got)
+    assert _flow_links(fl) == _flow_links(ref)
+    return pushed
+
+
+@given(st.integers(0, 10 ** 6), st.integers(3, 24),
+       st.sampled_from(["digraph", "tournament", "semicomplete"]),
+       st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 24))
+@settings(max_examples=200, deadline=None)
+def test_three_arc_step_is_the_first_phase(seed, n, kind, density, cap):
+    # The step leaves the flow links, the loads and the open terminals that
+    # the first blocking flow leaves, with or without a cap.
+    d = {"digraph": lambda: random_digraph(n, density, seed),
+         "tournament": lambda: random_tournament(n, seed),
+         "semicomplete": lambda: random_semicomplete(n, density, seed)}[kind]()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+    _assert_step_is_first_phase(d, u, v, cap or None)
+
+
+def test_three_arc_step_is_the_first_phase_at_scale(reference_counterexample):
+    d = reference_counterexample[0]
+    pushed = [_assert_step_is_first_phase(d, u, v, cap)
+              for u, v, cap in ((1500, 1123, None), (901, 475, None), (1500, 1123, 500))]
+    assert pushed == [285, 330, 123]
+
+
+@st.composite
+def _capped_pairs(draw):
+    """A tournament or semicomplete digraph, a pair with or without the arc
+    u->v, and a cap that is absent, or stops the query inside the two-arc
+    step, inside the three-arc step, or anywhere."""
+    n = draw(st.integers(4, 24))
+    seed = draw(st.integers(0, 10 ** 6))
+    d = random_tournament(n, seed) if draw(st.booleans()) else \
+        random_semicomplete(n, draw(st.sampled_from([0.1, 0.4, 0.8])), seed)
+    u, v = draw(st.permutations(range(n)))[:2]
+    if d.has_arc(u, v) != draw(st.booleans()):
+        u, v = v, u
+    direct, _, two, fl = flows._pair_flow(d, u, v, None)
+    three = fl.push_three_arc_paths(n)
+    stop = draw(st.sampled_from(["none", "two", "three", "any"]))
+    if stop == "two" and two:
+        cap = draw(st.integers(direct + 1, direct + two))
+    elif stop == "three" and three:
+        cap = draw(st.integers(direct + two + 1, direct + two + three))
+    else:
+        cap = None if stop != "any" else draw(st.integers(1, n))
+    return d, u, v, cap
+
+
+@given(_capped_pairs())
+@settings(max_examples=200, deadline=None)
+def test_cut_value_matches_bfs_kernel_and_networkx(query):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+    d, u, v, cap = query
+    g = nx.DiGraph()
+    g.add_nodes_from(range(d.n))
+    g.add_edges_from(zip(*(x.tolist() for x in d.adjacency.nonzero())))
+    want = local_node_connectivity(g, u, v)  # the arc u->v counts as one path
+    if cap is not None:
+        want = min(want, cap)
+    assert flows._cut_value(d, u, v, cap) == local_cut(d, u, v, cap).value == want
 
 
 def four_pass_bellman(fl):
