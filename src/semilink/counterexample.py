@@ -53,11 +53,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import (Digraph, Path, PathSystem, _check_order, _upper_bands,
-                      is_tournament)
+from .digraph import (Digraph, Path, PathSystem, _check_order, _first_bad_band,
+                      _upper_bands, is_tournament)
 from .flows import _cut_value, _sample_pairs
 from .generators import rotational_tournament
 
@@ -200,8 +201,8 @@ class CounterexampleLayout:
     def from_json(cls, text: str) -> "CounterexampleLayout":
         """Parse :meth:`to_json` output.
 
-        A missing key, a wrong type or a ``bypass`` other than ``core[0]``
-        raises ValueError.
+        A missing key, a wrong type, a role id outside 0..n-1 or a
+        ``bypass`` other than ``core[0]`` raises ValueError.
         """
         data = json.loads(text)
         try:
@@ -224,6 +225,14 @@ class CounterexampleLayout:
         if layout.track.ndim != 2 or any(a.ndim != 1 for a in lists) or not layout.core.size:
             raise ValueError("layout tracks must be a list of lists, the other roles "
                              "lists, and the core non-empty")
+        # a negative id would index from the end of the adjacency, and one
+        # past n - 1 would fail inside numpy
+        for name, ids in zip(("tracks", "core", "relays", "targets", "mirrors", "starts",
+                              "outlet"), (layout.track, *lists, layout.outlet)):
+            out = np.extract((ids < 0) | (ids >= layout.n), ids)
+            if out.size:
+                raise ValueError(f"layout {name} id {int(out[0])} is outside "
+                                 f"0..{layout.n - 1}")
         if roles.get("bypass") != layout.bypass:
             raise ValueError(f"layout bypass {roles.get('bypass')!r} is not "
                              f"core[0] = {layout.bypass}")
@@ -263,7 +272,9 @@ def build_counterexample(k: int, n: int, seed: int | None = None
     # The free zones: the mesh, track arcs kept, and the starts.
     if seed is None:
         upper = np.triu(np.ones((k, k), dtype=bool), 1)
-        for block in _layered(track[half:]) + [(starts, starts, upper)]:
+        mesh_steps = [_side(track[half:, t], n) for t in range(1, l + 1)]
+        start_side = _side(starts, n)
+        for block in _layered(mesh_steps) + [(start_side, start_side, upper)]:
             _write(adj, *block)
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -273,10 +284,11 @@ def build_counterexample(k: int, n: int, seed: int | None = None
     # Reservoir: regular circulant over heads-then-core order.  Heads and
     # core are each a progression, so each of the four blocks is a slice.
     circ = rotational_tournament(params.reservoir_size).adjacency
-    parts = ((layout.heads(), slice(0, k)), (core, slice(k, None)))
+    parts = ((_side(layout.heads(), n).index, slice(0, k)),
+             (_side(core, n).index, slice(k, None)))
     for rows, r in parts:
         for cols, c in parts:
-            adj[_block_index(_as_slice(rows, n), _as_slice(cols, n))] = circ[r, c]
+            adj[_block_index(rows, cols)] = circ[r, c]
 
     for rule in _wiring(layout).values():
         for rows, cols, want in rule:
@@ -300,19 +312,18 @@ def _random_free_zone(adj: np.ndarray, rows: np.ndarray,
     adj[rows[:, 1:], rows[:, :-1]] = False
 
 
-def _layered(rows: np.ndarray) -> list[tuple]:
-    """The layered blocks of the tracks ``rows``, over their interior steps.
+def _layered(steps: list[_Side]) -> list[tuple]:
+    """The layered blocks of consecutive track ``steps``, lowest first.
 
     Each step is transitive in track order; of each pair of steps, the
     higher beats the lower, except along the track arcs.
     """
-    m, l = rows.shape[0], rows.shape[1] - 2
-    idx = np.arange(m)
+    idx = np.arange(steps[0].ids.size)
     before = idx[:, None] < idx[None, :]
     off_diag = idx[:, None] != idx[None, :]
-    return [(rows[:, t], rows[:, t], before) for t in range(1, l + 1)] \
-        + [(rows[:, t], rows[:, j], off_diag if j == t - 1 else True)
-           for t in range(1, l + 1) for j in range(1, t)]
+    return [(step, step, before) for step in steps] \
+        + [(steps[t], steps[j], off_diag if j == t - 1 else True)
+           for t in range(len(steps)) for j in range(t)]
 
 
 def _mask(n: int, *parts) -> np.ndarray:
@@ -327,65 +338,76 @@ def _wiring(layout: CounterexampleLayout) -> dict[str, list[tuple]]:
     """Every orientation block of the family, by the name of its check.
 
     A block ``(rows, cols, want)`` is read by :func:`_orientation_witness`
-    and written by :func:`_write`.  ``want=None`` asks only for a
-    tournament: the two free zones and the whole instance, each read as one
-    block per band of :func:`~semilink.digraph._upper_bands`.  The
-    reservoir's circulant is the one part of the family stated elsewhere.
+    and written by :func:`_write`; ``rows`` and ``cols`` are :class:`_Side`
+    values, each role resolved once per call and shared by all its blocks.
+    ``want=None`` asks only for a tournament: the two free zones, each read
+    as one block per band of :func:`~semilink.digraph._upper_bands`.  The
+    reservoir's circulant and the ``tournament`` check over all pairs are
+    the parts of the family stated elsewhere.
     """
     lay = layout
     n, k, l, half = lay.n, lay.k, lay.l, lay.half
-    track = lay.track
-    tails, heads, interiors = lay.tails(), lay.heads(), lay.interiors()
+
+    def side(ids):
+        return _side(ids, n)
+
+    steps = [side(lay.track[:, t]) for t in range(l + 2)]
+    rungs = [side(lay.rung(t)) for t in range(l + 2)]
+    heads, tails = steps[0], steps[-1]
+    interiors, grid, core, relays, targets, mirrors, starts, bypass, outlet = map(
+        side, (lay.interiors(), lay.grid(), lay.core, lay.relays, lay.targets,
+               lay.mirrors, lay.starts, [lay.bypass], [lay.outlet]))
     res = lay.reservoir()
-    everyone = np.arange(n)
+    res_side, res_off_bypass = side(res), side(res[res != lay.bypass])
     idx = np.arange(k)
     before = idx[:, None] < idx[None, :]     # row i beats col j iff i < j
     off_diag = idx[:, None] != idx[None, :]  # False marks a track arc or a matched pair
     off_starts = np.flatnonzero(~_mask(n, lay.starts, lay.targets))
-    ladder = _layered(track[:half])
+    off_starts_side = side(off_starts)
+    ladder = _layered(rungs[1:-1])
 
     def one_arc(ids):
-        return [(ids[rows], ids[cols], None) for rows, cols in _upper_bands(ids.size)]
+        return [(side(ids[rows]), side(ids[cols]), None) for rows, cols in _upper_bands(ids.size)]
 
     return {
         "rung_order": ladder[:l],
         "ladder_descent": ladder[l:],
         # the ladder beats the mesh, and the mesh is a tournament
-        "ladder_over_mesh": [(lay.ladder(), lay.mesh(), True),
+        "ladder_over_mesh": [(side(lay.ladder()), side(lay.mesh()), True),
                              *one_arc(lay.mesh())],
         "tail_block": [(tails, tails, before)]
-        + [(tails, track[:, t], off_diag if t == l else True) for t in range(1, l + 1)]
-        + [(track[:, t], heads, off_diag if t == 1 else True) for t in range(1, l + 1)]
+        + [(tails, steps[t], off_diag if t == l else True) for t in range(1, l + 1)]
+        + [(steps[t], heads, off_diag if t == 1 else True) for t in range(1, l + 1)]
         + [(tails, heads, True)],
-        "grid_over_reservoir": [(interiors, lay.core, True), (tails, lay.core, True)],
-        "tail_relay_split": [(tails, lay.relays, ~before)],
-        "relay_target_split": [(lay.relays, lay.targets, ~before)],
-        "relay_mirror_split": [(lay.relays, lay.mirrors, before)],
-        "bypass_feed": [([lay.bypass], lay.targets, True),
-                        ([lay.bypass], lay.mirrors, True)],
+        "grid_over_reservoir": [(interiors, core, True), (tails, core, True)],
+        "tail_relay_split": [(tails, relays, ~before)],
+        "relay_target_split": [(relays, targets, ~before)],
+        "relay_mirror_split": [(relays, mirrors, before)],
+        "bypass_feed": [(bypass, targets, True), (bypass, mirrors, True)],
         # targets beat mirrors; targets and mirrors beat the grid and the
         # reservoir minus the bypass; relays beat interiors and the reservoir
-        "tier_dominance": [(lay.targets, lay.mirrors, True)]
-        + [(tier, part, True) for tier in (lay.targets, lay.mirrors)
-           for part in (lay.grid(), res[res != lay.bypass])]
-        + [(lay.relays, interiors, True), (lay.relays, res, True)],
-        "start_reach": [(lay.starts_front(), off_starts, _mask(n, lay.mesh())[off_starts]),
-                        (lay.starts_back(), off_starts, _mask(n, lay.ladder())[off_starts]),
+        "tier_dominance": [(targets, mirrors, True)]
+        + [(tier, part, True) for tier in (targets, mirrors)
+           for part in (grid, res_off_bypass)]
+        + [(relays, interiors, True), (relays, res_side, True)],
+        "start_reach": [(side(lay.starts_front()), off_starts_side,
+                         _mask(n, lay.mesh())[off_starts]),
+                        (side(lay.starts_back()), off_starts_side,
+                         _mask(n, lay.ladder())[off_starts]),
                         *one_arc(lay.starts)],
-        "start_target": [(lay.starts, lay.targets, off_diag)],
-        "outlet": [(res, [lay.outlet], True),
-                   ([lay.outlet], np.flatnonzero(~_mask(n, res, lay.outlet)), True)],
-        "tournament": one_arc(everyone),
+        "start_target": [(starts, targets, off_diag)],
+        "outlet": [(res_side, outlet, True),
+                   (outlet, side(np.flatnonzero(~_mask(n, res, lay.outlet))), True)],
         "tier_orders": [(tier, tier, before) for tier in
-                        (lay.relays, lay.targets, lay.mirrors[::-1])],
+                        (relays, targets, side(lay.mirrors[::-1]))],
         # no arc from a ladder step j to a step t >= j + 2, heads and tails
         # included
-        "no_forward_jump": [(lay.rung(j), lay.rung(t), False)
+        "no_forward_jump": [(rungs[j], rungs[t], False)
                             for j in range(l + 2) for t in range(j + 2, l + 2)],
     }
 
 
-def _write(adj: np.ndarray, rows, cols, want) -> None:
+def _write(adj: np.ndarray, rows: _Side, cols: _Side, want) -> None:
     """Put in exactly the arcs that :func:`_orientation_witness` asks of a block.
 
     A scalar ``want`` True writes only the arcs rows->cols, False only
@@ -393,40 +415,45 @@ def _write(adj: np.ndarray, rows, cols, want) -> None:
     block itself, so a block of a role with itself ends as ``want`` says,
     with no loops.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    n = adj.shape[0]
-    r, c = _as_slice(rows, n), _as_slice(cols, n)
+    r, c = rows.index, cols.index
     if np.ndim(want) == 0:
         adj[_block_index(r, c) if want else _block_index(c, r)] = True
         return
-    want = np.broadcast_to(want, (rows.size, cols.size))
+    want = np.broadcast_to(want, (rows.ids.size, cols.ids.size))
     adj[_block_index(c, r)] = ~want.T
     adj[_block_index(r, c)] = want
 
 
-def _as_slice(ids: np.ndarray, n: int) -> slice | np.ndarray:
-    """``ids`` as a basic slice if it is an arithmetic progression in 0..n-1.
+class _Side(NamedTuple):
+    """One side of an orientation block: its ids and how to index them."""
 
-    The slice visits the same ids in the same order, but indexing by it
-    reads a view where the array would gather a copy.  Any other ``ids``
-    (empty, repeated or out of range) are returned as they are.
+    ids: np.ndarray              # int64 vertex ids, in block order
+    index: slice | np.ndarray    # a basic slice over ids, or ids itself
+
+
+def _side(ids, n: int) -> _Side:
+    """``ids`` with a basic slice that visits them, if they form one.
+
+    They do if they are an arithmetic progression in 0..n-1.  Indexing by
+    the slice reads a view where the array would gather a copy.  Any other
+    ``ids`` (empty, repeated or out of range) index as themselves.
     """
+    ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
-        return ids
+        return _Side(ids, ids)
     first, last = int(ids[0]), int(ids[-1])
     step = int(ids[1]) - first if ids.size > 1 else 1
     # a progression lies in range iff both of its ends do
     if step == 0 or last != first + step * (ids.size - 1) \
             or not (0 <= first < n and 0 <= last < n) \
             or (ids[1:] - ids[:-1] != step).any():
-        return ids
+        return _Side(ids, ids)
     stop = last + step
-    return slice(first, stop if stop >= 0 else None, step)
+    return _Side(ids, slice(first, stop if stop >= 0 else None, step))
 
 
 def _block_index(rows: slice | np.ndarray, cols: slice | np.ndarray) -> tuple:
-    """Index of the block ``rows`` x ``cols``, each an :func:`_as_slice` result.
+    """Index of the block ``rows`` x ``cols``, each a :attr:`_Side.index`.
 
     A block of two slices is a view; any other block is gathered once, and
     never through a copy of whole rows.
@@ -475,10 +502,13 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
                               ) -> ConstructionReport:
     """Re-check every wiring rule from the layout; witness arcs on failure.
 
-    Each rule, apart from ``track_paths`` and ``reservoir_regular``, is a
-    list of :func:`_wiring` blocks ``(rows, cols, want)`` read by
-    :func:`_orientation_witness`; the rule's witness is the first bad pair
-    of its first failing block.  The ``tournament`` rule is read first.
+    Each rule, apart from ``tournament``, ``track_paths`` and
+    ``reservoir_regular``, is a list of :func:`_wiring` blocks
+    ``(rows, cols, want)`` read by :func:`_orientation_witness`; the rule's
+    witness is the first bad pair of its first failing block.  The
+    ``tournament`` rule is read first, band by band as
+    :func:`~semilink.digraph.is_tournament` reads it, and only the first
+    band whose count misses is searched for its row-major first bad pair.
     When it passes and no vertex holds two roles, every other block is read
     one-sided: adj[v, u] is the complement of adj[u, v], so a block's
     orientation is its rows->cols arcs, a block that asks only for a
@@ -490,11 +520,10 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
         raise ValueError("layout does not match the digraph")
     adj = d.adjacency
     track = layout.track
-    wiring = _wiring(layout)
-    found = {"tournament": _rule_witness(adj, wiring.pop("tournament"), False)}
+    found = {"tournament": _tournament_witness(adj)}
     tournament = found["tournament"] is None and _roles_distinct(layout)
     found.update((name, _rule_witness(adj, rule, tournament))
-                 for name, rule in wiring.items())
+                 for name, rule in _wiring(layout).items())
 
     missing = ~adj[track[:, :-1], track[:, 1:]]
     found["track_paths"] = None
@@ -507,7 +536,7 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
     # is at most n, and summing into the smallest type that holds n is the
     # fastest.  In a tournament on m vertices each in-degree is m - 1 minus
     # the out-degree.
-    parts = [_as_slice(part, d.n) for part in (layout.heads(), layout.core)]
+    parts = [_side(part, d.n).index for part in (layout.heads(), layout.core)]
     count = np.min_scalar_type(d.n)
     outs = np.concatenate([sum(adj[_block_index(r, c)].sum(axis=1, dtype=count)
                                for c in parts) for r in parts])
@@ -524,6 +553,19 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
 
     return ConstructionReport(tuple(RuleCheck(name, found[name] is None, found[name])
                                     for name in CORE_RULES + EXTRA_CHECKS))
+
+
+def _tournament_witness(adj: np.ndarray) -> RuleWitness | None:
+    """The row-major first pair of the whole instance without exactly one arc.
+
+    It lies in the first band that :func:`~semilink.digraph._first_bad_band`
+    returns, since every pair of an earlier band has exactly one arc.
+    """
+    band = _first_bad_band(adj, np.logical_xor)
+    if band is None:
+        return None
+    everyone = np.arange(len(adj))
+    return _orientation_witness(adj, *(_side(everyone[b], len(adj)) for b in band), None)
 
 
 def _rule_witness(adj: np.ndarray, rule: list[tuple], tournament: bool) -> RuleWitness | None:
@@ -543,7 +585,7 @@ def _roles_distinct(layout: CounterexampleLayout) -> bool:
     return np.count_nonzero(_mask(layout.n, *roles)) == sum(np.size(r) for r in roles)
 
 
-def _orientation_witness(adj: np.ndarray, rows, cols, want,
+def _orientation_witness(adj: np.ndarray, rows: _Side, cols: _Side, want,
                          tournament: bool = False) -> RuleWitness | None:
     """The first pair of ``rows`` x ``cols``, row-major, oriented against ``want``.
 
@@ -552,17 +594,16 @@ def _orientation_witness(adj: np.ndarray, rows, cols, want,
     arcs.  ``want`` broadcasts against the block.  A vertex is never paired
     with itself.  ``tournament`` says that every other pair of the block has
     exactly one of its two arcs: then ``want=None`` holds unread, and only
-    the arcs rows->cols are read.
+    the arcs rows->cols are read, so a passing block costs one read of its
+    indices.  The ids behind them are looked at only once a bad pair is
+    found.
     """
     if tournament and want is None:
         return None
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    n = adj.shape[0]
-    r, c = _as_slice(rows, n), _as_slice(cols, n)
+    r, c = rows.index, cols.index
     if want is None:
-        # the mirror leads, as in digraph._every_pair, so that in a band of
-        # the upper triangle the strided operand walks only the band's rows
+        # the mirror leads, as in digraph._first_bad_band, so that in a band
+        # of the upper triangle the strided operand walks only the band's rows
         bad = (adj[_block_index(c, r)] == adj[_block_index(r, c)].T).T
     else:
         bad = adj[_block_index(r, c)] != want
@@ -572,7 +613,8 @@ def _orientation_witness(adj: np.ndarray, rows, cols, want,
         return None
     # most blocks pair two disjoint roles; a vertex's pair with itself is
     # dropped only once some bad pair is found
-    shared = np.zeros(n, dtype=bool)
+    rows, cols = rows.ids, cols.ids
+    shared = np.zeros(adj.shape[0], dtype=bool)
     shared[rows] = True
     if shared[cols].any():
         _, same_r, same_c = np.intersect1d(rows, cols, return_indices=True)
@@ -597,7 +639,7 @@ def verify_property_two(d: Digraph, layout: CounterexampleLayout) -> PathSystem:
     the returned system.
     """
     k = layout.k
-    pool = [int(v) for v in layout.core if v != layout.bypass][:k + 1]
+    pool = layout.core[layout.core != layout.bypass][:k + 1].tolist()
     if len(pool) < k + 1:
         raise ValueError("reservoir too small to exhibit the paths")
     paths = []

@@ -139,27 +139,28 @@ def _upper_bands(size: int) -> Iterator[tuple[slice, slice]]:
         yield slice(i, i + _BAND), slice(i, None)
 
 
-def _every_pair(d: Digraph, both) -> bool:
-    """True iff the symmetric ``both(adj[u, v], adj[v, u])`` holds for every u != v."""
-    a = d.adjacency
-    for rows, cols in _upper_bands(d.n):
+def _first_bad_band(a: np.ndarray, both) -> tuple[slice, slice] | None:
+    """The first band of :func:`_upper_bands` with a pair u != v for which the
+    symmetric ``both(a[u, v], a[v, u])`` fails, or None; ``a`` is an adjacency.
+    """
+    for rows, cols in _upper_bands(len(a)):
         # the band's mirror leads, so the strided operand walks only the
         # band's own rows, which stay in cache (about 2.5x faster at n = 7081)
         hit = both(a[cols, rows], a[rows, cols].T)
         # a digraph has no loops, so the band's own diagonal is all False
         if np.count_nonzero(hit) != hit.size - hit.shape[1]:
-            return False
-    return True
+            return rows, cols
+    return None
 
 
 def is_semicomplete(d: Digraph) -> bool:
     """True iff every unordered pair of vertices has at least one arc."""
-    return _every_pair(d, np.logical_or)
+    return _first_bad_band(d.adjacency, np.logical_or) is None
 
 
 def is_tournament(d: Digraph) -> bool:
     """True iff every unordered pair has exactly one arc."""
-    return _every_pair(d, np.logical_xor)
+    return _first_bad_band(d.adjacency, np.logical_xor) is None
 
 
 class Path:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import json
 import tracemalloc
 from unittest import mock
 
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semilink import counterexample
-from semilink.counterexample import (CORE_RULES, CounterexampleLayout,
-                                     CounterexampleParams, RuleWitness,
+from semilink import counterexample, digraph
+from semilink.counterexample import (CORE_RULES, EXTRA_CHECKS, CounterexampleLayout,
+                                     CounterexampleParams, RuleCheck, RuleWitness,
                                      build_counterexample,
                                      sampled_connectivity_check,
                                      verify_construction_rules,
@@ -179,12 +180,12 @@ class TestRuleVerifier:
             verify_construction_rules(small, small_lay)
 
 
-def reference_orientation_witness(adj, rows, cols, want, tournament=False):
+def reference_orientation_witness(adj, rows, cols, want):
     """``_orientation_witness`` by whole-row gathers, the plain reference.
 
-    It copies ``adj[rows]`` and ``adj[cols]`` before cutting the block out,
-    and pairs shared ids by ``np.intersect1d`` on every block.  It ignores
-    ``tournament`` and reads both sides of every block, so a verifier that
+    It takes plain id lists, copies ``adj[rows]`` and ``adj[cols]`` before
+    cutting the block out, and pairs shared ids by ``np.intersect1d`` on
+    every block.  It reads both sides of every block, so a verifier that
     trusts a passing tournament rule is compared with one that does not.
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -216,14 +217,38 @@ def reference_reservoir_witness(adj, lay):
     return RuleWitness(v, v, "reservoir must induce a regular tournament")
 
 
+def reference_track_witness(adj, track):
+    """The ``track_paths`` witness, one track arc at a time."""
+    for i, t in itertools.product(range(track.shape[0]), range(track.shape[1] - 1)):
+        u, v = int(track[i, t]), int(track[i, t + 1])
+        if not adj[u, v]:
+            return RuleWitness(u, v, f"{u}->{v} missing (track arc)")
+    return None
+
+
 def _reference_checks(d, lay):
-    """Every check of the verifier, with the reference witness and block sums."""
-    with mock.patch.object(counterexample, "_orientation_witness",
-                           reference_orientation_witness):
-        checks = verify_construction_rules(d, lay).checks
-    witness = reference_reservoir_witness(d.adjacency, lay)
-    return tuple(counterexample.RuleCheck(c.name, witness is None, witness)
-                 if c.name == "reservoir_regular" else c for c in checks)
+    """Every check of the verifier, read without any of its code paths.
+
+    Each ``_wiring`` block is read on both sides by row gathers, the
+    ``tournament`` rule over all pairs at once, the track arcs one by one
+    and the reservoir's degrees from one gathered block.
+    """
+    adj = d.adjacency
+    everyone = np.arange(d.n)
+    found = {name: next(filter(None, (reference_orientation_witness(adj, rows.ids, cols.ids, want)
+                                      for rows, cols, want in blocks)), None)
+             for name, blocks in counterexample._wiring(lay).items()}
+    found["tournament"] = reference_orientation_witness(adj, everyone, everyone, None)
+    found["track_paths"] = reference_track_witness(adj, lay.track)
+    found["reservoir_regular"] = reference_reservoir_witness(adj, lay)
+    return tuple(RuleCheck(name, found[name] is None, found[name])
+                 for name in CORE_RULES + EXTRA_CHECKS)
+
+
+def _sides(adj, rows, cols, want):
+    """A query of plain ids as ``_orientation_witness`` takes it."""
+    n = adj.shape[0]
+    return adj, counterexample._side(rows, n), counterexample._side(cols, n), want
 
 
 @st.composite
@@ -253,7 +278,8 @@ def _witness_queries(draw):
           np.arange(4), None))  # both ends and first step of a progression
 @settings(max_examples=300, deadline=None)
 def test_orientation_witness_matches_reference(query):
-    assert counterexample._orientation_witness(*query) == reference_orientation_witness(*query)
+    assert counterexample._orientation_witness(*_sides(*query)) == \
+        reference_orientation_witness(*query)
 
 
 @st.composite
@@ -281,8 +307,10 @@ def _write_queries(draw):
 def test_write_puts_in_exactly_what_the_witness_reads(query):
     n, rows, cols, want = query
     adj = np.zeros((n, n), dtype=bool)
-    counterexample._write(adj, rows, cols, want)
-    assert counterexample._orientation_witness(adj, rows, cols, want) is None
+    r = counterexample._side(rows, n)
+    c = r if rows is cols else counterexample._side(cols, n)
+    counterexample._write(adj, r, c, want)
+    assert counterexample._orientation_witness(adj, r, c, want) is None
     # one arc per pair of the block, and none elsewhere
     same = rows is cols
     pairs = rows.size * (rows.size - 1) // 2 if same else rows.size * cols.size
@@ -312,13 +340,64 @@ def test_band_blocks_match_the_whole_block(n, seed, odd):
         if rng.random() < 0.5:
             u, v = ids[u], ids[v]
         adj[u, v] = adj[v, u] = rng.random() < 0.5
-    bands = (counterexample._orientation_witness(adj, ids[rows], ids[cols], None)
+    bands = (counterexample._orientation_witness(*_sides(adj, ids[rows], ids[cols], None))
              for rows, cols in _upper_bands(n))
     assert next(filter(None, bands), None) == \
         reference_orientation_witness(adj, ids, ids, None)
+    everyone = np.arange(n)
+    assert counterexample._tournament_witness(adj) == \
+        reference_orientation_witness(adj, everyone, everyone, None)
     d = Digraph(adj, copy=False)
     assert is_tournament(d) == (np.count_nonzero(adj ^ adj.T) == n * (n - 1))
     assert is_semicomplete(d) == (np.count_nonzero(adj | adj.T) == n * (n - 1))
+
+
+@st.composite
+def _small_near_tournaments(draw):
+    # a tournament on 1..20 vertices with up to three pairs given both arcs
+    # or none
+    n = draw(st.integers(1, 20))
+    ori = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                   dtype=bool).reshape(n, n)
+    adj = np.triu(ori, 1) | np.tril(~ori.T, -1)
+    vertex = st.integers(0, n - 1)
+    for u, v, both in draw(st.lists(st.tuples(vertex, vertex, st.booleans()), max_size=3)):
+        if u != v:
+            adj[u, v] = adj[v, u] = both
+    return adj
+
+
+@given(_small_near_tournaments())
+@settings(max_examples=300, deadline=None)
+def test_tournament_rule_at_band_edges(adj):
+    # Bands of 4 rows put band edges, and a last partial band, at every
+    # order up to 20: the banded count must find the bad pair that the
+    # whole-block reference finds first, row-major.
+    everyone = np.arange(adj.shape[0])
+    with mock.patch.object(digraph, "_BAND", 4):
+        got = counterexample._tournament_witness(adj)
+        assert is_tournament(Digraph(adj, copy=False)) == (got is None)
+    assert got == reference_orientation_witness(adj, everyone, everyone, None)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(255, 256, True)],                    # the last row of the first band
+    [(256, 257, False), (300, 255, True)],  # the earlier band wins, read from its mirror
+    [(256, 1763, True)],                   # the first row of the second band
+    [(1600, 1536, False), (1763, 1700, True)],  # the last, partial band
+    [(1763, 1762, False)],                 # its last pair
+])
+def test_tournament_rule_at_the_reference_band_edges(pairs):
+    # Bands of 256 rows: 0-255, 256-511, ..., 1536-1763.
+    d, lay = _instance(None)
+    adj = d.adjacency.copy()
+    for u, v, both in pairs:
+        adj[u, v] = adj[v, u] = both
+    mutant = Digraph(adj, copy=False)
+    report = verify_construction_rules(mutant, lay)
+    assert report.checks == _reference_checks(mutant, lay)
+    u, v = sorted(min(pairs, key=lambda p: sorted(p[:2]))[:2])
+    assert report.by_name("tournament").witness == RuleWitness(u, v, "exactly one arc")
 
 
 @pytest.mark.parametrize("rule", CORE_RULES)
@@ -552,3 +631,17 @@ class TestLayoutSerialisation:
         assert (back.core == lay.core).all()
         assert back.outlet == lay.outlet
         assert back.bypass == lay.bypass
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data["roles"]["starts"].__setitem__(0, -1), "starts id -1 "),
+        (lambda data: data["roles"]["starts"].__setitem__(0, 5000), "starts id 5000 "),
+        (lambda data: data["roles"].__setitem__("outlet", 1764), "outlet id 1764 "),
+        (lambda data: data.__setitem__("n", 10), "tracks id 10 "),
+    ])
+    def test_role_ids_out_of_range_rejected(self, reference_counterexample, edit, message):
+        # -1 would alias the outlet and 5000 would fail inside numpy
+        _, lay = reference_counterexample
+        data = json.loads(lay.to_json())
+        edit(data)
+        with pytest.raises(ValueError, match=message):
+            CounterexampleLayout.from_json(json.dumps(data))
