@@ -112,11 +112,13 @@ class CounterexampleParams:
 
 @dataclass(frozen=True)
 class CounterexampleLayout:
-    """Role assignment for every vertex of a built instance."""
+    """Role assignment for every vertex of a built instance.
 
-    k: int
+    The width k and the step count l + 2 are the shape of ``track``; each
+    tier (relays, targets, mirrors, starts) holds k ids.
+    """
+
     n: int
-    l: int
     track: np.ndarray   # shape (k, l + 2)
     core: np.ndarray    # reservoir vertices that are not track heads
     relays: np.ndarray
@@ -124,6 +126,14 @@ class CounterexampleLayout:
     mirrors: np.ndarray
     starts: np.ndarray
     outlet: int
+
+    @property
+    def k(self) -> int:
+        return self.track.shape[0]
+
+    @property
+    def l(self) -> int:
+        return self.track.shape[1] - 2
 
     @property
     def half(self) -> int:
@@ -201,14 +211,17 @@ class CounterexampleLayout:
     def from_json(cls, text: str) -> "CounterexampleLayout":
         """Parse :meth:`to_json` output.
 
-        A missing key, a wrong type, a role id outside 0..n-1 or a
-        ``bypass`` other than ``core[0]`` raises ValueError.
+        A missing key, a wrong type, tracks of fewer than 3 steps, a ``k``
+        other than the number of track rows, an ``l`` other than the steps
+        per track less 2, a tier that does not hold k ids, a role id outside
+        0..n-1 or a ``bypass`` other than ``core[0]`` raises ValueError.
         """
         data = json.loads(text)
         try:
             roles = data["roles"]
+            k, l = int(data["k"]), int(data["l"])
             layout = cls(
-                k=int(data["k"]), n=int(data["n"]), l=int(data["l"]),
+                n=int(data["n"]),
                 track=np.asarray(roles["tracks"], dtype=np.int64),
                 core=np.asarray(roles["core"], dtype=np.int64),
                 relays=np.asarray(roles["relays"], dtype=np.int64),
@@ -225,6 +238,16 @@ class CounterexampleLayout:
         if layout.track.ndim != 2 or any(a.ndim != 1 for a in lists) or not layout.core.size:
             raise ValueError("layout tracks must be a list of lists, the other roles "
                              "lists, and the core non-empty")
+        steps = layout.track.shape[1]
+        if steps < 3:
+            raise ValueError(f"layout tracks have {steps} steps, fewer than 3")
+        if k != layout.k:
+            raise ValueError(f"layout k {k} does not match the {layout.k} track rows")
+        if l != layout.l:
+            raise ValueError(f"layout l {l} does not match the {steps} steps per track (l + 2)")
+        for name, ids in zip(("relays", "targets", "mirrors", "starts"), lists[1:]):
+            if ids.size != layout.k:
+                raise ValueError(f"layout {name} hold {ids.size} ids, not k = {layout.k}")
         # a negative id would index from the end of the adjacency, and one
         # past n - 1 would fail inside numpy
         for name, ids in zip(("tracks", "core", "relays", "targets", "mirrors", "starts",
@@ -264,9 +287,9 @@ def build_counterexample(k: int, n: int, seed: int | None = None
     if outlet != n - 1:
         raise AssertionError(f"outlet {outlet} is not the last vertex {n - 1}")
 
-    layout = CounterexampleLayout(k=k, n=n, l=l, track=track, core=core,
-                                  relays=relays, targets=targets,
-                                  mirrors=mirrors, starts=starts, outlet=outlet)
+    layout = CounterexampleLayout(n=n, track=track, core=core, relays=relays,
+                                  targets=targets, mirrors=mirrors, starts=starts,
+                                  outlet=outlet)
 
     adj = np.zeros((n, n), dtype=bool)
     # The free zones: the mesh, track arcs kept, and the starts.
@@ -660,7 +683,10 @@ class SampledConnectivity:
     target: int
     pairs: tuple[tuple[int, int], ...]
     values: tuple[int, ...]
-    min_observed: int
+
+    @property
+    def min_observed(self) -> int:
+        return min(self.values)
 
     @property
     def all_ok(self) -> bool:
@@ -689,5 +715,4 @@ def sampled_connectivity_check(d: Digraph, target: int, pairs: int, seed: int,
         raise ValueError("pairs must be >= 1")
     sampled = list(_sample_pairs(d.n, pairs, seed))
     values = [_cut_value(d, u, v) for u, v in sampled]
-    return SampledConnectivity(target, tuple(sampled), tuple(values),
-                               min(values))
+    return SampledConnectivity(target, tuple(sampled), tuple(values))

@@ -261,26 +261,24 @@ class PathSystem:
 
 
 def reduce_to_minimal_path(d: Digraph, p: Path) -> Path:
-    """Shortcut a path to a fixpoint where no arc skips interior vertices.
+    """Shortcut a path until no arc skips interior vertices.
 
-    Repeatedly replaces the earliest shortcut (smallest source index, then
-    longest jump) until none remains.  The result keeps both endpoints and
-    uses a subset of the original vertices; a path with no internal shortcut
-    admits no endpoint-preserving path on a proper subset of its vertices.
+    One pass: each vertex in turn jumps to the farthest later vertex it has
+    an arc to.  A jump leaves no shortcut at that vertex or before it, so
+    this is the fixpoint of replacing the earliest, longest shortcut.  The
+    result keeps both endpoints and uses a subset of the original vertices;
+    a path with no internal shortcut admits no endpoint-preserving path on
+    a proper subset of its vertices.
     """
     verts = list(p.vertices)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(verts) - 2):
-            row = d.adjacency[verts[i]]
-            for j in range(len(verts) - 1, i + 1, -1):
-                if row[verts[j]]:
-                    del verts[i + 1:j]
-                    changed = True
-                    break
-            if changed:
+    i = 0
+    while i < len(verts) - 2:
+        row = d.adjacency[verts[i]]
+        for j in range(len(verts) - 1, i + 1, -1):
+            if row[verts[j]]:
+                del verts[i + 1:j]
                 break
+        i += 1
     return Path(d, verts)
 
 

@@ -101,10 +101,13 @@ class DominationProfile:
     """Bad-vertex counts per c for one candidate dominating vertex."""
 
     vertex: int
-    direction: str
     pool_size: int  # candidates other than the vertex itself
     bad_counts: tuple[int, ...]  # bad_counts[c-1] = #vertices not c-good
-    vacuous_from: int  # smallest c with 2c > pool_size (condition holds trivially)
+
+    @property
+    def vacuous_from(self) -> int:
+        """The smallest c with 2c > pool_size, from which the condition holds trivially."""
+        return self.pool_size // 2 + 1
 
     def is_nearly_dominating(self) -> bool:
         return _nearly_dominates(self.bad_counts)
@@ -127,8 +130,7 @@ def _profile(d: Digraph, u: int, direction: str, c_max: int | None,
     scores = goodness_scores(d, u, direction, mask)
     candidates = scores[scores >= 0]
     bad = tuple(_bad_counts(candidates, d.n, c_max).tolist())
-    return DominationProfile(u, direction, candidates.size, bad,
-                             candidates.size // 2 + 1)
+    return DominationProfile(u, candidates.size, bad)
 
 
 def nearly_out_dominating_profile(d: Digraph, u: int, c_max: int | None = None,

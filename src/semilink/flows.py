@@ -150,7 +150,7 @@ class _SplitFlow:
         tight = dist_in is not None
         seeds, targets = self.open_src, self.open_snk
         if tight:
-            seeds = seeds[dist_out[seeds] == 0]
+            # every open source seeds: _bellman pins its dist_out at 0
             reach = dist_in[targets]
             targets = targets[reach == reach.min()]
         vis_out[seeds] = True

@@ -139,7 +139,6 @@ class TerminalSplit:
 
     reach: dict[int, tuple[int, ...]]
     rich: tuple[int, ...]
-    lean: tuple[int, ...]
     reach_union: tuple[int, ...]  # union of the rich starts' reach sets
     spare_target: int | None  # nearly out-dominating vertex inside the union
 
@@ -191,7 +190,7 @@ def classify_terminals(d: Digraph, starts: Sequence[int], targets: Sequence[int]
     trace.add("classify", reach_sizes={int(x): len(reach[x]) for x in starts},
               rich=list(rich), lean=list(lean), reach_union=len(reach_union),
               spare_target=spare)
-    return TerminalSplit(reach, rich, lean, reach_union, spare)
+    return TerminalSplit(reach, rich, reach_union, spare)
 
 
 def _off_terminals(n: int, starts, targets, pool) -> np.ndarray:
@@ -256,9 +255,11 @@ class AdjustResult:
     deliveries: dict[int, Path]
     special: Path | None
     matched: dict[int, int]       # rich start -> stand-in (a perfect matching)
-    stand_ins: tuple[int, ...]
-    retired: tuple[int, ...]
     rounds: int
+
+    @property
+    def stand_ins(self) -> tuple[int, ...]:
+        return tuple(sorted(self.matched.values()))
 
 
 # Key of the special path in the path system Q*: the deliveries are keyed by
@@ -268,8 +269,7 @@ _SPECIAL = "special"
 
 
 def _validate_path_state(d: Digraph, starts, targets, pool, split,
-                         qstar: Mapping, matched: Mapping[int, int],
-                         stand_ins: set[int], step: str) -> None:
+                         qstar: Mapping, matched: Mapping[int, int], step: str) -> None:
     paths = list(qstar.values())
     try:
         PathSystem(paths)
@@ -295,9 +295,7 @@ def _validate_path_state(d: Digraph, starts, targets, pool, split,
            "special terminal must lie in the reach union")
     _check(len(set(matched.values())) == len(matched), step,
            "stand-in matching must be injective")
-    _check(set(matched.values()) == stand_ins, step,
-           "stand-in bookkeeping out of sync")
-    _check(not (stand_ins & occupied), step,
+    _check(occupied.isdisjoint(matched.values()), step,
            "stand-ins must stay off the path system")
     for x, s in matched.items():
         _check(d.has_arc(x, s), step, "matching arc missing", arc=(x, s))
@@ -318,12 +316,11 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
     """
     k = len(starts)
     matched: dict[int, int] = {}
-    stand_ins: set[int] = set()
     retired: set[int] = set()
     rounds = 0
     if not split.rich:
         trace.add("adjust-skip", reason="no rich starts")
-        return AdjustResult(dict(deliveries), special, matched, (), (), 0)
+        return AdjustResult(dict(deliveries), special, matched, 0)
     _check(special is not None, "adjust", "rich starts need the spare-target path")
     qstar = {**deliveries, _SPECIAL: special}
     reach_union = set(split.reach_union)
@@ -336,10 +333,9 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         for x in split.rich:
             if x in matched:
                 continue
-            fresh = sorted(set(split.reach[x]) - occupied - stand_ins)
+            fresh = sorted(set(split.reach[x]).difference(occupied, matched.values()))
             if fresh:
                 matched[x] = fresh[0]
-                stand_ins.add(fresh[0])
                 trace.add("match", start=int(x), stand_in=int(fresh[0]))
         if len(matched) == len(split.rich):
             break
@@ -349,7 +345,8 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
                "more reroute rounds than rich starts", rounds=rounds)
         spare = qstar[_SPECIAL].last
         hungry = [x for x in split.rich if x not in matched]
-        scope = set().union(*(split.reach[x] for x in hungry)) - retired - stand_ins
+        scope = set().union(*(split.reach[x] for x in hungry)).difference(
+            retired, matched.values())
         # The current spare can sit inside the reach union but is never a
         # candidate for the next one.
         scope.discard(spare)
@@ -365,7 +362,7 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         before = len(retired)
         retired.add(spare)
         retired |= bad
-        retired |= stand_ins
+        retired.update(matched.values())
         for p in qstar.values():
             # guards: the last two well-linked vertices of every path
             retired.update([v for v in p.vertices if v in good][-2:])
@@ -395,7 +392,7 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
 
         try:
             case, updates = _reroute(d, qstar, host_key, spare, next_spare,
-                                     reconnect, stand_ins, reach_union, k)
+                                     reconnect, set(matched.values()), reach_union, k)
         except ValueError as exc:
             raise LinkerCheckError("adjust", f"reroute splice failed: {exc}",
                                    case_host=str(host_key)) from exc
@@ -403,7 +400,6 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         for key, path in updates.items():
             qstar[key] = reduce_to_minimal_path(d, path)
         matched[donor] = released_holder
-        stand_ins.add(released_holder)
         trace.add("adjust-round", round=rounds, case=case,
                   spare=int(spare), next_spare=int(next_spare), host=host_key,
                   released=int(released_holder), donor=int(donor),
@@ -411,16 +407,13 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
                   candidates=len(cand), scope=len(scope),
                   inits_before=prev_inits,
                   inits_after=sorted(p.first for p in qstar.values()))
-        _validate_path_state(d, starts, targets, pool, split, qstar, matched,
-                             stand_ins, "adjust")
+        _validate_path_state(d, starts, targets, pool, split, qstar, matched, "adjust")
 
-    _validate_path_state(d, starts, targets, pool, split, qstar, matched,
-                         stand_ins, "adjust-final")
+    _validate_path_state(d, starts, targets, pool, split, qstar, matched, "adjust-final")
     trace.add("adjust-done", rounds=rounds,
-              stand_ins=sorted(stand_ins), retired=len(retired))
+              stand_ins=sorted(matched.values()), retired=len(retired))
     deliveries = {y: p for y, p in qstar.items() if y != _SPECIAL}
-    return AdjustResult(deliveries, qstar[_SPECIAL], matched,
-                        tuple(sorted(stand_ins)), tuple(sorted(retired)), rounds)
+    return AdjustResult(deliveries, qstar[_SPECIAL], matched, rounds)
 
 
 def _reroute(d: Digraph, qstar: Mapping, host_key, spare: int, next_spare: int,

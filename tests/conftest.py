@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semilink.digraph import Digraph
+from semilink.digraph import Digraph, Path as DiPath
 
 
 def run_optimized(*args: str) -> subprocess.CompletedProcess:
@@ -48,6 +48,25 @@ def plain_spanning_tournament(d: Digraph, seed: int | None = None) -> Digraph:
         single[iv[keep_low], iu[keep_low]] = False
         single[iu[~keep_low], iv[~keep_low]] = False
     return Digraph(single, copy=False)
+
+
+def plain_reduce_to_minimal_path(d: Digraph, p: DiPath) -> DiPath:
+    """Replace the earliest shortcut (smallest source index, then longest
+    jump) and rescan from the start, until no shortcut remains."""
+    verts = list(p.vertices)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(verts) - 2):
+            row = d.adjacency[verts[i]]
+            for j in range(len(verts) - 1, i + 1, -1):
+                if row[verts[j]]:
+                    del verts[i + 1:j]
+                    changed = True
+                    break
+            if changed:
+                break
+    return DiPath(d, verts)
 
 
 @pytest.fixture

@@ -637,9 +637,18 @@ class TestLayoutSerialisation:
         (lambda data: data["roles"]["starts"].__setitem__(0, 5000), "starts id 5000 "),
         (lambda data: data["roles"].__setitem__("outlet", 1764), "outlet id 1764 "),
         (lambda data: data.__setitem__("n", 10), "tracks id 10 "),
+        (lambda data: data.__setitem__("l", 2), "layout l 2 does not match the 5 steps"),
+        (lambda data: data.__setitem__("k", 40), "layout k 40 does not match the 42 track rows"),
+        (lambda data: data["roles"]["relays"].pop(), "layout relays hold 41 ids, not k = 42"),
+        (lambda data: data["roles"].__setitem__(
+            "tracks", [row[:2] for row in data["roles"]["tracks"]]),
+         "layout tracks have 2 steps"),
     ])
     def test_role_ids_out_of_range_rejected(self, reference_counterexample, edit, message):
-        # -1 would alias the outlet and 5000 would fail inside numpy
+        # -1 would alias the outlet and 5000 would fail inside numpy.  k and
+        # l are the tracks' shape: "l": 2 would fail two rules of a correct
+        # instance, "k": 40 and a short tier would fail inside numpy, and
+        # two-step tracks with an IndexError in the verifier.
         _, lay = reference_counterexample
         data = json.loads(lay.to_json())
         edit(data)

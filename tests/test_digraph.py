@@ -10,7 +10,8 @@ from semilink.digraph import (_MAX_ORDER, Digraph, Path, PathSystem, digraph_fro
                               reduce_to_minimal_path)
 from semilink.generators import random_tournament, transitive_tournament
 
-from conftest import complete_digraph, plain_spanning_tournament, random_digraph
+from conftest import (complete_digraph, plain_reduce_to_minimal_path,
+                      plain_spanning_tournament, random_digraph)
 
 
 def three_cycle():
@@ -196,6 +197,20 @@ class TestReduceToMinimalPath:
             verts.append(nxt[0])
         once = reduce_to_minimal_path(d, Path(d, verts))
         assert reduce_to_minimal_path(d, once) == once
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(3, 30), st.floats(0.0, 1.0))
+def test_one_pass_reduction_matches_the_restarting_one(seed, n, density):
+    # a random path through a random digraph, its own arcs put in
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < density
+    verts = rng.permutation(n)[:rng.integers(2, n + 1)]
+    adj[verts[:-1], verts[1:]] = True
+    np.fill_diagonal(adj, False)
+    d = Digraph(adj, copy=False)
+    p = Path(d, verts.tolist())
+    assert reduce_to_minimal_path(d, p) == plain_reduce_to_minimal_path(d, p)
 
 
 @given(st.integers(2, 24))

@@ -14,24 +14,29 @@ def _exported_names():
                   if isinstance(node, ast.ImportFrom) for alias in node.names)
 
 
+def _nodes(*folders):
+    """Every AST node of the Python files under ``folders``, apart from the
+    package's own import list."""
+    for folder in folders:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path != INIT:
+                yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
 def _references():
     """Names read, attributes read and string constants in the library,
-    the demos and the benchmark scripts, apart from the package's own
-    import list.  A definition's own name is a def or class node, not a
-    reference; a string counts as the whole string and as the part after
-    its last dot, so a span name "module.function" names the function."""
+    the demos and the benchmark scripts.  A definition's own name is a def
+    or class node, not a reference; a string counts as the whole string and
+    as the part after its last dot, so a span name "module.function" names
+    the function."""
     seen = set()
-    for folder in ("src", "demos", "perfbench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            if path == INIT:
-                continue
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name):
-                    seen.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    seen.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    seen.update({node.value, node.value.rpartition(".")[2]})
+    for node in _nodes("src", "demos", "perfbench"):
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            seen.update({node.value, node.value.rpartition(".")[2]})
     return seen
 
 
@@ -44,3 +49,29 @@ def test_exported_name_has_a_caller_outside_the_tests(name):
     # already states once.  Methods are not covered: an unused method of an
     # exported class goes unnoticed here.
     assert name in _REFERENCES, f"semilink.{name} is exported but never used"
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def _dataclass_fields():
+    """(class, field) for every annotated field of a @dataclass in the package."""
+    return sorted((node.name, item.target.id) for node in _nodes("src/semilink")
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  for item in node.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+
+
+_ATTRIBUTES_READ = {node.attr for node in _nodes("src", "demos", "perfbench", "tests")
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("cls, field", _dataclass_fields())
+def test_dataclass_field_is_read(cls, field):
+    # A field that no code reads is a fact stored for nobody.  Fields are
+    # matched by name only, so one that shares its name with an attribute
+    # read anywhere else passes.
+    assert field in _ATTRIBUTES_READ, f"{cls}.{field} is set but never read"
