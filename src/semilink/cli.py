@@ -3,11 +3,15 @@
 One binary with subcommands covering generation, the structured hard
 family, connectivity and disjoint-path queries, dominator checks, the
 linker, the brute-force oracle, DOT export and the acceptance suite.
+Each subcommand only computes and returns ``(parameters, verdicts,
+artifacts, exit code)``, or a bare exit code if it prints no report;
+``main`` prints every report, whose ``timings.seconds`` is the wall time
+of the whole subcommand.
 
 Exit codes: 0 success, 1 verdict failure (a check or search said no),
-2 usage error, 3 internal assertion failure.  All subcommands are
-deterministic given their inputs and seeds; reports are byte-stable except
-for timing fields.
+2 usage error (printed as ``error: ...``), 3 internal assertion failure.
+All subcommands are deterministic given their inputs and seeds; reports
+are byte-stable except for timing fields.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path as FsPath
 
 from . import __version__
@@ -96,23 +101,20 @@ def export_dot(d: Digraph, layout: CounterexampleLayout | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_gen(args) -> int:
-    spec = GenSpec(kind=args.kind, n=args.n, u_size=args.u_size,
-                   w_size=args.w_size, p_bidirected=args.p_bidirected,
-                   seed=args.seed)
-    d = spec.build()
+def _cmd_gen(args) -> tuple[dict, dict, dict, int] | int:
+    d = GenSpec(kind=args.kind, n=args.n, u_size=args.u_size,
+                w_size=args.w_size, p_bidirected=args.p_bidirected,
+                seed=args.seed).build()
     _write(args.out, digraph_to_arc_list(d))
-    if args.out:
-        print(_report("gen",
-                      {"kind": args.kind, "n": args.n, "u_size": args.u_size,
-                       "w_size": args.w_size, "p_bidirected": args.p_bidirected,
-                       "seed": args.seed},
-                      {"n": d.n, "arcs": d.arc_count}, {}, {"out": args.out}))
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK
+    return ({"kind": args.kind, "n": args.n, "u_size": args.u_size,
+             "w_size": args.w_size, "p_bidirected": args.p_bidirected,
+             "seed": args.seed},
+            {"n": d.n, "arcs": d.arc_count}, {"out": args.out}, EXIT_OK)
 
 
-def _cmd_counterexample(args) -> int:
-    t0 = time.monotonic()
+def _cmd_counterexample(args) -> tuple[dict, dict, dict, int]:
     d, layout = build_counterexample(args.k, args.n, args.seed)
     _write(args.out, digraph_to_arc_list(d))
     if args.layout:
@@ -125,65 +127,47 @@ def _cmd_counterexample(args) -> int:
         verdicts["failed_rules"] = [c.name for c in report.failed()]
         verdicts["non_linkage"] = ("not computed: it follows from the paper's proof, "
                                    "given the wiring rules")
-    print(_report("counterexample",
-                  {"k": args.k, "n": args.n, "seed": args.seed},
-                  verdicts, {"seconds": round(time.monotonic() - t0, 3)},
-                  {"out": args.out, "layout": args.layout}))
-    if args.verify and not verdicts["rules_passed"]:
-        return EXIT_VERDICT
-    return EXIT_OK
+    return ({"k": args.k, "n": args.n, "seed": args.seed}, verdicts,
+            {"out": args.out, "layout": args.layout},
+            EXIT_OK if verdicts.get("rules_passed", True) else EXIT_VERDICT)
 
 
-def _cmd_connectivity(args) -> int:
+def _cmd_connectivity(args) -> tuple[dict, dict, dict, int]:
     if args.target is not None and args.target < 1:
         raise ValueError("target must be >= 1")
     d = _read_digraph(args.input)
-    t0 = time.monotonic()
     if args.sample is None:
         if args.target is not None:
             # A threshold runs the star search at the target itself: it stops
             # at the first cut below target, and pairs settled by an arc or
             # by target two-arc paths get no cut.
             ok = is_k_connected(d, args.target)
-            print(_report("connectivity",
-                          {"in": args.input, "mode": "exact-threshold",
-                           "target": args.target},
-                          {"target_met": ok},
-                          {"seconds": round(time.monotonic() - t0, 3)}, {}))
-            return EXIT_OK if ok else EXIT_VERDICT
-        kappa = vertex_connectivity(d)
-        print(_report("connectivity", {"in": args.input, "mode": "exact"},
-                      {"vertex_connectivity": kappa},
-                      {"seconds": round(time.monotonic() - t0, 3)}, {}))
-        return EXIT_OK
+            return ({"in": args.input, "mode": "exact-threshold",
+                     "target": args.target},
+                    {"target_met": ok}, {}, EXIT_OK if ok else EXIT_VERDICT)
+        return ({"in": args.input, "mode": "exact"},
+                {"vertex_connectivity": vertex_connectivity(d)}, {}, EXIT_OK)
     if args.target is None:
-        print("--sample requires --target", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--sample requires --target")
     sample = sampled_connectivity_check(d, args.target, args.sample, args.seed)
-    print(_report("connectivity",
-                  {"in": args.input, "mode": "sample", "pairs": args.sample,
-                   "target": args.target, "seed": args.seed},
-                  {"min_observed": sample.min_observed, "all_ok": sample.all_ok,
-                   "failures": list(sample.failures()[:10])},
-                  {"seconds": round(time.monotonic() - t0, 3)}, {}))
-    return EXIT_OK if sample.all_ok else EXIT_VERDICT
+    return ({"in": args.input, "mode": "sample", "pairs": args.sample,
+             "target": args.target, "seed": args.seed},
+            {"min_observed": sample.min_observed, "all_ok": sample.all_ok,
+             "failures": list(sample.failures()[:10])},
+            {}, EXIT_OK if sample.all_ok else EXIT_VERDICT)
 
 
-def _cmd_paths(args) -> int:
+def _cmd_paths(args) -> tuple[dict, dict, dict, int]:
     d = _read_digraph(args.input)
     sources = _parse_vertices(args.sources)
     sinks = _parse_vertices(args.sinks)
-    t0 = time.monotonic()
     if args.minimize:
         try:
             system = min_weight_disjoint_paths(d, sources, sinks, args.count)
         except FlowInfeasible as exc:
-            print(_report("paths", {"in": args.input, "count": args.count,
-                                    "minimize": True},
-                          {"feasible": False, "achieved": exc.achieved,
-                           "cut": sorted(exc.cut.separator)},
-                          {"seconds": round(time.monotonic() - t0, 3)}, {}))
-            return EXIT_VERDICT
+            return ({"in": args.input, "count": args.count, "minimize": True},
+                    {"feasible": False, "achieved": exc.achieved,
+                     "cut": sorted(exc.cut.separator)}, {}, EXIT_VERDICT)
         cut = None
     else:
         system, cert = max_disjoint_paths(d, sources, sinks, cap=args.count)
@@ -194,84 +178,64 @@ def _cmd_paths(args) -> int:
         "total_vertices": system.total_vertices(),
         "cut": cut,
     }
-    print(_report("paths", {"in": args.input, "sources": sources,
-                            "sinks": sinks, "count": args.count,
-                            "minimize": args.minimize},
-                  verdicts, {"seconds": round(time.monotonic() - t0, 3)}, {}))
-    return EXIT_OK if len(system) >= args.count else EXIT_VERDICT
+    return ({"in": args.input, "sources": sources, "sinks": sinks,
+             "count": args.count, "minimize": args.minimize},
+            verdicts, {}, EXIT_OK if len(system) >= args.count else EXIT_VERDICT)
 
 
-def _cmd_dominators(args) -> int:
+def _cmd_dominators(args) -> tuple[dict, dict, dict, int]:
     d = _read_digraph(args.input)
-    if args.find_out:
-        v = find_nearly_out_dominating(d)
-        print(_report("dominators", {"in": args.input, "mode": "find-out"},
-                      {"vertex": v}, {}, {}))
-        return EXIT_OK
-    if args.find_in:
-        v = find_nearly_in_dominating(d)
-        print(_report("dominators", {"in": args.input, "mode": "find-in"},
-                      {"vertex": v}, {}, {}))
-        return EXIT_OK
+    if args.check is None:
+        find = find_nearly_out_dominating if args.find_out else find_nearly_in_dominating
+        mode = "find-out" if args.find_out else "find-in"
+        return {"in": args.input, "mode": mode}, {"vertex": find(d)}, {}, EXIT_OK
     # every count past c = n - 1 is the same, so a larger cmax only costs memory
     if args.cmax is not None and not 1 <= args.cmax <= d.n:
-        print(f"--cmax must lie in 1..{d.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--cmax must lie in 1..{d.n}")
     out = nearly_out_dominating_profile(d, args.check, c_max=args.cmax)
     inp = nearly_in_dominating_profile(d, args.check, c_max=args.cmax)
-    print(_report("dominators", {"in": args.input, "check": args.check,
-                                 "cmax": args.cmax},
-                  {"nearly_out_dominating": out.is_nearly_dominating(),
-                   "nearly_in_dominating": inp.is_nearly_dominating(),
-                   "out_bad_counts": list(out.bad_counts[:20]),
-                   "in_bad_counts": list(inp.bad_counts[:20])}, {}, {}))
-    return EXIT_OK
+    return ({"in": args.input, "check": args.check, "cmax": args.cmax},
+            {"nearly_out_dominating": out.is_nearly_dominating(),
+             "nearly_in_dominating": inp.is_nearly_dominating(),
+             "out_bad_counts": list(out.bad_counts[:20]),
+             "in_bad_counts": list(inp.bad_counts[:20])}, {}, EXIT_OK)
 
 
-def _cmd_link(args) -> int:
+def _cmd_link(args) -> tuple[dict, dict, dict, int]:
     d = _read_digraph(args.input)
     pairs = _parse_pairs(args.pairs)
     trace = LinkerTrace()
-    t0 = time.monotonic()
     outcome = link(LinkageInstance(d, tuple(pairs)), check=args.check_hypotheses,
                    trace=trace)
-    seconds = round(time.monotonic() - t0, 3)
     if args.trace:
         FsPath(args.trace).write_text(trace.to_json())
+    parameters = {"in": args.input, "pairs": pairs}
     if isinstance(outcome, LinkageCertificate):
         if args.cert:
             FsPath(args.cert).write_text(outcome.to_json())
-        print(_report("link", {"in": args.input, "pairs": pairs},
-                      {"linked": True,
-                       "lengths": [len(p) - 1 for p in outcome.paths]},
-                      {"seconds": seconds},
-                      {"cert": args.cert, "trace": args.trace}))
-        return EXIT_OK
+        return (parameters,
+                {"linked": True, "lengths": [len(p) - 1 for p in outcome.paths]},
+                {"cert": args.cert, "trace": args.trace}, EXIT_OK)
     if not isinstance(outcome, FailureReport):
         raise AssertionError(f"link returned a {type(outcome).__name__}")
-    print(_report("link", {"in": args.input, "pairs": pairs},
-                  {"linked": False, "step": outcome.step,
-                   "reason": outcome.reason,
-                   "hypothesis_note": outcome.hypothesis_note},
-                  {"seconds": seconds}, {"trace": args.trace}))
-    return EXIT_VERDICT
+    return (parameters,
+            {"linked": False, "step": outcome.step, "reason": outcome.reason,
+             "hypothesis_note": outcome.hypothesis_note},
+            {"trace": args.trace}, EXIT_VERDICT)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[dict, dict, dict, int]:
     d = _read_digraph(args.input)
     pairs = _parse_pairs(args.pairs)
     budget = OracleBudget(node_limit=args.node_limit,
                           time_limit=args.time_limit)
-    t0 = time.monotonic()
     answer = exists_disjoint_linkage(d, pairs, budget)
-    print(_report("oracle", {"in": args.input, "pairs": pairs,
-                             "node_limit": args.node_limit,
-                             "time_limit": args.time_limit},
-                  {"verdict": answer.verdict,
-                   "paths": [list(p) for p in answer.paths] if answer.paths else None,
-                   "nodes_explored": answer.nodes_explored},
-                  {"seconds": round(time.monotonic() - t0, 3)}, {}))
-    return EXIT_OK if answer.verdict in ("yes", "no") else EXIT_VERDICT
+    return ({"in": args.input, "pairs": pairs, "node_limit": args.node_limit,
+             "time_limit": args.time_limit},
+            {"verdict": answer.verdict,
+             "paths": [list(p) for p in answer.paths] if answer.paths else None,
+             "nodes_explored": answer.nodes_explored},
+            {}, EXIT_OK if answer.verdict in ("yes", "no") else EXIT_VERDICT)
 
 
 def _cmd_export(args) -> int:
@@ -291,10 +255,9 @@ def _cmd_accept(args) -> int:
         numbers = [int(tok) for tok in args.criteria.split(",")]
     results = run_acceptance_suite(profile=args.profile, numbers=numbers)
     if args.out:
-        FsPath(args.out).write_text(json.dumps([{
-            "number": r.number, "name": r.name, "passed": r.passed,
-            "details": r.details, "seconds": round(r.seconds, 3),
-        } for r in results], indent=2))
+        FsPath(args.out).write_text(json.dumps(
+            [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results],
+            indent=2))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERDICT
 
 
@@ -390,14 +353,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        result = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, LinkerCheckError) as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if isinstance(result, int):
+        return result
+    parameters, verdicts, artifacts, code = result
+    print(_report(args.command, parameters, verdicts,
+                  {"seconds": round(time.monotonic() - t0, 3)}, artifacts))
+    return code
 
 
 if __name__ == "__main__":

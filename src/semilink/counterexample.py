@@ -60,7 +60,7 @@ import numpy as np
 from .digraph import (Digraph, Path, PathSystem, _check_order, _first_bad_band,
                       _upper_bands, is_tournament)
 from .flows import _cut_value, _sample_pairs
-from .generators import rotational_tournament
+from .generators import _random_orientation, rotational_tournament
 
 MIN_WIDTH = 42  # smallest k for which the sizing margins of the family close
 
@@ -328,9 +328,7 @@ def _random_free_zone(adj: np.ndarray, rows: np.ndarray,
                       rng: np.random.Generator) -> None:
     """Randomly orient all pairs among ``rows``, keeping the arcs along each row."""
     ids = rows.ravel()
-    m = ids.size
-    ori = rng.integers(0, 2, size=(m, m)).astype(bool)
-    adj[np.ix_(ids, ids)] = np.triu(ori, 1) | np.tril(~ori.T, -1)
+    adj[np.ix_(ids, ids)] = _random_orientation(rng, ids.size)
     adj[rows[:, :-1], rows[:, 1:]] = True
     adj[rows[:, 1:], rows[:, :-1]] = False
 

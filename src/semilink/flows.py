@@ -82,7 +82,8 @@ class _SplitFlow:
     Flow paths run from the out-copy of a source to the in-copy of a sink;
     terminals never use their internal arcs.  Each terminal carries at most
     ``cap`` paths: 1 for a set query, ``d.n`` (no limit) for a pair query.
-    Sources and sinks come sorted, disjoint and outside ``forbidden``.
+    Sources and sinks come sorted, disjoint and outside ``forbidden``, and
+    every id is in range (``_validate_terminals``).
 
     Flow arcs are kept as links: ``pred[x]`` is the tail of the flow arc
     into x and ``succ[x]`` the head of the one out of x, -1 for none.  They
@@ -97,11 +98,8 @@ class _SplitFlow:
                  cap: int, forbidden: Iterable[int] = ()):
         n = d.n
         allowed = np.ones(n, dtype=bool)
-        fb = np.asarray(sorted(set(int(v) for v in forbidden)), dtype=np.int64)
-        if fb.size:
-            if fb[0] < 0 or fb[-1] >= n:
-                raise ValueError("forbidden vertex out of range")
-            allowed[fb] = False
+        fb = np.asarray(list(forbidden), dtype=np.int64)
+        allowed[fb] = False
         self.n = n
         self.cap = cap
         self.allowed = allowed
@@ -554,9 +552,12 @@ def _validate_terminals(d: Digraph, sources, sinks, forbidden) -> tuple[list[int
     for v in src + snk:
         if not 0 <= v < d.n:
             raise ValueError(f"terminal {v} out of range")
-    bad = set(src + snk) & set(int(v) for v in forbidden)
+    blocked = set(int(v) for v in forbidden)
+    bad = set(src + snk) & blocked
     if bad:
         raise ValueError(f"terminals {sorted(bad)} are forbidden")
+    if any(not 0 <= v < d.n for v in blocked):
+        raise ValueError("forbidden vertex out of range")
     return src, snk
 
 

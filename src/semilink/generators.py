@@ -68,17 +68,22 @@ def rotational_tournament(n: int) -> Digraph:
     return Digraph(_circulant(n, (n - 1) // 2))
 
 
+def _random_orientation(rng: np.random.Generator, m: int) -> np.ndarray:
+    """An m x m tournament matrix from one (m, m) draw of bits.
+
+    For i < j the bit at (i, j) keeps the arc i->j and a clear bit keeps
+    j->i; the bits on and below the diagonal are drawn and ignored.
+    """
+    ori = rng.integers(0, 2, size=(m, m)).astype(bool)
+    return np.triu(ori, 1) | np.tril(~ori.T, -1)
+
+
 def random_tournament(n: int, seed: int) -> Digraph:
     """Tournament with every pair oriented uniformly at random."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_order(n)
-    rng = _rng(seed)
-    upper = np.triu(rng.integers(0, 2, size=(n, n)).astype(bool), 1)
-    lower = np.triu(~upper, 1).T
-    adj = upper | lower
-    np.fill_diagonal(adj, False)
-    return Digraph(adj, copy=False)
+    return Digraph(_random_orientation(_rng(seed), n), copy=False)
 
 
 def random_semicomplete(n: int, p_bidirected: float, seed: int) -> Digraph:
@@ -89,12 +94,9 @@ def random_semicomplete(n: int, p_bidirected: float, seed: int) -> Digraph:
         raise ValueError("p_bidirected must lie in [0, 1]")
     _check_order(n)
     rng = _rng(seed)
-    upper = np.triu(rng.integers(0, 2, size=(n, n)).astype(bool), 1)
-    lower = np.triu(~upper, 1).T
-    adj = upper | lower
+    adj = _random_orientation(rng, n)
     both = np.triu(rng.random(size=(n, n)) < p_bidirected, 1)
     adj |= both | both.T
-    np.fill_diagonal(adj, False)
     return Digraph(adj, copy=False)
 
 

@@ -1,8 +1,13 @@
+import ast
+import contextlib
 import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
+from semilink import cli
 from semilink.cli import export_dot, main
 from semilink.digraph import (_MAX_ORDER, Digraph, digraph_from_arc_list,
                               digraph_to_arc_list)
@@ -92,8 +97,9 @@ class TestConnectivity:
     def test_sample_requires_target(self, tmp_path, capsys):
         f = tmp_path / "r9.txt"
         run(capsys, "gen", "--kind", "rotational", "--n", "9", "--out", str(f))
-        code, _ = run(capsys, "connectivity", "--in", str(f), "--sample", "4")
+        code = main(["connectivity", "--in", str(f), "--sample", "4"])
         assert code == 2
+        assert capsys.readouterr().err == "error: --sample requires --target\n"
 
     def test_target_below_one_is_usage_error(self, tmp_path, capsys):
         f = tmp_path / "r9.txt"
@@ -187,7 +193,8 @@ class TestDominators:
                             lambda *a, **kw: built.append(a))
         code = main(["dominators", "--in", str(f), "--check", "0", "--cmax", cmax])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and "--cmax" in captured.err
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --cmax must lie in 1..8\n"
         assert not built
 
     @pytest.mark.parametrize("vertex", ["-1", "5", "-6"])
@@ -377,6 +384,23 @@ class TestUsageErrors:
         assert main(["connectivity", "--in", str(f), "--exact"]) == 2
 
 
+def test_main_is_the_one_report_path():
+    # The subcommands only compute; main alone reads the clock and prints
+    # the report, so every report is timed and shaped the same way.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    owners = []
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        calls = {ast.unparse(node.func) for node in ast.walk(top)
+                 if isinstance(node, ast.Call)}
+        if top.name.startswith("_cmd_"):
+            assert not calls & {"print", "time.monotonic", "monotonic"}, top.name
+        owners += [top.name for node in ast.walk(top)
+                   if isinstance(node, ast.Name) and node.id == "_report"]
+    assert owners == ["main"]
+
+
 class TestReportStability:
     def test_reports_byte_stable_modulo_timings(self, tmp_path, capsys):
         f = tmp_path / "r11.txt"
@@ -419,3 +443,90 @@ class TestCounterexampleCommand:
         code, _ = run(capsys, "counterexample", "--k", "41", "--n", "1764",
                       "--out", str(tmp_path / "x.txt"))
         assert code == 2
+
+
+# Every subcommand that prints a report, with a verdict failure where it
+# has one.  Inputs are relative paths, so the reports do not depend on the
+# directory the corpus runs in.
+GOLDEN_CORPUS = {
+    "gen-rotational": ["gen", "--kind", "rotational", "--n", "15", "--out", "r15.txt"],
+    "gen-near-regular": ["gen", "--kind", "near_regular", "--n", "41", "--seed", "2",
+                         "--out", "nr41.txt"],
+    "connectivity-exact": ["connectivity", "--in", "r15.txt", "--exact"],
+    "connectivity-met": ["connectivity", "--in", "r15.txt", "--exact", "--target", "7"],
+    "connectivity-not-met": ["connectivity", "--in", "r15.txt", "--target", "8"],
+    "connectivity-sample": ["connectivity", "--in", "nr41.txt", "--sample", "12",
+                            "--target", "9", "--seed", "3"],
+    "paths-max": ["paths", "--in", "r15.txt", "--sources", "0,1,2",
+                  "--sinks", "8,9,10", "--count", "3"],
+    "paths-max-infeasible": ["paths", "--in", "neck.txt", "--sources", "0,1",
+                             "--sinks", "3,4", "--count", "2"],
+    "paths-min": ["paths", "--in", "r15.txt", "--sources", "0,1,2",
+                  "--sinks", "8,9,10", "--count", "3", "--minimize"],
+    "paths-min-infeasible": ["paths", "--in", "neck.txt", "--sources", "0,1",
+                             "--sinks", "3,4", "--count", "2", "--minimize"],
+    "dominators-find-out": ["dominators", "--in", "nr41.txt", "--find-out"],
+    "dominators-find-in": ["dominators", "--in", "nr41.txt", "--find-in"],
+    "dominators-check": ["dominators", "--in", "nr41.txt", "--check", "0",
+                         "--cmax", "8"],
+    "link": ["link", "--in", "stress.txt", "--pairs", "0:1", "--cert", "cert.json",
+             "--trace", "trace.json"],
+    "oracle": ["oracle", "--in", "r15.txt", "--pairs", "0:7,3:11"],
+    "counterexample": ["counterexample", "--k", "42", "--n", "1764", "--out", "k42.txt",
+                       "--layout", "k42.json", "--verify"],
+}
+
+# (exit code, first 16 hex digits of the sha256 of the report without timings)
+GOLDEN_DIGESTS = {
+    "gen-rotational": (0, "b5e76ec4b2c55861"),
+    "gen-near-regular": (0, "e161ee6681d9498b"),
+    "connectivity-exact": (0, "350380326d7cc0b0"),
+    "connectivity-met": (0, "079a8a8a19f97fa2"),
+    "connectivity-not-met": (1, "9e713b839238c427"),
+    "connectivity-sample": (0, "071c4e8a45ca6705"),
+    "paths-max": (0, "66e057e88af25bbc"),
+    "paths-max-infeasible": (1, "f2e3937c62792572"),
+    "paths-min": (0, "03c63cf4c5a6e706"),
+    "paths-min-infeasible": (1, "0ad0017c3bd3ac90"),
+    "dominators-find-out": (0, "e8091e2d0a255a63"),
+    "dominators-find-in": (0, "78cf6cdd9697d80c"),
+    "dominators-check": (0, "75a0aba3236e8363"),
+    "link": (0, "a13ab0d25067cc2b"),
+    "oracle": (0, "26a0fa77738a4a6c"),
+    "counterexample": (0, "515efe3bcacad2da"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_reports(tmp_path_factory):
+    """Run the corpus in order through ``main``: ``{name: (exit code, report)}``."""
+    work = tmp_path_factory.mktemp("golden")
+    d, _ = adjustment_stress_instance()
+    (work / "stress.txt").write_text(digraph_to_arc_list(d))
+    (work / "neck.txt").write_text("5 4\n0 2\n1 2\n2 3\n2 4\n")
+    reports = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        for name, argv in GOLDEN_CORPUS.items():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv)
+            report = json.loads(out.getvalue())
+            # the report is the canonical dump, so its digest pins every byte
+            assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+            reports[name] = code, report
+    return reports
+
+
+class TestGoldenReports:
+    def test_reports_pinned_modulo_timings(self, golden_reports):
+        pinned = {}
+        for name, (code, report) in golden_reports.items():
+            rest = {key: value for key, value in report.items() if key != "timings"}
+            text = json.dumps(rest, indent=2, sort_keys=True)
+            pinned[name] = code, hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert pinned == GOLDEN_DIGESTS
+
+    def test_every_report_times_the_whole_command(self, golden_reports):
+        for name, (_, report) in golden_reports.items():
+            seconds = report["timings"].get("seconds")
+            assert isinstance(seconds, float) and seconds >= 0, name

@@ -770,6 +770,19 @@ def test_cut_value_matches_local_cut_and_enumeration(seed, n, semicomplete, dens
         assert direct + got == want
 
 
+@pytest.mark.parametrize("query", [
+    lambda d, src, snk, fb: max_disjoint_paths(d, src, snk, forbidden=fb),
+    lambda d, src, snk, fb: min_weight_disjoint_paths(d, src, snk, 1, forbidden=fb),
+], ids=["max", "min_weight"])
+@pytest.mark.parametrize("sinks", [[0], [3]], ids=["overlapping", "disjoint"])
+@pytest.mark.parametrize("forbidden", [[99], [-1], [5, 7]])
+def test_forbidden_out_of_range_rejected(query, sinks, forbidden):
+    # terminals shared by both sides become one-vertex paths and build no
+    # flow, so the check must not wait for one
+    with pytest.raises(ValueError, match="forbidden vertex out of range"):
+        query(rotational_tournament(7), [0], sinks, forbidden)
+
+
 @pytest.mark.parametrize("query", [local_cut, flows._cut_value])
 def test_cap_below_one_rejected(query):
     d = complete_digraph(4)

@@ -82,6 +82,16 @@ class TestRandomFamilies:
         assert random_semicomplete(15, 0.4, seed=3) == \
             random_semicomplete(15, 0.4, seed=3)
 
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: random_tournament(20, seed=7),
+         "b4c2a7595d9dca2d879f2686d13c4933c1f789109c6fdcb6c5a4cd623eb408ac"),
+        (lambda: random_semicomplete(15, 0.4, seed=3),
+         "547714307f756c1b05c5068bf305da58614afba5b2c928c1758733d59bc01424"),
+    ], ids=["random_tournament", "random_semicomplete"])
+    def test_seeded_orientation_pinned(self, build, digest):
+        adj = build().adjacency
+        assert hashlib.sha256(adj.tobytes()).hexdigest() == digest
+
     def test_different_seed_differs(self):
         assert random_tournament(20, seed=7) != random_tournament(20, seed=8)
 
