@@ -1,10 +1,10 @@
 """The acceptance suite: eight end-to-end checks with fixed seeds.
 
-Each criterion is a standalone callable returning a result with a verdict,
-a human-readable detail line and its runtime; ``run_acceptance_suite``
-executes them in order and collects a machine-readable report.  The
-``full`` profile runs everything at reference scale; ``quick`` shrinks the
-sampled corpora for a fast smoke run.
+Each criterion runs one fixed corpus at reference scale and only computes
+its verdict and a human-readable detail line.  ``CRITERIA`` lists each
+one's name, runtime budget and check; ``run_acceptance_suite`` times the
+selected criteria in order, fails any that ran past its budget, prints one
+verdict line each and returns the machine-readable results.
 """
 
 from __future__ import annotations
@@ -31,15 +31,6 @@ from .linker import (LinkageCertificate, LinkageInstance, LinkerTrace,
                      initial_path_system, link)
 from .oracle import exists_disjoint_linkage, max_disjoint_ST_paths_bruteforce
 
-PROFILES = {
-    "full": dict(c1_max_n=27, c2_count=200, c3_count=500, c4_queries=50,
-                 c5_k2=30, c5_k3=10, c6_pairs=200, c8_mutations=5),
-    "quick": dict(c1_max_n=15, c2_count=40, c3_count=80, c4_queries=10,
-                  c5_k2=3, c5_k3=1, c6_pairs=12, c8_mutations=3),
-}
-
-BUDGETS_SECONDS = {1: 60, 2: 120, 3: 300, 4: 300, 5: 600, 6: 1800, 7: 60, 8: 300}
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -55,35 +46,19 @@ class CriterionResult:
                 f"{self.details} [{self.seconds:.1f}s]")
 
 
-def _result(number: int, name: str, started: float, passed: bool,
-            details: str) -> CriterionResult:
-    elapsed = time.monotonic() - started
-    if elapsed > BUDGETS_SECONDS[number]:
-        passed = False
-        details += f"; exceeded {BUDGETS_SECONDS[number]}s budget"
-    return CriterionResult(number, name, passed, details, elapsed)
-
-
-def criterion_1(profile: dict) -> CriterionResult:
+def criterion_1() -> tuple[bool, str]:
     """Exact connectivity of the circulant family meets the n/3 floor."""
-    t0 = time.monotonic()
-    measured = {}
-    ok = True
-    for n in range(7, profile["c1_max_n"] + 1, 2):
-        kappa = vertex_connectivity(rotational_tournament(n))
-        measured[n] = kappa
-        if kappa < n // 3:
-            ok = False
-    details = "kappa=" + ",".join(f"{n}:{v}" for n, v in measured.items())
-    return _result(1, "circulant-connectivity", t0, ok, details)
+    measured = {n: vertex_connectivity(rotational_tournament(n))
+                for n in range(7, 28, 2)}
+    ok = all(kappa >= n // 3 for n, kappa in measured.items())
+    return ok, "kappa=" + ",".join(f"{n}:{v}" for n, v in measured.items())
 
 
-def criterion_2(profile: dict) -> CriterionResult:
+def criterion_2() -> tuple[bool, str]:
     """Flow-based disjoint path counts equal exhaustive search."""
-    t0 = time.monotonic()
     rng = np.random.Generator(np.random.PCG64(2024))
     mism = 0
-    for _ in range(profile["c2_count"]):
+    for _ in range(200):
         n = int(rng.integers(4, 11))
         density = rng.uniform(0.15, 0.75)
         adj = rng.random((n, n)) < density
@@ -96,17 +71,13 @@ def criterion_2(profile: dict) -> CriterionResult:
         system, _ = max_disjoint_paths(d, sources, sinks)
         if len(system) != max_disjoint_ST_paths_bruteforce(d, sources, sinks):
             mism += 1
-    ok = mism == 0
-    return _result(2, "flow-oracle-equivalence", t0, ok,
-                   f"{profile['c2_count']} instances, {mism} mismatches")
+    return mism == 0, f"200 instances, {mism} mismatches"
 
 
-def criterion_3(profile: dict) -> CriterionResult:
+def criterion_3() -> tuple[bool, str]:
     """The max-degree pick is nearly dominating with the strict bad bound."""
-    t0 = time.monotonic()
     failures = 0
-    count = profile["c3_count"]
-    for i in range(count):
+    for i in range(500):
         n = 5 + (i * 7) % 56  # 5..60
         p = (i % 10) / 10.0
         d = random_semicomplete(n, p, seed=3000 + i)
@@ -114,35 +85,28 @@ def criterion_3(profile: dict) -> CriterionResult:
         prof = nearly_out_dominating_profile(d, u, c_max=n)
         if not (prof.is_nearly_dominating() and prof.satisfies_strict_bound()):
             failures += 1
-    ok = failures == 0
-    return _result(3, "dominating-vertex-finder", t0, ok,
-                   f"{count} digraphs, {failures} failures")
+    return failures == 0, f"500 digraphs, {failures} failures"
 
 
-def criterion_4(profile: dict) -> CriterionResult:
+def criterion_4() -> tuple[bool, str]:
     """The 15-vertex circulant is 5-connected and answers 2-linkage yes."""
-    t0 = time.monotonic()
     d = rotational_tournament(15)
     if not is_k_connected(d, 5):
-        return _result(4, "two-linkage-spot-check", t0, False,
-                       "circulant on 15 vertices is not 5-connected")
+        return False, "circulant on 15 vertices is not 5-connected"
     rng = np.random.Generator(np.random.PCG64(44))
     bad = 0
-    for _ in range(profile["c4_queries"]):
+    for _ in range(50):
         picks = rng.choice(15, size=4, replace=False)
         pairs = [(int(picks[0]), int(picks[1])), (int(picks[2]), int(picks[3]))]
         answer = exists_disjoint_linkage(d, pairs)
         if answer.verdict != "yes":
             bad += 1
-    ok = bad == 0
-    return _result(4, "two-linkage-spot-check", t0, ok,
-                   f"{profile['c4_queries']} queries, {bad} non-yes")
+    return bad == 0, f"50 queries, {bad} non-yes"
 
 
-def criterion_5(profile: dict) -> CriterionResult:
+def criterion_5() -> tuple[bool, str]:
     """End-to-end linkage on random near-regular tournaments."""
-    t0 = time.monotonic()
-    batches = [(profile["c5_k2"], 251, 2, 5), (profile["c5_k3"], 400, 3, 7)]
+    batches = [(30, 251, 2, 5), (10, 400, 3, 7)]
     good = 0
     total = 0
     notes = []
@@ -167,16 +131,14 @@ def criterion_5(profile: dict) -> CriterionResult:
                 notes.append(f"n={n} instance {i}: invalid certificate: {exc}")
                 continue
             good += 1
-    ok = good == total
     detail = f"{good}/{total} valid certificates"
     if notes:
         detail += "; " + "; ".join(notes[:3])
-    return _result(5, "linkage-end-to-end", t0, ok, detail)
+    return good == total, detail
 
 
-def criterion_6(profile: dict) -> CriterionResult:
+def criterion_6() -> tuple[bool, str]:
     """Reference-scale construction: rules, degree, paths, sampled cuts."""
-    t0 = time.monotonic()
     k, n = 42, 1764
     d, layout = build_counterexample(k, n)
     problems = []
@@ -194,21 +156,18 @@ def criterion_6(profile: dict) -> CriterionResult:
     paths = verify_property_two(d, layout)
     if len(paths) != k + 1:
         problems.append(f"expected {k + 1} escape paths, got {len(paths)}")
-    sample = sampled_connectivity_check(d, target=2 * k + 1,
-                                        pairs=profile["c6_pairs"], seed=6)
+    sample = sampled_connectivity_check(d, target=2 * k + 1, pairs=200, seed=6)
     if not sample.all_ok:
         problems.append(f"sampled cut below {2 * k + 1}: {sample.failures()[:3]}")
-    ok = not problems
     detail = (f"degree {degree}>={bound}, rules {core_checked}/13, "
               f"{len(paths)} escape paths, min sampled cut {sample.min_observed}")
     if problems:
         detail += "; " + "; ".join(problems)
-    return _result(6, "construction-certification", t0, ok, detail)
+    return not problems, detail
 
 
-def criterion_7(_profile: dict) -> CriterionResult:
+def criterion_7() -> tuple[bool, str]:
     """Audit of the path-adjustment program on the stress instance."""
-    t0 = time.monotonic()
     d, pairs = adjustment_stress_instance()
     k = len(pairs)
     starts = [x for x, _ in pairs]
@@ -243,18 +202,16 @@ def criterion_7(_profile: dict) -> CriterionResult:
             problems.append(f"matching arc ({x}, {s}) missing")
     if adjusted.special is None or adjusted.special.last not in set(split.reach_union):
         problems.append("special terminal missing or outside the reach union")
-    ok = not problems
     detail = (f"{adjusted.rounds} round(s), cases "
               f"{[ev['case'] for ev in rounds]}, growth "
               f"{[ev['retired_growth'] for ev in rounds]} (limit {7 * k + 6})")
     if problems:
         detail += "; " + "; ".join(problems)
-    return _result(7, "adjustment-program-audit", t0, ok, detail)
+    return not problems, detail
 
 
-def criterion_8(profile: dict) -> CriterionResult:
+def criterion_8() -> tuple[bool, str]:
     """Single-arc faults are caught and attributed with a correct witness."""
-    t0 = time.monotonic()
     k, n = 42, 1764
     d, lay = build_counterexample(k, n)
     mutations = [
@@ -263,7 +220,7 @@ def criterion_8(profile: dict) -> CriterionResult:
         ("tail_relay_split", int(lay.tails()[0]), int(lay.relays[0])),
         ("start_target", int(lay.starts[0]), int(lay.targets[1])),
         ("outlet", int(lay.core[5]), lay.outlet),
-    ][:profile["c8_mutations"]]
+    ]
     problems = []
     for rule, u, v in mutations:
         mutant = d.with_flipped_arc(u, v)
@@ -275,33 +232,46 @@ def criterion_8(profile: dict) -> CriterionResult:
         w = check.witness
         if w is None or {w.u, w.v} != {u, v}:
             problems.append(f"{rule}: witness {w} does not name the fault ({u},{v})")
-    ok = not problems
     detail = f"{len(mutations)} mutations, each caught by its owning rule"
     if problems:
         detail = "; ".join(problems)
-    return _result(8, "fault-injection", t0, ok, detail)
+    return not problems, detail
 
 
-CRITERIA: tuple[Callable[[dict], CriterionResult], ...] = (
-    criterion_1, criterion_2, criterion_3, criterion_4,
-    criterion_5, criterion_6, criterion_7, criterion_8,
+# (name, runtime budget in seconds, check); criterion i is CRITERIA[i - 1]
+CRITERIA: tuple[tuple[str, int, Callable[[], tuple[bool, str]]], ...] = (
+    ("circulant-connectivity", 60, criterion_1),
+    ("flow-oracle-equivalence", 120, criterion_2),
+    ("dominating-vertex-finder", 300, criterion_3),
+    ("two-linkage-spot-check", 300, criterion_4),
+    ("linkage-end-to-end", 600, criterion_5),
+    ("construction-certification", 1800, criterion_6),
+    ("adjustment-program-audit", 60, criterion_7),
+    ("fault-injection", 300, criterion_8),
 )
 
 
-def run_acceptance_suite(profile: str = "full",
-                         numbers: Iterable[int] | None = None) -> list[CriterionResult]:
-    """Run the selected criteria, printing one verdict line per criterion."""
-    settings = PROFILES[profile]
+def run_acceptance_suite(numbers: Iterable[int] | None = None) -> list[CriterionResult]:
+    """Run the selected criteria, printing one verdict line per criterion.
+
+    A criterion that runs past its budget fails, whatever its check said.
+    """
     known = set(range(1, len(CRITERIA) + 1))
     wanted = set(numbers) if numbers is not None else known
     if wanted - known:
         raise ValueError(f"unknown criterion numbers {sorted(wanted - known)}; "
                          f"expected 1..{len(CRITERIA)}")
     results = []
-    for idx, fn in enumerate(CRITERIA, start=1):
-        if idx not in wanted:
+    for number, (name, budget, check) in enumerate(CRITERIA, start=1):
+        if number not in wanted:
             continue
-        res = fn(settings)
+        t0 = time.monotonic()
+        passed, details = check()
+        seconds = time.monotonic() - t0
+        if seconds > budget:
+            passed = False
+            details += f"; exceeded {budget}s budget"
+        res = CriterionResult(number, name, passed, details, seconds)
         results.append(res)
         print(res.line(), flush=True)
     return results

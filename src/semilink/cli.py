@@ -24,7 +24,7 @@ from dataclasses import asdict
 from pathlib import Path as FsPath
 
 from . import __version__
-from .acceptance import PROFILES, run_acceptance_suite
+from .acceptance import run_acceptance_suite
 from .counterexample import (CounterexampleLayout, build_counterexample,
                              sampled_connectivity_check,
                              verify_construction_rules)
@@ -67,16 +67,26 @@ def _write(path: str | None, text: str) -> None:
         FsPath(path).write_text(text)
 
 
-def _parse_vertices(spec: str) -> list[int]:
-    return [int(tok) for tok in spec.replace(",", " ").split()]
+def _parse_list(option: str, spec: str, what: str, parse=int,
+                form: str = "an integer") -> list:
+    """Comma- or space-separated items; a bad one names the option and itself."""
+    items = []
+    for tok in spec.replace(",", " ").split():
+        try:
+            items.append(parse(tok))
+        except ValueError:
+            raise ValueError(f"{option}: malformed {what} {tok!r} "
+                             f"(expected {form})") from None
+    return items
+
+
+def _pair(tok: str) -> tuple[int, int]:
+    a, b = tok.split(":")
+    return int(a), int(b)
 
 
 def _parse_pairs(spec: str) -> list[tuple[int, int]]:
-    pairs = []
-    for tok in spec.replace(",", " ").split():
-        a, b = tok.split(":")
-        pairs.append((int(a), int(b)))
-    return pairs
+    return _parse_list("--pairs", spec, "pair", _pair, "u:v")
 
 
 def export_dot(d: Digraph, layout: CounterexampleLayout | None = None) -> str:
@@ -159,8 +169,8 @@ def _cmd_connectivity(args) -> tuple[dict, dict, dict, int]:
 
 def _cmd_paths(args) -> tuple[dict, dict, dict, int]:
     d = _read_digraph(args.input)
-    sources = _parse_vertices(args.sources)
-    sinks = _parse_vertices(args.sinks)
+    sources = _parse_list("--sources", args.sources, "vertex")
+    sinks = _parse_list("--sinks", args.sinks, "vertex")
     if args.minimize:
         try:
             system = min_weight_disjoint_paths(d, sources, sinks, args.count)
@@ -250,10 +260,9 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    numbers = None
-    if args.criteria:
-        numbers = [int(tok) for tok in args.criteria.split(",")]
-    results = run_acceptance_suite(profile=args.profile, numbers=numbers)
+    numbers = (_parse_list("--criteria", args.criteria, "criterion number")
+               if args.criteria else None)
+    results = run_acceptance_suite(numbers)
     if args.out:
         FsPath(args.out).write_text(json.dumps(
             [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results],
@@ -340,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("accept", help="run the acceptance suite")
-    p.add_argument("--profile", choices=sorted(PROFILES), default="full")
     p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,7")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=_cmd_accept)

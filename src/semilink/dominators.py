@@ -104,11 +104,6 @@ class DominationProfile:
     pool_size: int  # candidates other than the vertex itself
     bad_counts: tuple[int, ...]  # bad_counts[c-1] = #vertices not c-good
 
-    @property
-    def vacuous_from(self) -> int:
-        """The smallest c with 2c > pool_size, from which the condition holds trivially."""
-        return self.pool_size // 2 + 1
-
     def is_nearly_dominating(self) -> bool:
         return _nearly_dominates(self.bad_counts)
 

@@ -333,10 +333,9 @@ class TestExport:
 
 
 class TestAcceptSubcommand:
-    def test_single_quick_criterion(self, tmp_path, capsys):
+    def test_single_criterion(self, tmp_path, capsys):
         report = tmp_path / "report.json"
-        code, out = run(capsys, "accept", "--profile", "quick",
-                        "--criteria", "7", "--out", str(report))
+        code, out = run(capsys, "accept", "--criteria", "7", "--out", str(report))
         assert code == 0
         assert "criterion 7" in out
         data = json.loads(report.read_text())
@@ -344,17 +343,20 @@ class TestAcceptSubcommand:
 
     @pytest.mark.parametrize("criteria", ["9", "0,9"])
     def test_unknown_criterion_is_usage_error(self, capsys, criteria):
-        code = main(["accept", "--profile", "quick", "--criteria", criteria])
+        code = main(["accept", "--criteria", criteria])
         captured = capsys.readouterr()
         assert code == 2
         assert "unknown criterion numbers" in captured.err
         assert "criterion" not in captured.out  # nothing ran
 
-    def test_quick_criteria_under_optimize(self):
-        proc = run_optimized("-m", "semilink.cli", "accept", "--profile", "quick",
-                             "--criteria", "3,5,7,8")
+    def test_all_criteria_under_optimize(self):
+        proc = run_optimized("-m", "semilink.cli", "accept")
         assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
-        assert proc.stdout.count("[PASS]") == 4
+        assert proc.stdout.count("[PASS]") == 8
+
+    def test_profile_option_is_gone(self, capsys):
+        assert main(["accept", "--profile", "quick"]) == 2
+        assert "unrecognized arguments: --profile quick" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -377,6 +379,29 @@ class TestUsageErrors:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["link", "--pairs", "0-2"], "--pairs: malformed pair '0-2' (expected u:v)"),
+        (["link", "--pairs", "0:1,1:2:0"],
+         "--pairs: malformed pair '1:2:0' (expected u:v)"),
+        (["oracle", "--pairs", "0:x"], "--pairs: malformed pair '0:x' (expected u:v)"),
+        (["paths", "--sources", "x", "--sinks", "1", "--count", "1"],
+         "--sources: malformed vertex 'x' (expected an integer)"),
+        (["paths", "--sources", "0", "--sinks", "1,2.5", "--count", "1"],
+         "--sinks: malformed vertex '2.5' (expected an integer)"),
+        (["accept", "--criteria", "a"],
+         "--criteria: malformed criterion number 'a' (expected an integer)"),
+    ])
+    def test_malformed_list_names_option_and_token(self, tmp_path, capsys, argv,
+                                                  message):
+        f = tmp_path / "c3.txt"
+        f.write_text("3 3\n0 1\n1 2\n2 0\n")
+        if argv[0] != "accept":
+            argv = argv[:1] + ["--in", str(f)] + argv[1:]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_huge_order_header_is_usage_error(self, tmp_path, capsys, no_large_allocation):
         f = tmp_path / "huge.txt"

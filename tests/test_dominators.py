@@ -157,16 +157,17 @@ class TestNearlyDominating:
         # arc from 1, so it is not c-good for c = 5, 6 and 7
         d = random_semicomplete(7, 0.2, seed=0)
         prof = nearly_out_dominating_profile(d, 1)
-        assert prof.vacuous_from == 4
+        assert prof.pool_size // 2 + 1 == 4
         assert prof.bad_counts == (0, 0, 0, 0, 1, 1, 1)
         assert prof.is_nearly_dominating() and prof.satisfies_strict_bound()
 
     def test_vacuous_region_shortcut(self):
         d = random_tournament(21, seed=9)
         prof = nearly_out_dominating_profile(d, 0, c_max=21)
-        assert prof.vacuous_from <= 11
+        vacuous_from = prof.pool_size // 2 + 1  # the smallest c with 2c > pool size
+        assert vacuous_from <= 11
         # beyond the vacuity threshold the condition always holds
-        for c in range(prof.vacuous_from, 22):
+        for c in range(vacuous_from, 22):
             assert prof.bad_counts[c - 1] <= 2 * c
 
 
