@@ -12,6 +12,12 @@ The two-path count, the profiles and the finders accept an optional
 on that pool while keeping original vertex ids.  ``goodness_scores`` takes
 the pool as a ready boolean mask instead; the set check always works in the
 whole digraph.
+
+"Out" scores gather the rows of the centre's out-neighbours.  "In" scores
+would gather columns, each a strided read, so they AND the adjacency's
+bit-packed rows (``np.packbits(a, axis=1)``, packed once by each caller
+that scores many centres) with the packed pool in-neighbours of the centre
+and count the bits.
 """
 
 from __future__ import annotations
@@ -59,19 +65,38 @@ def _scores(lines: np.ndarray, u: int, pool: np.ndarray, n: int) -> np.ndarray:
     return np.where(row, n, lines[row & pool].sum(axis=0, dtype=np.int32))
 
 
+def _in_scores(a: np.ndarray, rows: np.ndarray, u: int, pool: np.ndarray) -> np.ndarray:
+    """``_scores(a.T, u, pool, n)`` read from ``rows = np.packbits(a, axis=1)``.
+
+    score[v] = n for an arc v->u, else #{m in pool: v->m->u}: the set bits
+    of row v AND the packed pool in-neighbours of u (the pad bits are zero
+    in both).
+    """
+    col = a[:, u]
+    middles = np.bitwise_count(rows & np.packbits(col & pool)).sum(axis=1, dtype=np.int32)
+    return np.where(col, a.shape[0], middles)
+
+
 def goodness_scores(d: Digraph, u: int, direction: str,
                      mask: np.ndarray) -> np.ndarray:
     """Per-vertex goodness threshold: v is c-good iff score[v] >= c.
 
     Direct arcs count as infinitely good (score n); the score of u itself
     and of vertices outside the pool is -1 so they never count as bad.
-    ``u`` must be a vertex and ``direction`` "out" or "in" (ValueError).
+    ``u`` must be a vertex, ``direction`` "out" or "in" and ``mask`` a
+    boolean array of length n (ValueError).
     """
     d._check_vertex(u)
     if direction not in ("out", "in"):
         raise ValueError(f"direction must be 'out' or 'in', not {direction!r}")
-    lines = d.adjacency if direction == "out" else d.adjacency.T
-    scores = np.where(mask, _scores(lines, u, mask, d.n), -1)
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (d.n,)):
+        raise ValueError("mask must be a boolean array of length n")
+    a = d.adjacency
+    if direction == "out":
+        raw = _scores(a, u, mask, d.n)
+    else:
+        raw = _in_scores(a, np.packbits(a, axis=1), u, mask)
+    scores = np.where(mask, raw, -1)
     scores[u] = -1
     return scores
 
@@ -220,6 +245,8 @@ def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int]) -> bool:
     outside[ids] = False
     if not outside.any():
         return True
+    a = d.adjacency
+    rows = np.packbits(a, axis=1)
     full = np.ones(d.n, dtype=bool)
-    scores = (goodness_scores(d, u, "in", full)[outside] for u in ids)
+    scores = (_in_scores(a, rows, u, full)[outside] for u in ids)
     return all(_nearly_dominates(_bad_counts(s, d.n)) for s in scores)

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .digraph import Digraph, Path, PathSystem, reduce_to_minimal_path
-from .dominators import goodness_scores
+from .dominators import _in_scores, goodness_scores
 
 _INF = np.inf
 
@@ -729,12 +729,14 @@ def _smaller_cuts(d: Digraph, best: int) -> Iterator[int]:
     min(connectivity, best).  Requires best <= d.n - 1.
     """
     full = np.ones(d.n, dtype=bool)
+    a = d.adjacency
+    rows = np.packbits(a, axis=1)
     i = 0
     while i < best:
         out = goodness_scores(d, i, "out", full)
-        inn = goodness_scores(d, i, "in", full)
-        # An arc scores n > best and i itself -1; best only shrinks, so the
-        # star's open pairs are among those open at its start.
+        inn = _in_scores(a, rows, i, full)
+        # An arc scores n > best; best only shrinks, so the star's open
+        # pairs are among those open at its start.
         for w in np.flatnonzero((out < best) | (inn < best)):
             if w == i:
                 continue

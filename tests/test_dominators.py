@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semilink.flows as flows
 from semilink.digraph import Digraph
-from semilink.dominators import (_picks, count_two_paths, find_nearly_in_dominating,
+from semilink.dominators import (_in_scores, _picks, count_two_paths,
+                                 find_nearly_in_dominating,
                                  find_nearly_out_dominating, goodness_scores,
                                  is_nearly_in_dominating_set,
                                  nearly_in_dominating_profile,
@@ -239,6 +241,99 @@ def test_goodness_scores_reject_bad_centre_and_direction(u, direction, match):
     d = transitive_tournament(5)
     with pytest.raises(ValueError, match=match):
         goodness_scores(d, u, direction, np.ones(d.n, dtype=bool))
+
+
+def plain_in_scores(d, u, pool):
+    """The "in" scores as rows of the transposed view: strided column gathers."""
+    lines = d.adjacency.T
+    row = lines[u]
+    return np.where(row, d.n, lines[row & pool].sum(axis=0))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 40),
+       st.sampled_from(["tournament", "semicomplete", "general"]))
+@settings(max_examples=150, deadline=None)
+def test_packed_in_scores_match_strided_rows(seed, n, kind):
+    # n < 8 and n % 8 != 0 leave pad bits in every packed row
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = {"tournament": lambda: random_tournament(n, seed),
+         "semicomplete": lambda: random_semicomplete(n, 0.3, seed),
+         "general": lambda: random_digraph(n, 0.5, seed)}[kind]()
+    a = d.adjacency
+    rows = np.packbits(a, axis=1)
+    pool = rng.random(n) < rng.random()
+    for u in range(n):
+        plain = plain_in_scores(d, u, pool)
+        assert (_in_scores(a, rows, u, pool) == plain).all(), u
+        expect = np.where(pool, plain, -1)
+        expect[u] = -1
+        assert (goodness_scores(d, u, "in", pool) == expect).all(), u
+        if pool[u]:
+            candidates = expect[expect >= 0]
+            bad = [int((candidates < min(c, n)).sum()) for c in range(1, n + 1)]
+            prof = nearly_in_dominating_profile(d, u, within=np.flatnonzero(pool))
+            assert list(prof.bad_counts) == bad, u
+    members = np.flatnonzero(pool)
+    if members.size:
+        full = np.ones(n, dtype=bool)
+        nearly = [plain_in_scores(d, u, full)[~pool] for u in members]
+        assert is_nearly_in_dominating_set(d, members) == \
+            all((s < min(c, n)).sum() <= 2 * c for s in nearly for c in range(1, n + 1))
+    # the rows the connectivity deciders read, one packing per decision
+    read = []
+
+    def recording(a, rows, u, pool):
+        read.append((u, pool.copy(), _in_scores(a, rows, u, pool)))
+        return read[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_in_scores", recording)
+        if n >= 2:
+            flows.vertex_connectivity(d)
+            flows.is_k_connected(d, min(3, n - 1))
+    for u, pool, scores in read:
+        assert pool.all() and (scores == plain_in_scores(d, u, pool)).all(), u
+
+
+def test_packed_in_scores_at_scale():
+    # one row of a 7081-vertex tournament: 886 packed bytes per row
+    d = rotational_tournament(7081)
+    full = np.ones(d.n, dtype=bool)
+    expect = plain_in_scores(d, 5, full)
+    expect[5] = -1
+    assert (goodness_scores(d, 5, "in", full) == expect).all()
+
+
+def test_in_scores_allocate_no_transposed_copy():
+    # The packed rows, their AND with the packed column and its bit counts
+    # hold 3 n^2 / 8 bytes at the peak; a transposed copy would hold n^2
+    # and a float32 census 4 n^2.
+    n = 1000
+    d = random_tournament(n, seed=5)
+    full = np.ones(n, dtype=bool)
+    goodness_scores(d, 7, "in", full)
+    tracemalloc.start()
+    try:
+        scores = goodness_scores(d, 7, "in", full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expect = plain_in_scores(d, 7, full)
+    expect[7] = -1
+    assert (scores == expect).all()
+    assert peak <= 0.5 * n * n, peak / n ** 2
+
+
+def test_goodness_scores_reject_malformed_masks():
+    d = rotational_tournament(9)
+    full = np.ones(d.n, dtype=bool)
+    assert goodness_scores(d, 0, "in", full).tolist() == [-1, 1, 2, 3, 4, 9, 9, 9, 9]
+    # an int mask of 2s scored every non-arc vertex 0; a short mask died
+    # inside numpy's broadcasting
+    for mask in (np.full(d.n, 2), np.ones(5, dtype=bool), full.tolist()):
+        for direction in ("in", "out"):
+            with pytest.raises(ValueError, match="boolean array of length n"):
+                goodness_scores(d, 0, direction, mask)
 
 
 class TestFinders:
