@@ -24,10 +24,9 @@ from .dominators import (count_two_paths, find_nearly_in_dominating,
 from .flows import (CutCertificate, FlowInfeasible, LocalCut, is_k_connected,
                     local_cut, max_disjoint_paths, min_weight_disjoint_paths,
                     vertex_connectivity)
-from .generators import (GenSpec, bipartite_tournament,
-                         near_regular_tournament, random_semicomplete,
-                         random_tournament, rotational_tournament,
-                         transitive_tournament)
+from .generators import (bipartite_tournament, near_regular_tournament,
+                         random_semicomplete, random_tournament,
+                         rotational_tournament, transitive_tournament)
 from .linker import (FailureReport, LinkageCertificate, LinkageInstance,
                      LinkerTrace, link)
 from .oracle import (OracleAnswer, OracleBudget, exists_disjoint_linkage,

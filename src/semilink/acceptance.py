@@ -173,8 +173,8 @@ def criterion_7() -> tuple[bool, str]:
     starts = [x for x, _ in pairs]
     targets = [y for _, y in pairs]
     trace = LinkerTrace()
-    pool = build_dominating_set(d, starts, targets, k, trace)
-    split = classify_terminals(d, starts, targets, pool, k, trace)
+    pool = build_dominating_set(d, starts, targets, trace)
+    split = classify_terminals(d, starts, targets, pool, trace)
     deliveries, special = initial_path_system(d, starts, targets, pool, split,
                                               trace)
     adjusted = adjust_paths(d, starts, targets, pool, split, deliveries,
@@ -230,7 +230,7 @@ def criterion_8() -> tuple[bool, str]:
             problems.append(f"{rule}: fault not detected")
             continue
         w = check.witness
-        if w is None or {w.u, w.v} != {u, v}:
+        if {w.u, w.v} != {u, v}:
             problems.append(f"{rule}: witness {w} does not name the fault ({u},{v})")
     detail = f"{len(mutations)} mutations, each caught by its owning rule"
     if problems:

@@ -34,7 +34,7 @@ from .dominators import (find_nearly_in_dominating, find_nearly_out_dominating,
                          nearly_out_dominating_profile)
 from .flows import FlowInfeasible, is_k_connected, max_disjoint_paths, \
     min_weight_disjoint_paths, vertex_connectivity
-from .generators import _KINDS, GenSpec
+from .generators import _KINDS
 from .linker import (FailureReport, LinkageCertificate, LinkageInstance,
                      LinkerCheckError, LinkerTrace, link)
 from .oracle import OracleBudget, exists_disjoint_linkage
@@ -112,15 +112,12 @@ def export_dot(d: Digraph, layout: CounterexampleLayout | None = None) -> str:
 
 
 def _cmd_gen(args) -> tuple[dict, dict, dict, int] | int:
-    d = GenSpec(kind=args.kind, n=args.n, u_size=args.u_size,
-                w_size=args.w_size, p_bidirected=args.p_bidirected,
-                seed=args.seed).build()
+    d = _KINDS[args.kind](args)
     _write(args.out, digraph_to_arc_list(d))
     if not args.out:
         return EXIT_OK
-    return ({"kind": args.kind, "n": args.n, "u_size": args.u_size,
-             "w_size": args.w_size, "p_bidirected": args.p_bidirected,
-             "seed": args.seed},
+    return ({key: getattr(args, key)
+             for key in ("kind", "n", "u_size", "w_size", "p_bidirected", "seed")},
             {"n": d.n, "arcs": d.arc_count}, {"out": args.out}, EXIT_OK)
 
 
@@ -301,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connectivity", help="exact or sampled connectivity")
     p.add_argument("--in", dest="input", required=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--exact", action="store_true",
+                      help="exact connectivity (the default without --sample)")
     mode.add_argument("--sample", type=int, default=None,
                       help="number of sampled ordered pairs")
     p.add_argument("--target", type=int, default=None)

@@ -7,6 +7,7 @@ is pure and safe for concurrent shared reads.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from typing import Iterable, Iterator, Sequence
 
@@ -58,18 +59,19 @@ class Digraph:
         return self._adj
 
     def has_arc(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self._adj[u, v])
+        return bool(self._adj[self._check_vertex(u), self._check_vertex(v)])
 
     @property
     def arc_count(self) -> int:
         return int(self._adj.sum())
 
-    def _check_vertex(self, v: int) -> None:
+    def _check_vertex(self, v: int) -> int:
+        """``v`` as an int vertex of this digraph, or ValueError."""
+        i = _vertex_id(v)
         # len() is the cheapest read of n, and has_arc checks two vertices per call
-        if not 0 <= v < len(self._adj):
+        if not 0 <= i < len(self._adj):
             raise ValueError(f"vertex {v} out of range (n={self.n})")
+        return i
 
     def out_degrees(self) -> np.ndarray:
         return self._adj.sum(axis=1)
@@ -95,9 +97,7 @@ class Digraph:
 
     def induced(self, vertices: Iterable[int]) -> "Digraph":
         """Subgraph induced on ``vertices``; new ids follow the sorted order."""
-        ids = np.unique(np.asarray(list(vertices), dtype=np.int64))
-        if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
-            raise ValueError("vertex id out of range")
+        ids = np.unique(np.asarray([self._check_vertex(v) for v in vertices], dtype=np.int64))
         return Digraph(self._adj[ids][:, ids], copy=False)
 
     def with_flipped_arc(self, u: int, v: int) -> "Digraph":
@@ -172,15 +172,14 @@ class Path:
     __slots__ = ("vertices",)
 
     def __init__(self, d: Digraph, vertices: Sequence[int]):
-        verts = tuple(int(v) for v in vertices)
+        verts = tuple(map(d._check_vertex, vertices))
         if not verts:
             raise ValueError("a path needs at least one vertex")
         if len(set(verts)) != len(verts):
             raise ValueError("path vertices must be distinct")
-        for v in verts:
-            d._check_vertex(v)
+        adj = d.adjacency
         for a, b in zip(verts, verts[1:]):
-            if not d.has_arc(a, b):
+            if not adj[a, b]:
                 raise ValueError(f"missing arc ({a}, {b})")
         self.vertices = verts
 
@@ -208,12 +207,6 @@ class Path:
         if i > j:
             raise ValueError(f"{start} does not precede {end} on this path")
         return Path(d, self.vertices[i:j + 1])
-
-    def join(self, d: Digraph, other: "Path") -> "Path":
-        """Concatenate with a path that starts at this path's last vertex."""
-        if other.first != self.last:
-            raise ValueError("paths do not share a junction vertex")
-        return Path(d, self.vertices + other.vertices[1:])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Path):
@@ -280,6 +273,18 @@ def reduce_to_minimal_path(d: Digraph, p: Path) -> Path:
                 break
         i += 1
     return Path(d, verts)
+
+
+def _vertex_id(v, what: str = "vertex", n: int | None = None) -> int:
+    """``v`` as an int, or ValueError naming ``what``: 0.5 is never truncated,
+    and with ``n`` given an id outside 0..n-1 is out of range."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer") from None
+    if n is not None and not 0 <= i < n:
+        raise ValueError(f"{what} {i} out of range")
+    return i
 
 
 def _check_order(n: int) -> None:

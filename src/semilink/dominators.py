@@ -27,15 +27,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _vertex_id
 
 
 def _pool_mask(d: Digraph, within: Iterable[int] | None) -> np.ndarray:
     if within is None:
         return np.ones(d.n, dtype=bool)
     mask = np.zeros(d.n, dtype=bool)
-    ids = np.asarray(within if isinstance(within, np.ndarray) else list(within),
-                     dtype=np.int64)
+    if not (isinstance(within, np.ndarray) and within.dtype.kind in "iu"):
+        within = [_vertex_id(v, "pool vertex") for v in within]
+    ids = np.asarray(within, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= d.n):
         raise ValueError("pool vertex out of range")
     mask[ids] = True
@@ -238,7 +239,7 @@ def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int]) -> bool:
     For each member u and every c, at most 2c of the non-member vertices may
     fail to be c-in-good for u (goodness measured in the whole digraph).
     """
-    ids = sorted(set(int(x) for x in members))
+    ids = sorted({d._check_vertex(x) for x in members})
     if not ids:
         raise ValueError("the set must be non-empty")
     outside = np.ones(d.n, dtype=bool)

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .digraph import Digraph, Path, PathSystem, reduce_to_minimal_path
+from .digraph import Digraph, Path, PathSystem, _vertex_id, reduce_to_minimal_path
 from .dominators import _in_scores, goodness_scores
 
 _INF = np.inf
@@ -545,14 +545,11 @@ def _trace(par_in: np.ndarray, par_out: np.ndarray, hit: int) -> list[tuple[str,
 
 
 def _validate_terminals(d: Digraph, sources, sinks, forbidden) -> tuple[list[int], list[int]]:
-    src = sorted(set(int(v) for v in sources))
-    snk = sorted(set(int(v) for v in sinks))
+    src = sorted({_vertex_id(v, "terminal", d.n) for v in sources})
+    snk = sorted({_vertex_id(v, "terminal", d.n) for v in sinks})
     if not src or not snk:
         raise ValueError("sources and sinks must be non-empty")
-    for v in src + snk:
-        if not 0 <= v < d.n:
-            raise ValueError(f"terminal {v} out of range")
-    blocked = set(int(v) for v in forbidden)
+    blocked = {_vertex_id(v, "forbidden vertex") for v in forbidden}
     bad = set(src + snk) & blocked
     if bad:
         raise ValueError(f"terminals {sorted(bad)} are forbidden")

@@ -8,7 +8,6 @@ parameters always produce the same digraph.  Orders above
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -175,7 +174,9 @@ def near_regular_tournament(n: int, seed: int) -> Digraph:
     return Digraph(adj, copy=False)
 
 
-# Every generator kind, in the order the CLI lists them, with its builder.
+# Every generator kind, in the order the CLI lists them, with its builder.  A
+# builder reads what it needs of the ``gen`` arguments (n, u_size, w_size,
+# p_bidirected, seed) as attributes.
 _KINDS = {
     "transitive": lambda s: transitive_tournament(s.n),
     "rotational": lambda s: rotational_tournament(s.n),
@@ -184,20 +185,3 @@ _KINDS = {
     "bipartite_tournament": lambda s: bipartite_tournament(s.u_size, s.w_size, s.seed),
     "near_regular": lambda s: near_regular_tournament(s.n, s.seed),
 }
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """A generator request: which family, what size, which seed."""
-
-    kind: str
-    n: int = 0
-    u_size: int = 0
-    w_size: int = 0
-    p_bidirected: float = 0.0
-    seed: int = 0
-
-    def build(self) -> Digraph:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; expected one of {tuple(_KINDS)}")
-        return _KINDS[self.kind](self)

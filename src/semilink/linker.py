@@ -31,7 +31,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .certificates import CertificateError, verify_linkage_certificate
-from .digraph import Digraph, Path, PathSystem, is_semicomplete, reduce_to_minimal_path
+from .digraph import Digraph, Path, PathSystem, _vertex_id, is_semicomplete, \
+    reduce_to_minimal_path
 from .dominators import _picks, _pool_mask, find_nearly_out_dominating, \
     goodness_scores
 from .flows import FlowInfeasible, _cut_value, _sample_pairs, is_k_connected, \
@@ -44,16 +45,15 @@ class LinkageInstance:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple((int(x), int(y)) for x, y in self.pairs)
+        n = self.d.n
+        pairs = tuple((_vertex_id(x, "terminal", n), _vertex_id(y, "terminal", n))
+                      for x, y in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValueError("at least one terminal pair is required")
         terms = [t for p in pairs for t in p]
         if len(set(terms)) != len(terms):
             raise ValueError("terminal vertices must be pairwise distinct")
-        for t in terms:
-            if not 0 <= t < self.d.n:
-                raise ValueError(f"terminal {t} out of range")
 
     @property
     def k(self) -> int:
@@ -88,9 +88,18 @@ class LinkerTrace:
 
 @dataclass(frozen=True)
 class LinkageCertificate:
-    pairs: tuple[tuple[int, int], ...]
-    paths: tuple[tuple[int, ...], ...]
+    # per pair: its start and target, and the launch, bridge and delivery
+    # that its path joins, each segment starting where the one before ends
     provenance: tuple[dict, ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((e["start"], e["target"]) for e in self.provenance)
+
+    @property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(e["launch"] + e["bridge"][1:] + e["delivery"][1:])
+                     for e in self.provenance)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -139,12 +148,16 @@ class TerminalSplit:
 
     reach: dict[int, tuple[int, ...]]
     rich: tuple[int, ...]
-    reach_union: tuple[int, ...]  # union of the rich starts' reach sets
     spare_target: int | None  # nearly out-dominating vertex inside the union
+
+    @property
+    def reach_union(self) -> tuple[int, ...]:
+        """The union of the rich starts' reach sets, in id order."""
+        return tuple(sorted(set().union(*(self.reach[x] for x in self.rich))))
 
 
 def build_dominating_set(d: Digraph, starts: Sequence[int], targets: Sequence[int],
-                         k: int, trace: LinkerTrace) -> list[int]:
+                         trace: LinkerTrace) -> list[int]:
     """3k vertices, each nearly in-dominating in the remaining subgraph.
 
     Vertex i is found in the digraph with the terminals and the previous
@@ -156,22 +169,22 @@ def build_dominating_set(d: Digraph, starts: Sequence[int], targets: Sequence[in
     the degrees by one column.
     """
     free = np.flatnonzero(_off_terminals(d.n, starts, targets, ()))
-    if free.size < 3 * k:
+    if free.size < 3 * len(starts):
         raise ValueError("digraph too small to host the dominating pool")
-    pool = _picks(d, "in", free, 3 * k)
+    pool = _picks(d, "in", free, 3 * len(starts))
     trace.add("dominating-pool", pool=list(pool))
     return pool
 
 
 def classify_terminals(d: Digraph, starts: Sequence[int], targets: Sequence[int],
-                       pool: Sequence[int], k: int,
-                       trace: LinkerTrace) -> TerminalSplit:
+                       pool: Sequence[int], trace: LinkerTrace) -> TerminalSplit:
     """Reach sets, rich/lean split, and the spare target inside the union.
 
     A start's reach set collects its out-neighbours (off terminals and
     pool) that beat at least 2k+1 pool vertices; a start is rich when its
     reach set has at least 7k^2 + 6k + 1 vertices.
     """
+    k = len(starts)
     pool_arr = np.asarray(sorted(pool), dtype=np.int64)
     dominator = d.adjacency[:, pool_arr].sum(axis=1) >= 2 * k + 1
     off = _off_terminals(d.n, starts, targets, pool)
@@ -182,15 +195,14 @@ def classify_terminals(d: Digraph, starts: Sequence[int], targets: Sequence[int]
     threshold = 7 * k * k + 6 * k + 1
     rich = tuple(x for x in starts if len(reach[x]) >= threshold)
     lean = tuple(x for x in starts if x not in rich)
-    union: set[int] = set()
-    for x in rich:
-        union.update(reach[x])
-    reach_union = tuple(sorted(union))
-    spare = find_nearly_out_dominating(d, within=reach_union) if reach_union else None
+    split = TerminalSplit(reach, rich, spare_target=None)
+    union = split.reach_union
+    if union:
+        split.spare_target = find_nearly_out_dominating(d, within=union)
     trace.add("classify", reach_sizes={int(x): len(reach[x]) for x in starts},
-              rich=list(rich), lean=list(lean), reach_union=len(reach_union),
-              spare_target=spare)
-    return TerminalSplit(reach, rich, reach_union, spare)
+              rich=list(rich), lean=list(lean), reach_union=len(union),
+              spare_target=split.spare_target)
+    return split
 
 
 def _off_terminals(n: int, starts, targets, pool) -> np.ndarray:
@@ -391,8 +403,8 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         donor = min(donors)
 
         try:
-            case, updates = _reroute(d, qstar, host_key, spare, next_spare,
-                                     reconnect, set(matched.values()), reach_union, k)
+            case, updates = _reroute(d, qstar, host_key, next_spare, reconnect,
+                                     set(matched.values()), reach_union, k)
         except ValueError as exc:
             raise LinkerCheckError("adjust", f"reroute splice failed: {exc}",
                                    case_host=str(host_key)) from exc
@@ -416,14 +428,16 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
     return AdjustResult(deliveries, qstar[_SPECIAL], matched, rounds)
 
 
-def _reroute(d: Digraph, qstar: Mapping, host_key, spare: int, next_spare: int,
+def _reroute(d: Digraph, qstar: Mapping, host_key, next_spare: int,
              reconnect: int, stand_ins: set[int], reach_union: set[int], k: int):
     """Execute one reroute on the path system Q*, returning (case, updates).
 
     The segment of the host strictly after ``next_spare`` up to the
     reconnect point is released from the system; the host's prefix becomes
-    the new special path, under ``_SPECIAL`` in the updates.
+    the new special path, under ``_SPECIAL`` in the updates.  The current
+    spare is the special path's last vertex.
     """
+    spare = qstar[_SPECIAL].last
     host = qstar[host_key]
     prefix = host.subpath(d, host.first, next_spare)
     if host_key == _SPECIAL:
@@ -514,6 +528,12 @@ def finalize_deliveries(d: Digraph, starts, pool, deliveries: dict[int, Path],
     vertex count: restart a path from an unused pool vertex that beats its
     third-or-later vertex, or from an unused pool vertex via one fresh
     middle into its fourth-or-later vertex.
+
+    Without a rich start no rule ever fires.  There is then no special path
+    and no reroute round, so the deliveries are the minimum-vertex system
+    of k disjoint pool-to-target paths avoiding the starts.  A swap keeps
+    the system disjoint, pool-started and off the starts, so it would give
+    a feasible system with fewer vertices.
     """
     paths = dict(deliveries)
     banned = set(starts) | set(stand_ins) | set(pool)
@@ -528,8 +548,7 @@ def finalize_deliveries(d: Digraph, starts, pool, deliveries: dict[int, Path],
 
 
 def build_launches(d: Digraph, starts, targets, pool, matched: Mapping[int, int],
-                   deliveries: Mapping[int, Path], k: int,
-                   trace: LinkerTrace) -> dict[int, Path]:
+                   deliveries: Mapping[int, Path], trace: LinkerTrace) -> dict[int, Path]:
     """Per start, a path of length <= 2 ending at a launch terminal.
 
     Rich starts go start -> stand-in -> pool vertex (the second hop is a
@@ -542,18 +561,12 @@ def build_launches(d: Digraph, starts, targets, pool, matched: Mapping[int, int]
     occupied = {v for p in deliveries.values() for v in p.vertices}
     free_pool = sorted(set(pool) - occupied)
     stand_list = sorted(matched.values())
-    pairing = _bipartite_matching(
-        d, stand_list, free_pool)
+    pairing = _bipartite_matching(d, stand_list, free_pool)
     _check(len(pairing) == len(stand_list), "launches",
            "stand-ins cannot all be matched into the free pool",
            matched=len(pairing), needed=len(stand_list))
-    launches: dict[int, Path] = {}
-    for x in starts:
-        if x in matched:
-            s = matched[x]
-            launches[x] = Path(d, (x, s, pairing[s]))
-        else:
-            launches[x] = Path(d, (x,))
+    launches = {x: Path(d, (x, matched[x], pairing[matched[x]]) if x in matched else (x,))
+                for x in starts}
     system = PathSystem(list(launches.values()))  # validates disjointness
     overlap = system.vertex_set() & occupied
     _check(not overlap, "launches", "launches collide with deliveries",
@@ -563,10 +576,10 @@ def build_launches(d: Digraph, starts, targets, pool, matched: Mapping[int, int]
     for x, p in launches.items():
         terminal = p.last
         count = int(np.count_nonzero(d.adjacency[terminal] & anchored))
-        _check(count >= 25 * k, "launches",
+        _check(count >= 25 * len(starts), "launches",
                "launch terminal has too few anchored out-neighbours",
                start=int(x), terminal=int(terminal), count=count,
-               required=25 * k)
+               required=25 * len(starts))
     trace.add("launches", terminals={int(x): int(p.last)
                                      for x, p in launches.items()})
     return launches
@@ -593,15 +606,11 @@ def _bipartite_matching(d: Digraph, left: Sequence[int], right: Sequence[int]
 
     for u in left:
         augment(u, set())
-    result: dict[int, int] = {}
-    for i, u in enumerate(match_of_right):
-        if u is not None:
-            result[u] = right[i]
-    return result
+    return {u: right[i] for i, u in enumerate(match_of_right) if u is not None}
 
 
 def build_bridges(d: Digraph, pairs, launches: Mapping[int, Path],
-                  deliveries: Mapping[int, Path], starts, targets, pool,
+                  deliveries: Mapping[int, Path], pool,
                   trace: LinkerTrace) -> dict[int, Path]:
     """Connect each launch terminal to its delivery's initial vertex.
 
@@ -611,6 +620,7 @@ def build_bridges(d: Digraph, pairs, launches: Mapping[int, Path],
     """
     blocked = {v for p in deliveries.values() for v in p.vertices}
     blocked |= {v for p in launches.values() for v in p.vertices}
+    starts, targets = zip(*pairs)
     anchored = _anchored_off(d, starts, targets, pool, deliveries)
     bridges: dict[int, Path] = {}
     adj = d.adjacency
@@ -685,8 +695,9 @@ def link(instance: LinkageInstance, check: str | None = None,
     """Produce disjoint paths for every terminal pair, or a failure report.
 
     ``check`` optionally verifies the sufficient conditions up front
-    ("exact" or "sample:N").  The returned certificate has been validated
-    by the independent verifier before it is handed back.
+    ("exact" or "sample:N").  The certificate's paths are checked by the
+    independent verifier, against the instance's pairs, before it is
+    handed back.
     """
     d = instance.d
     if not is_semicomplete(d):
@@ -701,8 +712,8 @@ def link(instance: LinkageInstance, check: str | None = None,
         if not ok:
             return FailureReport("hypothesis-check", note, {}, note, trace)
     try:
-        pool = build_dominating_set(d, starts, targets, k, trace)
-        split = classify_terminals(d, starts, targets, pool, k, trace)
+        pool = build_dominating_set(d, starts, targets, trace)
+        split = classify_terminals(d, starts, targets, pool, trace)
         deliveries, special = initial_path_system(d, starts, targets, pool,
                                                   split, trace)
         adjusted = adjust_paths(d, starts, targets, pool, split,
@@ -710,26 +721,20 @@ def link(instance: LinkageInstance, check: str | None = None,
         finals = finalize_deliveries(d, starts, pool, adjusted.deliveries,
                                      adjusted.stand_ins, trace)
         launches = build_launches(d, starts, targets, pool, adjusted.matched,
-                                  finals, k, trace)
-        bridges = build_bridges(d, pairs, launches, finals, starts, targets,
-                                pool, trace)
-        paths = []
-        provenance = []
-        for x, y in pairs:
-            whole = launches[x].join(d, bridges[x]).join(d, finals[y])
-            paths.append(whole.vertices)
-            provenance.append({
-                "start": int(x), "target": int(y),
-                "launch": list(launches[x].vertices),
-                "bridge": list(bridges[x].vertices),
-                "delivery": list(finals[y].vertices),
-            })
+                                  finals, trace)
+        bridges = build_bridges(d, pairs, launches, finals, pool, trace)
+        cert = LinkageCertificate(tuple({
+            "start": int(x), "target": int(y),
+            "launch": list(launches[x].vertices),
+            "bridge": list(bridges[x].vertices),
+            "delivery": list(finals[y].vertices),
+        } for x, y in pairs))
         try:
-            verify_linkage_certificate(d, pairs, paths)
+            verify_linkage_certificate(d, pairs, cert.paths)
         except CertificateError as exc:
             raise LinkerCheckError("certificate", str(exc))
-        trace.add("done", lengths=[len(p) - 1 for p in paths])
-        return LinkageCertificate(pairs, tuple(paths), tuple(provenance))
+        trace.add("done", lengths=[len(p) - 1 for p in cert.paths])
+        return cert
     except LinkerCheckError as exc:
         return FailureReport(exc.step, exc.reason, exc.details,
                              _hypothesis_post_mortem(d, k), trace)

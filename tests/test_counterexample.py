@@ -241,7 +241,7 @@ def _reference_checks(d, lay):
     found["tournament"] = reference_orientation_witness(adj, everyone, everyone, None)
     found["track_paths"] = reference_track_witness(adj, lay.track)
     found["reservoir_regular"] = reference_reservoir_witness(adj, lay)
-    return tuple(RuleCheck(name, found[name] is None, found[name])
+    return tuple(RuleCheck(name, found[name])
                  for name in CORE_RULES + EXTRA_CHECKS)
 
 

@@ -54,6 +54,18 @@ class TestNeighbourhoods:
         with pytest.raises(ValueError, match="vertex -1 out of range"):
             Path(three_cycle(), (-1,))  # a one-vertex path makes no arc check
 
+    def test_non_integer_vertex_rejected(self):
+        d = transitive_tournament(5)
+        # these used to raise numpy's IndexError, or build the path 0 -> 1
+        for query in (lambda: d.has_arc(0.5, 1), lambda: d.with_flipped_arc(0, 1.0),
+                      lambda: Path(d, (0.5, 1.5)), lambda: d.induced([0, 1.5])):
+            with pytest.raises(ValueError, match="is not an integer"):
+                query()
+        assert d.has_arc(np.int64(0), np.int32(1))
+        assert Path(d, np.array([0, 2])).vertices == (0, 2)
+        with pytest.raises(ValueError, match="vertex 5 out of range"):
+            d.induced([0, 5])
+
     @pytest.mark.parametrize("u, v", [(-5, 2), (2, -5), (-1, 0), (5, 0), (0, 7)])
     def test_has_arc_out_of_range_rejected(self, u, v):
         # has_arc(-5, 2) would read the arc 0 -> 2
@@ -132,10 +144,6 @@ class TestPaths:
         d = transitive_tournament(5)
         p = Path(d, (0, 1, 2, 3))
         assert p.subpath(d, 1, 3).vertices == (1, 2, 3)
-        q = Path(d, (3, 4))
-        assert p.join(d, q).vertices == (0, 1, 2, 3, 4)
-        with pytest.raises(ValueError):
-            p.join(d, Path(d, (2, 4)))
 
     def test_path_system_rejects_overlap(self):
         d = transitive_tournament(5)

@@ -243,6 +243,35 @@ def test_goodness_scores_reject_bad_centre_and_direction(u, direction, match):
         goodness_scores(d, u, direction, np.ones(d.n, dtype=bool))
 
 
+@pytest.mark.parametrize("query, match", [
+    # the pool used to be scored as {0, 2, 3}
+    (lambda d: nearly_out_dominating_profile(d, 0, within=[0.5, 2.7, 3]),
+     "pool vertex 0.5 is not an integer"),
+    (lambda d: goodness_scores(d, 0.5, "out", np.ones(d.n, dtype=bool)),
+     "vertex 0.5 is not an integer"),
+    (lambda d: count_two_paths(d, 0, 4.5), "vertex 4.5 is not an integer"),
+], ids=["pool", "goodness", "two_paths"])
+def test_non_integer_ids_rejected(query, match):
+    # the last two used to fail inside numpy with an IndexError
+    with pytest.raises(ValueError, match=match):
+        query(rotational_tournament(9))
+
+
+@pytest.mark.parametrize("members, match", [([0, 0.5], "is not an integer"),
+                                            ([-1], "vertex -1 out of range")])
+def test_set_check_rejects_bad_members(members, match):
+    # int() truncated 0.5, and -1 marked vertex n-1 as the member
+    with pytest.raises(ValueError, match=match):
+        is_nearly_in_dominating_set(rotational_tournament(9), members)
+
+
+def test_pool_of_numpy_integers_accepted():
+    d = rotational_tournament(9)
+    want = nearly_out_dominating_profile(d, 0, within=[0, 2, 3])
+    for pool in (np.array([0, 2, 3], dtype=np.int32), [np.int64(0), 2, 3], (0, 2, 3)):
+        assert nearly_out_dominating_profile(d, 0, within=pool) == want
+
+
 def plain_in_scores(d, u, pool):
     """The "in" scores as rows of the transposed view: strided column gathers."""
     lines = d.adjacency.T
@@ -521,11 +550,11 @@ def test_picks_allocate_no_extra_blocks(p_bidirected):
     # gather and hold at most two pool x pool blocks at once.
     n, k = 1000, 3
     d = random_semicomplete(n, p_bidirected, seed=4)
-    terminals = list(range(0, 12 * k, 6)), list(range(3, 12 * k, 6))
-    build_dominating_set(d, *terminals, k, LinkerTrace())
+    terminals = list(range(0, 6 * k, 6)), list(range(3, 6 * k, 6))
+    build_dominating_set(d, *terminals, LinkerTrace())
     tracemalloc.start()
     try:
-        pool = build_dominating_set(d, *terminals, k, LinkerTrace())
+        pool = build_dominating_set(d, *terminals, LinkerTrace())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -783,6 +783,25 @@ def test_forbidden_out_of_range_rejected(query, sinks, forbidden):
         query(rotational_tournament(7), [0], sinks, forbidden)
 
 
+@pytest.mark.parametrize("query, match", [
+    # each used to answer for the truncated ids: 0->3, (0, 4), vertex 1, vertex 2
+    (lambda d: max_disjoint_paths(d, [0.7], [3.9]), "terminal 0.7 is not an integer"),
+    (lambda d: local_cut(d, 0.2, 4.8), "terminal 0.2 is not an integer"),
+    (lambda d: min_weight_disjoint_paths(d, [0, 1.5], [5, 6], 2),
+     "terminal 1.5 is not an integer"),
+    (lambda d: min_weight_disjoint_paths(d, [0, 1], [5, 6], 2, forbidden=[2.5]),
+     "forbidden vertex 2.5 is not an integer"),
+], ids=["max", "local_cut", "min_weight", "forbidden"])
+def test_non_integer_ids_rejected(query, match):
+    with pytest.raises(ValueError, match=match):
+        query(rotational_tournament(9))
+
+
+def test_numpy_integer_ids_accepted():
+    d = rotational_tournament(9)
+    assert local_cut(d, np.int64(0), np.int32(4)).value == local_cut(d, 0, 4).value
+
+
 @pytest.mark.parametrize("query", [local_cut, flows._cut_value])
 def test_cap_below_one_rejected(query):
     d = complete_digraph(4)

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from semilink import generators
 from semilink.digraph import _MAX_ORDER, is_semicomplete, is_tournament
 from semilink.flows import vertex_connectivity
-from semilink.generators import (_KINDS, GenSpec, bipartite_tournament,
+from semilink.generators import (_KINDS, bipartite_tournament,
                                  near_regular_tournament, random_semicomplete,
                                  random_tournament, rotational_tournament,
                                  transitive_tournament)
@@ -219,15 +220,19 @@ class TestNearRegular:
 
 
 class TestGenSpec:
+    # A ``gen`` request is its parsed arguments; ``_KINDS`` maps a kind to
+    # the builder that reads them.
     def test_dispatch(self):
-        assert GenSpec("rotational", n=9).build() == rotational_tournament(9)
-        assert GenSpec("transitive", n=4).build() == transitive_tournament(4)
-        d = GenSpec("bipartite_tournament", u_size=2, w_size=3, seed=1).build()
-        assert d.n == 5
+        def spec(**kw):
+            return SimpleNamespace(**{"n": 0, "u_size": 0, "w_size": 0,
+                                      "p_bidirected": 0.0, "seed": 0, **kw})
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown kind"):
-            GenSpec("mystery", n=3).build()
+        assert _KINDS["rotational"](spec(n=9)) == rotational_tournament(9)
+        assert _KINDS["transitive"](spec(n=4)) == transitive_tournament(4)
+        d = _KINDS["bipartite_tournament"](spec(u_size=2, w_size=3, seed=1))
+        assert d == bipartite_tournament(2, 3, seed=1) and d.n == 5
+        assert _KINDS["random_semicomplete"](spec(n=7, p_bidirected=0.5, seed=2)) \
+            == random_semicomplete(7, 0.5, seed=2)
 
     def test_kinds_in_order(self):
         assert tuple(_KINDS) == ("transitive", "rotational", "random_tournament",

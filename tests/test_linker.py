@@ -3,7 +3,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semilink.certificates import CertificateError, verify_linkage_certificate
@@ -14,8 +14,9 @@ from semilink.generators import (near_regular_tournament, random_semicomplete,
                                  random_tournament)
 from semilink.instances import adjustment_stress_instance, planted_cut_instance
 from semilink.linker import (FailureReport, LinkageCertificate,
-                             LinkageInstance, LinkerTrace, _SPECIAL,
-                             _bipartite_matching, _reroute, adjust_paths, build_bridges,
+                             LinkageInstance, LinkerCheckError, LinkerTrace, _SPECIAL,
+                             _bipartite_matching, _first_swap, _reroute, adjust_paths,
+                             build_bridges,
                              build_dominating_set, check_hypotheses,
                              classify_terminals, finalize_deliveries,
                              initial_path_system, link)
@@ -32,6 +33,11 @@ class TestLinkageInstance:
             LinkageInstance(d, ((0, 9),))  # out of range
         with pytest.raises(ValueError):
             LinkageInstance(d, ())
+
+    def test_non_integer_terminal_rejected(self):
+        # int() used to turn this into the pair (0, 3)
+        with pytest.raises(ValueError, match="terminal 0.5 is not an integer"):
+            LinkageInstance(complete_digraph(9), ((0.5, 3.2),))
 
     def test_accessors(self):
         inst = LinkageInstance(complete_digraph(6), ((0, 3), (1, 4)))
@@ -115,8 +121,8 @@ class TestStressInstance:
 
     def test_pool_needs_3k_free_vertices(self):
         with pytest.raises(ValueError, match="too small"):
-            build_dominating_set(complete_digraph(9), [0, 1], [2, 3], 2, LinkerTrace())
-        pool = build_dominating_set(complete_digraph(10), [0, 1], [2, 3], 2, LinkerTrace())
+            build_dominating_set(complete_digraph(9), [0, 1], [2, 3], LinkerTrace())
+        pool = build_dominating_set(complete_digraph(10), [0, 1], [2, 3], LinkerTrace())
         assert pool == [4, 5, 6, 7, 8, 9]
 
     def test_program_output_conditions(self):
@@ -124,9 +130,9 @@ class TestStressInstance:
         starts = [x for x, _ in pairs]
         targets = [y for _, y in pairs]
         tr = LinkerTrace()
-        pool = build_dominating_set(d, starts, targets, 1, tr)
+        pool = build_dominating_set(d, starts, targets, tr)
         assert pool == [16, 17, 18]
-        split = classify_terminals(d, starts, targets, pool, 1, tr)
+        split = classify_terminals(d, starts, targets, pool, tr)
         assert split.rich == (0,)
         deliveries, special = initial_path_system(d, starts, targets, pool,
                                                   split, tr)
@@ -299,7 +305,7 @@ class TestRerouteBranches:
             qstar[verts[-1]] = Path(d, verts)
         qstar[_SPECIAL] = Path(d, (0, 1, 2))
         return d, _reroute(d, qstar, host_verts[-1],
-                           spare=2, next_spare=4, reconnect=6,
+                           next_spare=4, reconnect=6,
                            stand_ins=set(stand_ins),
                            reach_union=set(reach) | {4, 5, 6}, k=1)
 
@@ -337,7 +343,7 @@ class TestRerouteBranches:
         special = Path(d, (0, 28, 29, 30, 31, 2))
         host = Path(d, (3, 4, 5, 6, 7))
         case, updates = _reroute(
-            d, {7: host, _SPECIAL: special}, 7, spare=2, next_spare=4,
+            d, {7: host, _SPECIAL: special}, 7, next_spare=4,
             reconnect=6, stand_ins=set(),
             reach_union={4, 5, 6, 28, 29, 30, 31}, k=1)
         assert case == "carrier-special"
@@ -377,7 +383,7 @@ class TestRerouteBranches:
         special = Path(d, (0, 1, 2))
         host = Path(d, (3, 4, 5, 6, 7))
         case, updates = _reroute(
-            d, {7: host, _SPECIAL: special}, _SPECIAL, spare=2, next_spare=1,
+            d, {7: host, _SPECIAL: special}, _SPECIAL, next_spare=1,
             reconnect=2, stand_ins=set(), reach_union={1, 2}, k=1)
         assert case == "truncate"
         assert updates[_SPECIAL].vertices == (0, 1)
@@ -392,7 +398,7 @@ class TestBuildBridges:
                                   (0, 6), (6, 7), (7, 3)])
         tr = LinkerTrace()
         bridges = build_bridges(d, [(0, 4)], {0: Path(d, (0,))}, {4: Path(d, (3, 4))},
-                                starts=[0], targets=[4], pool=[3, 5], trace=tr)
+                                pool=[3, 5], trace=tr)
         assert bridges[0].vertices == (0, 1, 2, 3)
         assert tr.events == [{"phase": "bridge", "start": 0, "target": 4,
                               "path": [0, 1, 2, 3], "anchored_out": 0,
@@ -427,10 +433,9 @@ class TestFinalizeDeliveries:
     def assert_fixpoint(d, pairs):
         starts = [x for x, _ in pairs]
         targets = [y for _, y in pairs]
-        k = len(pairs)
         tr = LinkerTrace()
-        pool = build_dominating_set(d, starts, targets, k, tr)
-        split = classify_terminals(d, starts, targets, pool, k, tr)
+        pool = build_dominating_set(d, starts, targets, tr)
+        split = classify_terminals(d, starts, targets, pool, tr)
         deliveries, special = initial_path_system(d, starts, targets, pool,
                                                   split, tr)
         result = adjust_paths(d, starts, targets, pool, split, deliveries,
@@ -461,6 +466,46 @@ class TestFinalizeDeliveries:
     def test_fixpoint_on_seeded_runs(self, n, k, index):
         # the pair sets of TestPinnedOutputs
         self.assert_fixpoint(_near_regular(n, 1), _pair_sets(n, k, n, index + 1)[index])
+
+
+def _lean_deliveries(seed, n, p_bidirected, k, tournament):
+    """(d, starts, pool, deliveries) of a run with no rich start, or None
+    when the run has a rich start or too few pool-to-target paths."""
+    k = min(k, n // 5)
+    d = (random_tournament(n, seed) if tournament
+         else random_semicomplete(n, p_bidirected, seed))
+    ts = np.random.default_rng(seed).choice(n, size=2 * k, replace=False)
+    starts, targets = [int(v) for v in ts[:k]], [int(v) for v in ts[k:]]
+    tr = LinkerTrace()
+    pool = build_dominating_set(d, starts, targets, tr)
+    split = classify_terminals(d, starts, targets, pool, tr)
+    if split.rich:
+        return None
+    try:
+        deliveries, special = initial_path_system(d, starts, targets, pool, split, tr)
+    except LinkerCheckError:
+        return None
+    assert special is None
+    return d, starts, pool, deliveries
+
+
+@given(st.integers(0, 2999), st.integers(8, 39), st.floats(0.0, 0.5),
+       st.integers(1, 3), st.booleans())
+@example(46, 8, 0.0, 1, True)
+@settings(max_examples=200, deadline=None)
+def test_lean_deliveries_admit_no_swap(seed, n, p_bidirected, k, tournament):
+    # Without a rich start the deliveries are a minimum-vertex flow system,
+    # so neither swap rule of finalize_deliveries may fire on them.
+    run = _lean_deliveries(seed, n, p_bidirected, k, tournament)
+    if run is not None:
+        d, starts, pool, deliveries = run
+        assert _first_swap(d, deliveries, pool, set(starts) | set(pool)) is None
+
+
+def test_lean_example_has_a_four_vertex_delivery():
+    # The pinned example reaches both rules' positions: a three-arc delivery.
+    _, _, _, deliveries = _lean_deliveries(46, 8, 0.0, 1, True)
+    assert max(len(p.vertices) for p in deliveries.values()) == 4
 
 
 class TestBipartiteMatching:
@@ -567,7 +612,7 @@ def test_pool_is_nearly_in_dominating_off_the_terminals(seed, n, p_bidirected, k
     d = random_semicomplete(n, p_bidirected, seed)
     picks = np.random.default_rng(seed).choice(n, size=2 * k, replace=False)
     starts, targets = [int(v) for v in picks[:k]], [int(v) for v in picks[k:]]
-    pool = build_dominating_set(d, starts, targets, k, LinkerTrace())
+    pool = build_dominating_set(d, starts, targets, LinkerTrace())
     kept = [v for v in range(n) if v not in starts + targets]
     rest = d.induced(kept)
     members = _relabel(d, starts, targets, pool)
