@@ -116,8 +116,9 @@ def _cmd_gen(args) -> tuple[dict, dict, dict, int] | int:
     _write(args.out, digraph_to_arc_list(d))
     if not args.out:
         return EXIT_OK
-    return ({key: getattr(args, key)
-             for key in ("kind", "n", "u_size", "w_size", "p_bidirected", "seed")},
+    return ({"kind": args.kind, "n": args.n, "u_size": args.u_size,
+             "w_size": args.w_size, "p_bidirected": args.p_bidirected,
+             "seed": args.seed},
             {"n": d.n, "arcs": d.arc_count}, {"out": args.out}, EXIT_OK)
 
 

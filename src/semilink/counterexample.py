@@ -109,10 +109,6 @@ class CounterexampleParams:
         return self.n - self.k * (self.l + 2) - 3 * self.k - 1
 
 
-# The roles that are flat id lists, named as in the layout and its JSON.
-_ID_LISTS = ("core", "relays", "targets", "mirrors", "starts")
-
-
 @dataclass(frozen=True)
 class CounterexampleLayout:
     """Role assignment for every vertex of a built instance.
@@ -195,10 +191,20 @@ class CounterexampleLayout:
         raise ValueError(f"vertex {v} not in layout")
 
     def to_json(self) -> str:
-        roles = {name: getattr(self, name).tolist() for name in _ID_LISTS}
-        roles.update(tracks=self.track.tolist(), bypass=self.bypass, outlet=self.outlet)
-        return json.dumps({"k": self.k, "n": self.n, "l": self.l, "roles": roles},
-                          indent=2, sort_keys=True)
+        data = {
+            "k": self.k, "n": self.n, "l": self.l,
+            "roles": {
+                "tracks": self.track.tolist(),
+                "core": self.core.tolist(),
+                "relays": self.relays.tolist(),
+                "targets": self.targets.tolist(),
+                "mirrors": self.mirrors.tolist(),
+                "starts": self.starts.tolist(),
+                "bypass": self.bypass,
+                "outlet": self.outlet,
+            },
+        }
+        return json.dumps(data, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CounterexampleLayout":
@@ -214,14 +220,20 @@ class CounterexampleLayout:
             roles = data["roles"]
             k, l = int(data["k"]), int(data["l"])
             layout = cls(
-                n=int(data["n"]), track=np.asarray(roles["tracks"], dtype=np.int64),
-                **{name: np.asarray(roles[name], dtype=np.int64) for name in _ID_LISTS},
-                outlet=int(roles["outlet"]))
+                n=int(data["n"]),
+                track=np.asarray(roles["tracks"], dtype=np.int64),
+                core=np.asarray(roles["core"], dtype=np.int64),
+                relays=np.asarray(roles["relays"], dtype=np.int64),
+                targets=np.asarray(roles["targets"], dtype=np.int64),
+                mirrors=np.asarray(roles["mirrors"], dtype=np.int64),
+                starts=np.asarray(roles["starts"], dtype=np.int64),
+                outlet=int(roles["outlet"]),
+            )
         except KeyError as exc:
             raise ValueError(f"layout is missing key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"layout has a wrong type: {exc}") from None
-        lists = tuple(getattr(layout, name) for name in _ID_LISTS)
+        lists = (layout.core, layout.relays, layout.targets, layout.mirrors, layout.starts)
         if layout.track.ndim != 2 or any(a.ndim != 1 for a in lists) or not layout.core.size:
             raise ValueError("layout tracks must be a list of lists, the other roles "
                              "lists, and the core non-empty")
@@ -232,13 +244,13 @@ class CounterexampleLayout:
             raise ValueError(f"layout k {k} does not match the {layout.k} track rows")
         if l != layout.l:
             raise ValueError(f"layout l {l} does not match the {steps} steps per track (l + 2)")
-        for name, ids in zip(_ID_LISTS[1:], lists[1:]):
+        for name, ids in zip(("relays", "targets", "mirrors", "starts"), lists[1:]):
             if ids.size != layout.k:
                 raise ValueError(f"layout {name} hold {ids.size} ids, not k = {layout.k}")
         # a negative id would index from the end of the adjacency, and one
         # past n - 1 would fail inside numpy
-        for name, ids in zip(("tracks", *_ID_LISTS, "outlet"),
-                             (layout.track, *lists, layout.outlet)):
+        for name, ids in zip(("tracks", "core", "relays", "targets", "mirrors", "starts",
+                              "outlet"), (layout.track, *lists, layout.outlet)):
             out = np.extract((ids < 0) | (ids >= layout.n), ids)
             if out.size:
                 raise ValueError(f"layout {name} id {int(out[0])} is outside "

@@ -67,11 +67,8 @@ class Digraph:
 
     def _check_vertex(self, v: int) -> int:
         """``v`` as an int vertex of this digraph, or ValueError."""
-        i = _vertex_id(v)
         # len() is the cheapest read of n, and has_arc checks two vertices per call
-        if not 0 <= i < len(self._adj):
-            raise ValueError(f"vertex {v} out of range (n={self.n})")
-        return i
+        return _vertex_id(v, "vertex", len(self._adj))
 
     def out_degrees(self) -> np.ndarray:
         return self._adj.sum(axis=1)
@@ -275,15 +272,15 @@ def reduce_to_minimal_path(d: Digraph, p: Path) -> Path:
     return Path(d, verts)
 
 
-def _vertex_id(v, what: str = "vertex", n: int | None = None) -> int:
+def _vertex_id(v, what: str, n: int | None) -> int:
     """``v`` as an int, or ValueError naming ``what``: 0.5 is never truncated,
-    and with ``n`` given an id outside 0..n-1 is out of range."""
+    and unless ``n`` is None an id outside 0..n-1 is out of range."""
     try:
         i = operator.index(v)
     except TypeError:
         raise ValueError(f"{what} {v!r} is not an integer") from None
     if n is not None and not 0 <= i < n:
-        raise ValueError(f"{what} {i} out of range")
+        raise ValueError(f"{what} {i} out of range (n={n})")
     return i
 
 

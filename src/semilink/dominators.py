@@ -34,12 +34,7 @@ def _pool_mask(d: Digraph, within: Iterable[int] | None) -> np.ndarray:
     if within is None:
         return np.ones(d.n, dtype=bool)
     mask = np.zeros(d.n, dtype=bool)
-    if not (isinstance(within, np.ndarray) and within.dtype.kind in "iu"):
-        within = [_vertex_id(v, "pool vertex") for v in within]
-    ids = np.asarray(within, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= d.n):
-        raise ValueError("pool vertex out of range")
-    mask[ids] = True
+    mask[[_vertex_id(v, "pool vertex", d.n) for v in within]] = True
     return mask
 
 

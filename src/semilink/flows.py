@@ -549,7 +549,7 @@ def _validate_terminals(d: Digraph, sources, sinks, forbidden) -> tuple[list[int
     snk = sorted({_vertex_id(v, "terminal", d.n) for v in sinks})
     if not src or not snk:
         raise ValueError("sources and sinks must be non-empty")
-    blocked = {_vertex_id(v, "forbidden vertex") for v in forbidden}
+    blocked = {_vertex_id(v, "forbidden vertex", None) for v in forbidden}
     bad = set(src + snk) & blocked
     if bad:
         raise ValueError(f"terminals {sorted(bad)} are forbidden")

@@ -88,6 +88,9 @@ class LinkerTrace:
 
 @dataclass(frozen=True)
 class LinkageCertificate:
+    # ``paths`` stays a field next to the segments it is joined from, so a
+    # caller can hand the verifier a certificate with altered paths.
+    paths: tuple[tuple[int, ...], ...]
     # per pair: its start and target, and the launch, bridge and delivery
     # that its path joins, each segment starting where the one before ends
     provenance: tuple[dict, ...]
@@ -95,11 +98,6 @@ class LinkageCertificate:
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((e["start"], e["target"]) for e in self.provenance)
-
-    @property
-    def paths(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(e["launch"] + e["bridge"][1:] + e["delivery"][1:])
-                     for e in self.provenance)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -336,6 +334,7 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
     _check(special is not None, "adjust", "rich starts need the spare-target path")
     qstar = {**deliveries, _SPECIAL: special}
     reach_union = set(split.reach_union)
+    union_mask = _pool_mask(d, reach_union)
 
     while True:
         # Greedy matching into vertices off the path system.  One pass
@@ -365,7 +364,7 @@ def adjust_paths(d: Digraph, starts, targets, pool, split: TerminalSplit,
         # Goodness of the scope for the current spare terminal, within the
         # reach union.  The spare was chosen nearly out-dominating there, so
         # at most 4k+4 scope vertices may fail; assert it.
-        scores = goodness_scores(d, spare, "out", _pool_mask(d, split.reach_union))
+        scores = goodness_scores(d, spare, "out", union_mask)
         good = {v for v in scope if scores[v] >= 2 * k + 2}
         bad = scope - good
         _check(len(bad) <= 4 * k + 4, "adjust",
@@ -561,12 +560,18 @@ def build_launches(d: Digraph, starts, targets, pool, matched: Mapping[int, int]
     occupied = {v for p in deliveries.values() for v in p.vertices}
     free_pool = sorted(set(pool) - occupied)
     stand_list = sorted(matched.values())
-    pairing = _bipartite_matching(d, stand_list, free_pool)
+    pairing = _bipartite_matching(
+        d, stand_list, free_pool)
     _check(len(pairing) == len(stand_list), "launches",
            "stand-ins cannot all be matched into the free pool",
            matched=len(pairing), needed=len(stand_list))
-    launches = {x: Path(d, (x, matched[x], pairing[matched[x]]) if x in matched else (x,))
-                for x in starts}
+    launches: dict[int, Path] = {}
+    for x in starts:
+        if x in matched:
+            s = matched[x]
+            launches[x] = Path(d, (x, s, pairing[s]))
+        else:
+            launches[x] = Path(d, (x,))
     system = PathSystem(list(launches.values()))  # validates disjointness
     overlap = system.vertex_set() & occupied
     _check(not overlap, "launches", "launches collide with deliveries",
@@ -606,7 +611,11 @@ def _bipartite_matching(d: Digraph, left: Sequence[int], right: Sequence[int]
 
     for u in left:
         augment(u, set())
-    return {u: right[i] for i, u in enumerate(match_of_right) if u is not None}
+    result: dict[int, int] = {}
+    for i, u in enumerate(match_of_right):
+        if u is not None:
+            result[u] = right[i]
+    return result
 
 
 def build_bridges(d: Digraph, pairs, launches: Mapping[int, Path],
@@ -695,9 +704,8 @@ def link(instance: LinkageInstance, check: str | None = None,
     """Produce disjoint paths for every terminal pair, or a failure report.
 
     ``check`` optionally verifies the sufficient conditions up front
-    ("exact" or "sample:N").  The certificate's paths are checked by the
-    independent verifier, against the instance's pairs, before it is
-    handed back.
+    ("exact" or "sample:N").  The returned certificate has been validated
+    by the independent verifier before it is handed back.
     """
     d = instance.d
     if not is_semicomplete(d):
@@ -723,18 +731,23 @@ def link(instance: LinkageInstance, check: str | None = None,
         launches = build_launches(d, starts, targets, pool, adjusted.matched,
                                   finals, trace)
         bridges = build_bridges(d, pairs, launches, finals, pool, trace)
-        cert = LinkageCertificate(tuple({
-            "start": int(x), "target": int(y),
-            "launch": list(launches[x].vertices),
-            "bridge": list(bridges[x].vertices),
-            "delivery": list(finals[y].vertices),
-        } for x, y in pairs))
+        paths = []
+        provenance = []
+        for x, y in pairs:
+            paths.append(launches[x].vertices + bridges[x].vertices[1:]
+                         + finals[y].vertices[1:])
+            provenance.append({
+                "start": int(x), "target": int(y),
+                "launch": list(launches[x].vertices),
+                "bridge": list(bridges[x].vertices),
+                "delivery": list(finals[y].vertices),
+            })
         try:
-            verify_linkage_certificate(d, pairs, cert.paths)
+            verify_linkage_certificate(d, pairs, paths)
         except CertificateError as exc:
             raise LinkerCheckError("certificate", str(exc))
-        trace.add("done", lengths=[len(p) - 1 for p in cert.paths])
-        return cert
+        trace.add("done", lengths=[len(p) - 1 for p in paths])
+        return LinkageCertificate(tuple(paths), tuple(provenance))
     except LinkerCheckError as exc:
         return FailureReport(exc.step, exc.reason, exc.details,
                              _hypothesis_post_mortem(d, k), trace)
