@@ -34,7 +34,14 @@ def _pool_mask(d: Digraph, within: Iterable[int] | None) -> np.ndarray:
     if within is None:
         return np.ones(d.n, dtype=bool)
     mask = np.zeros(d.n, dtype=bool)
-    mask[[_vertex_id(v, "pool vertex", d.n) for v in within]] = True
+    # An integer array (the linker's free vertices) is range-checked in one
+    # pass; an id-by-id check of it took about a tenth of each link call.
+    if not (isinstance(within, np.ndarray) and within.dtype.kind in "iu"):
+        within = [_vertex_id(v, "pool vertex", None) for v in within]
+    ids = np.asarray(within, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= d.n):
+        raise ValueError("pool vertex out of range")
+    mask[ids] = True
     return mask
 
 
