@@ -32,8 +32,8 @@ def verify_linkage_certificate(d: Digraph, pairs: Sequence[tuple[int, int]],
             raise CertificateError(
                 f"path {i} runs {path[0]}->{path[-1]}, expected {x}->{y}")
         for v in path:
-            if not 0 <= v < d.n:
-                raise CertificateError(f"path {i} contains invalid vertex {v}")
+            if type(v) is bool or not hasattr(v, "__index__") or not 0 <= v < d.n:
+                raise CertificateError(f"path {i} contains invalid vertex {v!r}")
             if v in seen:
                 raise CertificateError(
                     f"vertex {v} used by both path {seen[v]} and path {i}")

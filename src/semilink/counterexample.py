@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .digraph import (Digraph, Path, PathSystem, _check_order, _first_bad_band,
-                      _upper_bands, is_tournament)
+                      _upper_bands, _vertex_id, _vertex_ids, is_tournament)
 from .flows import _cut_value, _sample_pairs
 from .generators import _random_orientation, rotational_tournament
 
@@ -90,7 +90,7 @@ class CounterexampleParams:
     n: int
 
     def __post_init__(self):
-        if self.k < MIN_WIDTH:
+        if _vertex_id(self.k, "k", None) < MIN_WIDTH:
             raise ValueError(f"k must be >= {MIN_WIDTH}")
         _check_order(self.n)
         if self.n < self.k * self.k:
@@ -212,31 +212,30 @@ class CounterexampleLayout:
 
         A missing key, a wrong type, tracks of fewer than 3 steps, a ``k``
         other than the number of track rows, an ``l`` other than the steps
-        per track less 2, a tier that does not hold k ids, a role id outside
+        per track less 2, a tier that does not hold k ids, an id or size that
+        is not an integer (a float, a string or a bool), a role id outside
         0..n-1 or a ``bypass`` other than ``core[0]`` raises ValueError.
         """
         data = json.loads(text)
         try:
             roles = data["roles"]
-            k, l = int(data["k"]), int(data["l"])
-            layout = cls(
-                n=int(data["n"]),
-                track=np.asarray(roles["tracks"], dtype=np.int64),
-                core=np.asarray(roles["core"], dtype=np.int64),
-                relays=np.asarray(roles["relays"], dtype=np.int64),
-                targets=np.asarray(roles["targets"], dtype=np.int64),
-                mirrors=np.asarray(roles["mirrors"], dtype=np.int64),
-                starts=np.asarray(roles["starts"], dtype=np.int64),
-                outlet=int(roles["outlet"]),
-            )
+            n = _vertex_id(data["n"], "layout n", None)
+            k, l = (_vertex_id(data[key], f"layout {key}", None) for key in ("k", "l"))
+            # item by item: np.asarray(..., dtype=np.int64) would truncate 0.5
+            track = np.asarray([_vertex_ids(row, "layout tracks id", n)
+                                for row in roles["tracks"]], dtype=np.int64)
+            tier = {name: np.asarray(_vertex_ids(roles[name], f"layout {name} id", n),
+                                     dtype=np.int64)
+                    for name in ("core", "relays", "targets", "mirrors", "starts")}
+            layout = cls(n=n, track=track, **tier,
+                         outlet=_vertex_id(roles["outlet"], "layout outlet id", n))
+            bypass = _vertex_id(roles["bypass"], "layout bypass", None)
         except KeyError as exc:
             raise ValueError(f"layout is missing key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"layout has a wrong type: {exc}") from None
-        lists = (layout.core, layout.relays, layout.targets, layout.mirrors, layout.starts)
-        if layout.track.ndim != 2 or any(a.ndim != 1 for a in lists) or not layout.core.size:
-            raise ValueError("layout tracks must be a list of lists, the other roles "
-                             "lists, and the core non-empty")
+        if layout.track.ndim != 2 or not layout.core.size:
+            raise ValueError("layout tracks must be a list of lists and the core non-empty")
         steps = layout.track.shape[1]
         if steps < 3:
             raise ValueError(f"layout tracks have {steps} steps, fewer than 3")
@@ -244,20 +243,11 @@ class CounterexampleLayout:
             raise ValueError(f"layout k {k} does not match the {layout.k} track rows")
         if l != layout.l:
             raise ValueError(f"layout l {l} does not match the {steps} steps per track (l + 2)")
-        for name, ids in zip(("relays", "targets", "mirrors", "starts"), lists[1:]):
-            if ids.size != layout.k:
-                raise ValueError(f"layout {name} hold {ids.size} ids, not k = {layout.k}")
-        # a negative id would index from the end of the adjacency, and one
-        # past n - 1 would fail inside numpy
-        for name, ids in zip(("tracks", "core", "relays", "targets", "mirrors", "starts",
-                              "outlet"), (layout.track, *lists, layout.outlet)):
-            out = np.extract((ids < 0) | (ids >= layout.n), ids)
-            if out.size:
-                raise ValueError(f"layout {name} id {int(out[0])} is outside "
-                                 f"0..{layout.n - 1}")
-        if roles.get("bypass") != layout.bypass:
-            raise ValueError(f"layout bypass {roles.get('bypass')!r} is not "
-                             f"core[0] = {layout.bypass}")
+        for name in ("relays", "targets", "mirrors", "starts"):
+            if tier[name].size != layout.k:
+                raise ValueError(f"layout {name} hold {tier[name].size} ids, not k = {layout.k}")
+        if bypass != layout.bypass:
+            raise ValueError(f"layout bypass {bypass} is not core[0] = {layout.bypass}")
         return layout
 
 
@@ -711,7 +701,7 @@ def sampled_connectivity_check(d: Digraph, target: int, pairs: int, seed: int,
         raise ValueError("threads must be 1")
     if target < 1:
         raise ValueError("target must be >= 1")
-    if pairs < 1:
+    if _vertex_id(pairs, "pairs", None) < 1:
         raise ValueError("pairs must be >= 1")
     sampled = list(_sample_pairs(d.n, pairs, seed))
     values = [_cut_value(d, u, v) for u, v in sampled]

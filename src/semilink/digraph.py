@@ -3,6 +3,11 @@
 The adjacency relation is a boolean n x n matrix; ``adj[u, v]`` means the arc
 u -> v is present.  Digraphs are immutable after construction, so every query
 is pure and safe for concurrent shared reads.
+
+A caller's vertex id is a Python or numpy integer in 0..n-1, never a float
+(0.5 would be truncated), a string or a bool.  The library reads every caller
+id through :func:`_vertex_id` or :func:`_vertex_ids`, which raise ValueError
+naming the argument.
 """
 
 from __future__ import annotations
@@ -38,16 +43,12 @@ class Digraph:
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
         _check_order(n)
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if adj[u, v]:
-                raise ValueError(f"duplicate arc ({u}, {v})")
-            adj[u, v] = True
-        return cls(adj, copy=False)
+        pairs = [_vertex_ids(arc, "arc endpoint", None) for arc in arcs]
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError("each arc must be a pair (u, v)")
+        # an id beyond int64 is out of range for any n: it saturates, as in the arc-list parser
+        ids = np.array(pairs, dtype=object).clip(-2 ** 63, 2 ** 63 - 1).astype(np.int64)
+        return cls(_arc_matrix(n, ids.reshape(-1, 2)), copy=False)
 
     @property
     def n(self) -> int:
@@ -94,14 +95,12 @@ class Digraph:
 
     def induced(self, vertices: Iterable[int]) -> "Digraph":
         """Subgraph induced on ``vertices``; new ids follow the sorted order."""
-        ids = np.unique(np.asarray([self._check_vertex(v) for v in vertices], dtype=np.int64))
+        ids = np.unique(np.asarray(_vertex_ids(vertices, "vertex", self.n), dtype=np.int64))
         return Digraph(self._adj[ids][:, ids], copy=False)
 
     def with_flipped_arc(self, u: int, v: int) -> "Digraph":
         """Copy of this digraph with the arc between u and v reversed."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if not self._adj[u, v]:
+        if not self.has_arc(u, v):
             raise ValueError(f"arc ({u}, {v}) not present")
         adj = self._adj.copy()
         adj[u, v] = False
@@ -273,20 +272,34 @@ def reduce_to_minimal_path(d: Digraph, p: Path) -> Path:
 
 
 def _vertex_id(v, what: str, n: int | None) -> int:
-    """``v`` as an int, or ValueError naming ``what``: 0.5 is never truncated,
+    """``v`` as an int, or ValueError naming ``what``: 0.5 and True are no ids,
     and unless ``n`` is None an id outside 0..n-1 is out of range."""
     try:
         i = operator.index(v)
     except TypeError:
-        raise ValueError(f"{what} {v!r} is not an integer") from None
+        i = None
+    if i is None or type(v) is bool:
+        raise ValueError(f"{what} {v!r} is not an integer")
     if n is not None and not 0 <= i < n:
         raise ValueError(f"{what} {i} out of range (n={n})")
     return i
 
 
+def _vertex_ids(values, what: str, n: int | None) -> list[int] | np.ndarray:
+    """Each of ``values`` read as by :func:`_vertex_id`.  An integer ndarray
+    (the linker's free vertices) is range-checked in one pass and returned as
+    it is; id by id it took about a tenth of a link call."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        return [_vertex_id(v, what, n) for v in values]
+    if n is not None and values.size and (values.min() < 0 or values.max() >= n):
+        bad = values[(values < 0) | (values >= n)][0]
+        raise ValueError(f"{what} {bad} out of range (n={n})")
+    return values
+
+
 def _check_order(n: int) -> None:
-    """Reject an order below 0 or above ``_MAX_ORDER``, before anything is built."""
-    if n < 0:
+    """Reject an order that is no integer, negative or above ``_MAX_ORDER``."""
+    if _vertex_id(n, "order", None) < 0:
         raise ValueError(f"order {n} is negative")
     if n > _MAX_ORDER:
         raise ValueError(f"order {n} exceeds the supported maximum {_MAX_ORDER}")
@@ -305,8 +318,6 @@ def digraph_from_arc_list(text: str) -> Digraph:
     if len(head) != 2:
         raise ValueError("first line must be 'n m'")
     n, m = int(head[0]), int(head[1])
-    if n < 0 or m < 0:
-        raise ValueError("negative n or m")
     _check_order(n)
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arc lines, got {len(lines) - 1}")
@@ -327,17 +338,30 @@ def digraph_from_arc_list(text: str) -> Digraph:
     if flat.size != 2 * m or gaps.size != m \
             or (gaps[:-1] > breaks).any() or (breaks > gaps[1:]).any():
         raise ValueError("malformed arc lines")
-    arcs = flat.reshape(m, 2)
-    if m:
-        if arcs.min() < 0 or arcs.max() >= n:
-            raise ValueError("arc endpoint out of range")
-        if (arcs[:, 0] == arcs[:, 1]).any():
-            raise ValueError("loops are not allowed")
+    return Digraph(_arc_matrix(n, flat.reshape(m, 2)), copy=False)
+
+
+def _arc_matrix(n: int, arcs: np.ndarray) -> np.ndarray:
+    """The n x n adjacency of an m x 2 integer array of arcs, or ValueError
+    naming the first arc, in order, that is out of range, a loop or a repeat."""
+    u, v = arcs[:, 0], arcs[:, 1]
+    out = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
     adj = np.zeros((n, n), dtype=bool)
-    adj[arcs[:, 0], arcs[:, 1]] = True
-    if np.count_nonzero(adj) != m:
-        raise ValueError("duplicate arcs")
-    return Digraph(adj, copy=False)
+    if not (out | (u == v)).any():
+        adj[u, v] = True
+        if np.count_nonzero(adj) == len(arcs):
+            return adj
+    # u * n + v tells in-range arcs apart; a false repeat it flags follows an
+    # out-of-range arc with the same key, so the first flag is a true one
+    repeat = np.ones(len(arcs), dtype=bool)
+    repeat[np.unique(u * n + v, return_index=True)[1]] = False
+    i = int((out | (u == v) | repeat).argmax())
+    a, b = arcs[i].tolist()
+    if out[i]:
+        raise ValueError(f"arc ({a}, {b}) out of range for n={n}")
+    if a == b:
+        raise ValueError(f"loop at vertex {a}")
+    raise ValueError(f"duplicate arc ({a}, {b})")
 
 
 def _arc_lines(d: Digraph, head: str, tail: str = "") -> list[str]:

@@ -27,21 +27,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, _vertex_id
+from .digraph import Digraph, _vertex_id, _vertex_ids
 
 
 def _pool_mask(d: Digraph, within: Iterable[int] | None) -> np.ndarray:
     if within is None:
         return np.ones(d.n, dtype=bool)
     mask = np.zeros(d.n, dtype=bool)
-    # An integer array (the linker's free vertices) is range-checked in one
-    # pass; an id-by-id check of it took about a tenth of each link call.
-    if not (isinstance(within, np.ndarray) and within.dtype.kind in "iu"):
-        within = [_vertex_id(v, "pool vertex", None) for v in within]
-    ids = np.asarray(within, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= d.n):
-        raise ValueError("pool vertex out of range")
-    mask[ids] = True
+    mask[_vertex_ids(within, "pool vertex", d.n)] = True
     return mask
 
 
@@ -146,8 +139,7 @@ def _profile(d: Digraph, u: int, direction: str, c_max: int | None,
     mask = _pool_mask(d, within)
     if not mask[u]:
         raise ValueError("vertex must belong to the pool")
-    if c_max is None:
-        c_max = d.n
+    c_max = d.n if c_max is None else _vertex_id(c_max, "c_max", None)
     if c_max < 1:
         raise ValueError("c_max must be >= 1")
     scores = goodness_scores(d, u, direction, mask)
@@ -241,7 +233,7 @@ def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int]) -> bool:
     For each member u and every c, at most 2c of the non-member vertices may
     fail to be c-in-good for u (goodness measured in the whole digraph).
     """
-    ids = sorted({d._check_vertex(x) for x in members})
+    ids = sorted(set(_vertex_ids(members, "vertex", d.n)))
     if not ids:
         raise ValueError("the set must be non-empty")
     outside = np.ones(d.n, dtype=bool)

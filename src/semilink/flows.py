@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .digraph import Digraph, Path, PathSystem, _vertex_id, reduce_to_minimal_path
+from .digraph import Digraph, Path, PathSystem, _vertex_id, _vertex_ids, reduce_to_minimal_path
 from .dominators import _in_scores, goodness_scores
 
 _INF = np.inf
@@ -83,7 +83,7 @@ class _SplitFlow:
     terminals never use their internal arcs.  Each terminal carries at most
     ``cap`` paths: 1 for a set query, ``d.n`` (no limit) for a pair query.
     Sources and sinks come sorted, disjoint and outside ``forbidden``, and
-    every id is in range (``_validate_terminals``).
+    every id is in range (``_validate_terminals``, ``_pair_flow``).
 
     Flow arcs are kept as links: ``pred[x]`` is the tail of the flow arc
     into x and ``succ[x]`` the head of the one out of x, -1 for none.  They
@@ -544,18 +544,24 @@ def _trace(par_in: np.ndarray, par_out: np.ndarray, hit: int) -> list[tuple[str,
         seq.append(("out" if kind == "in" else "in", int(p)))
 
 
-def _validate_terminals(d: Digraph, sources, sinks, forbidden) -> tuple[list[int], list[int]]:
-    src = sorted({_vertex_id(v, "terminal", d.n) for v in sources})
-    snk = sorted({_vertex_id(v, "terminal", d.n) for v in sinks})
+def _validate_terminals(d: Digraph, sources, sinks, forbidden
+                        ) -> tuple[list[Path], frozenset[int], list[int], list[int], list[int]]:
+    """A set query's checked terminals: ``(trivial, shared, src, snk, blocked)``.
+    ``trivial`` holds a one-vertex path per ``shared`` terminal (one in both
+    sets), by id; ``src`` and ``snk`` the other terminals as sorted Python ints,
+    also from an integer array; ``blocked`` what a flow between those avoids:
+    the forbidden ids, then the shared."""
+    src = set(map(int, _vertex_ids(sources, "terminal", d.n)))
+    snk = set(map(int, _vertex_ids(sinks, "terminal", d.n)))
     if not src or not snk:
         raise ValueError("sources and sinks must be non-empty")
-    blocked = {_vertex_id(v, "forbidden vertex", None) for v in forbidden}
-    bad = set(src + snk) & blocked
+    forbidden = _vertex_ids(forbidden, "forbidden vertex", d.n)
+    bad = (src | snk).intersection(forbidden)
     if bad:
         raise ValueError(f"terminals {sorted(bad)} are forbidden")
-    if any(not 0 <= v < d.n for v in blocked):
-        raise ValueError("forbidden vertex out of range")
-    return src, snk
+    shared = sorted(src & snk)
+    return ([Path(d, (w,)) for w in shared], frozenset(shared), sorted(src - snk),
+            sorted(snk - src), [*forbidden, *shared])
 
 
 def max_disjoint_paths(d: Digraph, sources: Iterable[int], sinks: Iterable[int],
@@ -567,31 +573,23 @@ def max_disjoint_paths(d: Digraph, sources: Iterable[int], sinks: Iterable[int],
     both sets yield trivial one-vertex paths.  When the maximum is below
     ``cap``, a vertex cut of matching size is returned as well.
     """
-    forbidden = list(forbidden)
-    src, snk = _validate_terminals(d, sources, sinks, forbidden)
-    overlap = sorted(set(src) & set(snk))
+    trivial, shared, src, snk, blocked = _validate_terminals(d, sources, sinks, forbidden)
     if cap is None:
-        cap = min(len(src), len(snk))
+        cap = len(trivial) + min(len(src), len(snk))
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    trivial = [Path(d, (w,)) for w in overlap[:cap]]
-    rest_src = [v for v in src if v not in set(overlap)]
-    rest_snk = [v for v in snk if v not in set(overlap)]
-    budget = cap - len(trivial)
-    paths: list[Path] = list(trivial)
+    paths = trivial[:cap]
+    budget = cap - len(paths)
     certificate = None
-    if budget > 0 and rest_src and rest_snk:
-        fl = _SplitFlow(d, rest_src, rest_snk, 1, forbidden + overlap)
+    if budget > 0 and src and snk:
+        fl = _SplitFlow(d, src, snk, 1, blocked)
         got = fl.run_max(budget)
         paths.extend(fl.paths(d))
         if got < budget:
             cut = fl.cut_certificate()
-            certificate = CutCertificate(cut.separator | frozenset(overlap),
-                                         cut.source_side, cut.sink_side)
+            certificate = CutCertificate(cut.separator | shared, cut.source_side, cut.sink_side)
     elif budget > 0:
-        certificate = CutCertificate(frozenset(overlap),
-                                     frozenset(v for v in src if v not in overlap),
-                                     frozenset(v for v in snk if v not in overlap))
+        certificate = CutCertificate(shared, frozenset(src), frozenset(snk))
     paths.sort(key=lambda p: p.first)
     return PathSystem(paths), certificate
 
@@ -604,29 +602,24 @@ def min_weight_disjoint_paths(d: Digraph, sources: Iterable[int], sinks: Iterabl
     Raises :class:`FlowInfeasible` (carrying the cut) when fewer than
     ``count`` disjoint paths exist.
     """
-    forbidden = list(forbidden)
-    src, snk = _validate_terminals(d, sources, sinks, forbidden)
+    trivial, shared, src, snk, blocked = _validate_terminals(d, sources, sinks, forbidden)
     if count < 1:
         raise ValueError("count must be >= 1")
-    overlap = sorted(set(src) & set(snk))[:count]
-    paths = [Path(d, (w,)) for w in overlap]
+    paths = trivial[:count]
     budget = count - len(paths)
     if budget > 0:
-        rest_src = [v for v in src if v not in set(overlap)]
-        rest_snk = [v for v in snk if v not in set(overlap)]
-        if not rest_src or not rest_snk:
+        if not src or not snk:
             raise FlowInfeasible(len(paths), CutCertificate(
-                frozenset(overlap), frozenset(rest_src), frozenset(rest_snk)))
-        fl = _SplitFlow(d, rest_src, rest_snk, 1, forbidden + overlap)
+                shared, frozenset(src), frozenset(snk)))
+        fl = _SplitFlow(d, src, snk, 1, blocked)
         try:
             fl.run_min_cost(budget)
         except FlowInfeasible as exc:
             raise FlowInfeasible(len(paths) + exc.achieved, CutCertificate(
-                exc.cut.separator | frozenset(overlap),
-                exc.cut.source_side, exc.cut.sink_side)) from None
-        blocked = set(forbidden)
+                exc.cut.separator | shared, exc.cut.source_side, exc.cut.sink_side)) from None
+        avoid = set(blocked)
         for p in fl.paths(d):
-            paths.append(_minimal_within(d, p, blocked))
+            paths.append(_minimal_within(d, p, avoid))
     paths.sort(key=lambda p: p.first)
     return PathSystem(paths)
 
@@ -652,7 +645,7 @@ def _pair_flow(d: Digraph, u: int, v: int, cap: int | None
         raise ValueError("local_cut requires distinct vertices")
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
-    (u,), (v,) = _validate_terminals(d, (u,), (v,), ())
+    u, v = _vertex_id(u, "terminal", d.n), _vertex_id(v, "terminal", d.n)
     direct = d.has_arc(u, v)
     budget = d.n if cap is None else cap - direct
     if budget == 0:

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .digraph import Digraph, _check_order
+from .digraph import Digraph, _check_order, _vertex_ids
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -26,11 +26,11 @@ def transitive_tournament(order: Sequence[int] | int) -> Digraph:
     ``order`` is either a permutation of 0..n-1 or an integer n (identity
     order).  There is an arc from ``order[i]`` to ``order[j]`` iff i < j.
     """
-    if isinstance(order, int):
+    if isinstance(order, (int, np.integer)):
         _check_order(order)
         perm = range(order)
     else:
-        perm = [int(v) for v in order]
+        perm = _vertex_ids(order, "vertex", None)
         _check_order(len(perm))
     n = len(perm)
     if sorted(perm) != list(range(n)):

@@ -306,13 +306,20 @@ class TestExport:
         ' "targets": [], "mirrors": [], "starts": [], "bypass": 0, "outlet": 2}}',
         '{"k": 1, "n": 3, "l": 0, "roles": {"tracks": [[0]], "core": [1], "relays": [],'
         ' "targets": [], "mirrors": [], "starts": [], "outlet": 2}}',
+        # a well-formed 3-vertex layout but for one id, once read as vertex 0, 1 and 1
+        '{"k": 1, "n": 3, "l": 1, "roles": {"tracks": [[0, 1, 2]], "core": [0], "relays": [0.5],'
+        ' "targets": [0], "mirrors": [0], "starts": [0], "bypass": 0, "outlet": 2}}',
+        '{"k": 1, "n": 3, "l": 1, "roles": {"tracks": [[0, 1, 2]], "core": [0], "relays": [0],'
+        ' "targets": ["1"], "mirrors": [0], "starts": [0], "bypass": 0, "outlet": 2}}',
+        '{"k": 1, "n": 3, "l": 1, "roles": {"tracks": [[0, 1, 2]], "core": [0], "relays": [0],'
+        ' "targets": [0], "mirrors": [0], "starts": [0], "bypass": 0, "outlet": true}}',
     ])
     def test_malformed_layout_is_usage_error(self, tmp_path, capsys, layout):
         g, bad = tmp_path / "g.txt", tmp_path / "bad.json"
         g.write_text("3 3\n0 1\n1 2\n2 0\n")
         bad.write_text(layout)
         assert main(["export", "--in", str(g), "--layout", str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: layout" in capsys.readouterr().err
 
     def test_clustered_by_layout(self):
         from semilink.counterexample import build_counterexample

@@ -36,6 +36,16 @@ class TestParams:
         with pytest.raises(ValueError, match="even reservoir"):
             CounterexampleParams(42, 1765)
 
+    @pytest.mark.parametrize("query, match", [
+        # these used to report "n must be >= k*k" and to sample 3 pairs
+        (lambda: build_counterexample(42.5, 1764), "k 42.5 is not an integer"),
+        (lambda: sampled_connectivity_check(Digraph.from_arcs(3, [(0, 1)]), 3, 2.5, 0),
+         "pairs 2.5 is not an integer"),
+    ], ids=["k", "pairs"])
+    def test_non_integer_parameters_rejected(self, query, match):
+        with pytest.raises(ValueError, match=match):
+            query()
+
     def test_order_cap(self, no_large_allocation):
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
             CounterexampleParams(42, _MAX_ORDER + 1)
@@ -643,12 +653,22 @@ class TestLayoutSerialisation:
         (lambda data: data["roles"].__setitem__(
             "tracks", [row[:2] for row in data["roles"]["tracks"]]),
          "layout tracks have 2 steps"),
+        (lambda data: data["roles"]["relays"].__setitem__(0, data["roles"]["relays"][0] + 0.7),
+         r"layout relays id 1595\.7 is not an integer"),
+        (lambda data: data["roles"].__setitem__("outlet", data["roles"]["outlet"] + 0.5),
+         r"layout outlet id 1763\.5 is not an integer"),
+        (lambda data: data.__setitem__("k", 42.9), r"layout k 42\.9 is not an integer"),
+        (lambda data: data["roles"]["core"].__setitem__(0, "12"),
+         "layout core id '12' is not an integer"),
+        (lambda data: data["roles"].__setitem__("outlet", True),
+         "layout outlet id True is not an integer"),
     ])
     def test_role_ids_out_of_range_rejected(self, reference_counterexample, edit, message):
         # -1 would alias the outlet and 5000 would fail inside numpy.  k and
         # l are the tracks' shape: "l": 2 would fail two rules of a correct
         # instance, "k": 40 and a short tier would fail inside numpy, and
-        # two-step tracks with an IndexError in the verifier.
+        # two-step tracks with an IndexError in the verifier.  A float, a
+        # string and true were read as relay 1595, core 12 and outlet 1.
         _, lay = reference_counterexample
         data = json.loads(lay.to_json())
         edit(data)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from semilink.digraph import (_MAX_ORDER, Digraph, Path, PathSystem, digraph_from_arc_list,
                               digraph_to_arc_list, is_semicomplete, is_tournament,
                               reduce_to_minimal_path)
-from semilink.generators import random_tournament, transitive_tournament
+from semilink.generators import (near_regular_tournament, random_tournament,
+                                 rotational_tournament, transitive_tournament)
 
 from conftest import (complete_digraph, plain_reduce_to_minimal_path,
                       plain_spanning_tournament, random_digraph)
@@ -58,7 +59,13 @@ class TestNeighbourhoods:
         d = transitive_tournament(5)
         # these used to raise numpy's IndexError, or build the path 0 -> 1
         for query in (lambda: d.has_arc(0.5, 1), lambda: d.with_flipped_arc(0, 1.0),
-                      lambda: Path(d, (0.5, 1.5)), lambda: d.induced([0, 1.5])):
+                      lambda: Path(d, (0.5, 1.5)), lambda: d.induced([0, 1.5]),
+                      lambda: Digraph.from_arcs(3, [(0.5, 1)]),
+                      lambda: transitive_tournament([0.5, 1, 2]),
+                      lambda: d.has_arc(True, 0), lambda: Path(d, (True, 2)),
+                      lambda: Digraph.from_arcs(2.5, []), lambda: rotational_tournament(9.0),
+                      lambda: near_regular_tournament(9.5, 1),
+                      lambda: random_tournament(5.5, 1)):
             with pytest.raises(ValueError, match="is not an integer"):
                 query()
         assert d.has_arc(np.int64(0), np.int32(1))
@@ -317,6 +324,42 @@ class TestArcListFormat:
         for text in ("1000000 0\n", f"{_MAX_ORDER + 1} 0\n"):
             with pytest.raises(ValueError, match="order"):
                 digraph_from_arc_list(text)
+
+    @staticmethod
+    def plain_from_arcs(n, arcs):
+        """The arc-by-arc build that names the first bad arc as it meets it."""
+        adj = np.zeros((n, n), dtype=bool)
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if adj[u, v]:
+                raise ValueError(f"duplicate arc ({u}, {v})")
+            adj[u, v] = True
+        return Digraph(adj)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=12))))
+    @settings(max_examples=200)
+    def test_from_arcs_and_arc_list_agree(self, case):
+        # good lists, and lists with an id out of range, a loop or a repeat:
+        # both readers build the plain build's matrix or name its first bad arc
+        n, arcs = case
+        text = f"{n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+        results = []
+        for build in (lambda: self.plain_from_arcs(n, arcs), lambda: Digraph.from_arcs(n, arcs),
+                      lambda: digraph_from_arc_list(text)):
+            try:
+                results.append(build().adjacency.tolist())
+            except ValueError as exc:
+                results.append(str(exc))
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_from_arcs_id_beyond_int64_is_out_of_range(self):
+        # int64 conversion raised OverflowError; it saturates, as the parser does
+        with pytest.raises(ValueError, match=r"arc \(9223372036854775807, 1\) out of range"):
+            Digraph.from_arcs(3, [(0, 1), (2 ** 70, 1)])
 
     def test_from_arcs_checks_the_order_first(self, no_large_allocation):
         with pytest.raises(ValueError, match="exceeds the supported maximum"):

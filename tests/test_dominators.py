@@ -250,9 +250,11 @@ def test_goodness_scores_reject_bad_centre_and_direction(u, direction, match):
     (lambda d: goodness_scores(d, 0.5, "out", np.ones(d.n, dtype=bool)),
      "vertex 0.5 is not an integer"),
     (lambda d: count_two_paths(d, 0, 4.5), "vertex 4.5 is not an integer"),
-], ids=["pool", "goodness", "two_paths"])
+    (lambda d: nearly_out_dominating_profile(d, 0, c_max=2.5), "c_max 2.5 is not an integer"),
+], ids=["pool", "goodness", "two_paths", "c_max"])
 def test_non_integer_ids_rejected(query, match):
-    # the last two used to fail inside numpy with an IndexError
+    # goodness and two_paths used to fail inside numpy with an IndexError,
+    # and c_max 2.5 returned 3 counts
     with pytest.raises(ValueError, match=match):
         query(rotational_tournament(9))
 

@@ -75,3 +75,18 @@ def test_dataclass_field_is_read(cls, field):
     # matched by name only, so one that shares its name with an attribute
     # read anywhere else passes.
     assert field in _ATTRIBUTES_READ, f"{cls}.{field} is set but never read"
+
+
+def test_only_the_id_readers_import_operator():
+    # digraph reads caller vertex ids for the whole library (operator.index
+    # rejects 0.5 where int() truncates it); oracle and certificates, the
+    # references that share no code with it, may keep readers of their own.
+    # Any other module importing operator is one more reader.
+    importers = set()
+    for path in sorted((ROOT / "src" / "semilink").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "operator" in names:
+                importers.add(path.stem)
+    assert importers <= {"digraph", "oracle", "certificates"}, importers

@@ -779,7 +779,7 @@ def test_cut_value_matches_local_cut_and_enumeration(seed, n, semicomplete, dens
 def test_forbidden_out_of_range_rejected(query, sinks, forbidden):
     # terminals shared by both sides become one-vertex paths and build no
     # flow, so the check must not wait for one
-    with pytest.raises(ValueError, match="forbidden vertex out of range"):
+    with pytest.raises(ValueError, match=rf"forbidden vertex {forbidden[-1]} out of range \(n=7\)"):
         query(rotational_tournament(7), [0], sinks, forbidden)
 
 
@@ -800,6 +800,13 @@ def test_non_integer_ids_rejected(query, match):
 def test_numpy_integer_ids_accepted():
     d = rotational_tournament(9)
     assert local_cut(d, np.int64(0), np.int32(4)).value == local_cut(d, 0, 4).value
+
+
+def test_integer_array_terminals_give_python_ints():
+    # the shared terminal 0 leaves no sink for source 1, so the cut is read
+    # off the terminal sets themselves
+    _, cut = max_disjoint_paths(rotational_tournament(9), np.array([0, 1]), np.array([0]), cap=2)
+    assert [type(v) for v in cut.source_side] == [int]
 
 
 @pytest.mark.parametrize("query", [local_cut, flows._cut_value])

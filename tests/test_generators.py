@@ -28,6 +28,10 @@ class TestTransitive:
     def test_single_vertex(self):
         assert transitive_tournament(1).arc_count == 0
 
+    def test_numpy_integer_order(self):
+        # np.int64(3) used to be iterated as a vertex order and raise TypeError
+        assert transitive_tournament(np.int64(3)) == transitive_tournament(3)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             transitive_tournament([0, 0, 1])

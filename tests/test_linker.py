@@ -586,6 +586,12 @@ class TestCertificateVerifier:
         with pytest.raises(CertificateError, match="missing arc"):
             verify_linkage_certificate(d, [(0, 2)], [(0, 2)])
 
+    @pytest.mark.parametrize("entry", [1.5, True])
+    def test_rejects_non_integer_entry(self, entry):
+        # these used to raise numpy's IndexError, or its ambiguous truth value
+        with pytest.raises(CertificateError, match=f"path 0 contains invalid vertex {entry}"):
+            verify_linkage_certificate(complete_digraph(3), [(0, 2)], [(0, entry, 2)])
+
     def test_rejects_wrong_count(self):
         with pytest.raises(CertificateError, match="expected 2 paths"):
             verify_linkage_certificate(complete_digraph(5), [(0, 1), (2, 3)],
