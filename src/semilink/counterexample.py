@@ -210,11 +210,12 @@ class CounterexampleLayout:
     def from_json(cls, text: str) -> "CounterexampleLayout":
         """Parse :meth:`to_json` output.
 
-        A missing key, a wrong type, tracks of fewer than 3 steps, a ``k``
-        other than the number of track rows, an ``l`` other than the steps
-        per track less 2, a tier that does not hold k ids, an id or size that
-        is not an integer (a float, a string or a bool), a role id outside
-        0..n-1 or a ``bypass`` other than ``core[0]`` raises ValueError.
+        A missing key, a wrong type, ragged tracks or tracks of fewer than 3
+        steps, a ``k`` other than the number of track rows, an ``l`` other
+        than the steps per track less 2, a tier that does not hold k ids, an
+        id or size that is not an integer (a float, a string or a bool), a
+        role id outside 0..n-1 or a ``bypass`` other than ``core[0]`` raises
+        ValueError.
         """
         data = json.loads(text)
         try:
@@ -222,8 +223,12 @@ class CounterexampleLayout:
             n = _vertex_id(data["n"], "layout n", None)
             k, l = (_vertex_id(data[key], f"layout {key}", None) for key in ("k", "l"))
             # item by item: np.asarray(..., dtype=np.int64) would truncate 0.5
-            track = np.asarray([_vertex_ids(row, "layout tracks id", n)
-                                for row in roles["tracks"]], dtype=np.int64)
+            rows = [_vertex_ids(row, "layout tracks id", n) for row in roles["tracks"]]
+            lengths = sorted({len(row) for row in rows})
+            if len(lengths) > 1:
+                raise ValueError(f"layout tracks are ragged: rows of {lengths[0]} "
+                                 f"to {lengths[-1]} steps")
+            track = np.asarray(rows, dtype=np.int64)
             tier = {name: np.asarray(_vertex_ids(roles[name], f"layout {name} id", n),
                                      dtype=np.int64)
                     for name in ("core", "relays", "targets", "mirrors", "starts")}

@@ -48,7 +48,7 @@ class Digraph:
             raise ValueError("each arc must be a pair (u, v)")
         # an id beyond int64 is out of range for any n: it saturates, as in the arc-list parser
         ids = np.array(pairs, dtype=object).clip(-2 ** 63, 2 ** 63 - 1).astype(np.int64)
-        return cls(_arc_matrix(n, ids.reshape(-1, 2)), copy=False)
+        return cls(_arc_matrix(n, ids.reshape(-1, 2), pairs.__getitem__), copy=False)
 
     @property
     def n(self) -> int:
@@ -338,12 +338,18 @@ def digraph_from_arc_list(text: str) -> Digraph:
     if flat.size != 2 * m or gaps.size != m \
             or (gaps[:-1] > breaks).any() or (breaks > gaps[1:]).any():
         raise ValueError("malformed arc lines")
-    return Digraph(_arc_matrix(n, flat.reshape(m, 2)), copy=False)
+    arc_lines = lines[1:]
+    return Digraph(_arc_matrix(n, flat.reshape(m, 2),
+                               lambda i: [int(t) for t in arc_lines[i].split()]), copy=False)
 
 
-def _arc_matrix(n: int, arcs: np.ndarray) -> np.ndarray:
+def _arc_matrix(n: int, arcs: np.ndarray, given) -> np.ndarray:
     """The n x n adjacency of an m x 2 integer array of arcs, or ValueError
-    naming the first arc, in order, that is out of range, a loop or a repeat."""
+    naming the first arc, in order, that is out of range, a loop or a repeat.
+
+    An id beyond int64 saturates in ``arcs``, so the message names arc i as
+    ``given(i)`` reads it from the caller's input.
+    """
     u, v = arcs[:, 0], arcs[:, 1]
     out = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
     adj = np.zeros((n, n), dtype=bool)
@@ -356,7 +362,7 @@ def _arc_matrix(n: int, arcs: np.ndarray) -> np.ndarray:
     repeat = np.ones(len(arcs), dtype=bool)
     repeat[np.unique(u * n + v, return_index=True)[1]] = False
     i = int((out | (u == v) | repeat).argmax())
-    a, b = arcs[i].tolist()
+    a, b = given(i)
     if out[i]:
         raise ValueError(f"arc ({a}, {b}) out of range for n={n}")
     if a == b:

@@ -18,8 +18,8 @@ the same too.
 
 The minimum-weight variant (unit cost per vertex) augments along successive
 cheapest paths: a Bellman-Ford relaxation that follows each node copy's few
-entry arcs and takes the original arcs one distance level at a time, then a
-BFS restricted to tight arcs.  Distances are unique, so no path depends on
+entry arcs and takes the original arcs in one read per sweep, cheapest
+out-copy first, then a BFS restricted to tight arcs.  Distances are unique, so no path depends on
 the relaxation order.  It first pushes its one-arc paths s->t in one step,
 lowest sink first: while the flow is only such arcs no residual cost is
 negative, so each of them is the path the relaxation and the tight BFS
@@ -445,20 +445,28 @@ class _SplitFlow:
         is entered only by its internal arc (+1, flow-free vertex) or by the
         reverse of its one outgoing flow arc (0); an in-copy by original arcs
         (0) or by its reversed internal arc (-1).  Each sweep derives
-        ``dist_out`` from ``dist_in`` and then ``dist_in`` from ``dist_out``,
-        relaxing original arcs one level at a time, highest first.
+        ``dist_out`` from ``dist_in`` and then ``dist_in`` from ``dist_out``.
+        The original arcs relax in one read: the finite out-copies' rows,
+        cheapest first, where the first arc into each in-copy is its
+        cheapest.
         """
         n = self.n
         internal_ok = self.passable & ~self.internal_flow
         back = (self.succ >= 0).nonzero()[0]
+        cols = np.arange(n)
         dist_in = np.full(n, _INF)
         for _ in range(2 * n + 4):
             dist_out = np.where(internal_ok, dist_in + 1, _INF)
             dist_out[back] = dist_in[self.succ[back]]
             dist_out[self.open_src] = 0.0
+            finite = (dist_out < _INF).nonzero()[0]
+            order = finite[np.argsort(dist_out[finite], kind="stable")]
             new_in = np.full(n, _INF)
-            for level in np.unique(dist_out[dist_out < _INF])[::-1]:
-                new_in[self.adj[dist_out == level].any(axis=0)] = level
+            if order.size:
+                rows = self.adj[order]
+                first = rows.argmax(axis=0)
+                hit = rows[first, cols]
+                new_in[hit] = dist_out[order[first[hit]]]
             new_in = np.minimum(new_in, np.where(self.internal_flow, dist_out - 1, _INF))
             if np.array_equal(new_in, dist_in):
                 return dist_in, dist_out

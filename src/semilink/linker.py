@@ -161,10 +161,10 @@ def build_dominating_set(d: Digraph, starts: Sequence[int], targets: Sequence[in
     Vertex i is found in the digraph with the terminals and the previous
     picks removed; the defining property is asserted for every pick.  That
     also certifies the whole pool in the digraph minus the terminals: there
-    every pick has the same or more middles and fewer candidates.  The pool
-    block is gathered and checked for semicompleteness once, since every
-    sub-pool of a semicomplete pool is semicomplete; each pick then updates
-    the degrees by one column.
+    every pick has the same or more middles and fewer candidates.  The
+    pool's rows and columns are packed and checked for semicompleteness
+    once, since every sub-pool of a semicomplete pool is semicomplete; the
+    picks follow from the degrees, and one census scores them all.
     """
     free = np.flatnonzero(_off_terminals(d.n, starts, targets, ()))
     if free.size < 3 * len(starts):

@@ -3,7 +3,9 @@
 These are the ground truth the flow and linkage machinery is tested
 against, so they deliberately share no code with it: plain backtracking
 over adjacency, with reachability pruning and explicit budgets.  Budget
-exhaustion yields an explicit ``unknown`` verdict, never a guess.
+exhaustion yields an explicit ``unknown`` verdict, never a guess.  Only the
+caller's terminals go through the library's vertex-id reader, so both sides
+accept and reject the same ids.
 
 The linkage search holds adjacency rows as Python-int bitmasks (bit ``w``
 of row ``u`` set when ``u -> w`` is an arc), packed from the matrix the
@@ -14,14 +16,13 @@ rows of a large digraph packs only those.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _vertex_id
 
 _BRUTEFORCE_MAX_N = 12
 # The linkage search appends at most this many vertices along one branch;
@@ -56,17 +57,6 @@ class OracleAnswer:
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against misuse
         raise TypeError("check .verdict explicitly; 'unknown' is a real outcome")
-
-
-def _terminal(t, n: int) -> int:
-    """``t`` as a vertex of an n-vertex digraph, or ValueError."""
-    try:
-        v = operator.index(t)
-    except TypeError:
-        raise ValueError(f"terminal {t!r} is not an integer") from None
-    if not 0 <= v < n:
-        raise ValueError(f"terminal {v} out of range")
-    return v
 
 
 class _Exhausted(Exception):
@@ -193,7 +183,8 @@ def exists_disjoint_linkage(d: Digraph, pairs: Sequence[tuple[int, int]],
     limit stops the search.  Terminals must be integers in ``range(d.n)``.
     """
     budget = budget or OracleBudget()
-    pairs = [(_terminal(x, d.n), _terminal(y, d.n)) for x, y in pairs]
+    pairs = [(_vertex_id(x, "terminal", d.n), _vertex_id(y, "terminal", d.n))
+             for x, y in pairs]
     for x, y in pairs:
         if x == y:
             raise ValueError(f"degenerate pair ({x}, {y})")
@@ -219,8 +210,8 @@ def max_disjoint_ST_paths_bruteforce(d: Digraph, sources: Sequence[int],
     """
     if d.n > _BRUTEFORCE_MAX_N:
         raise ValueError(f"instance too large for brute force (n={d.n})")
-    src = sorted({_terminal(v, d.n) for v in sources})
-    snk = {_terminal(v, d.n) for v in sinks}
+    src = sorted({_vertex_id(v, "terminal", d.n) for v in sources})
+    snk = {_vertex_id(v, "terminal", d.n) for v in sinks}
     if not src or not snk:
         raise ValueError("sources and sinks must be non-empty")
     overlap = [v for v in src if v in snk]

@@ -313,6 +313,9 @@ class TestExport:
         ' "targets": ["1"], "mirrors": [0], "starts": [0], "bypass": 0, "outlet": 2}}',
         '{"k": 1, "n": 3, "l": 1, "roles": {"tracks": [[0, 1, 2]], "core": [0], "relays": [0],'
         ' "targets": [0], "mirrors": [0], "starts": [0], "bypass": 0, "outlet": true}}',
+        '{"k": 2, "n": 5, "l": 1, "roles": {"tracks": [[0, 1, 2], [3, 4]], "core": [0],'
+        ' "relays": [0, 1], "targets": [0, 1], "mirrors": [0, 1], "starts": [0, 1],'
+        ' "bypass": 0, "outlet": 2}}',
     ])
     def test_malformed_layout_is_usage_error(self, tmp_path, capsys, layout):
         g, bad = tmp_path / "g.txt", tmp_path / "bad.json"

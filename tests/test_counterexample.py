@@ -662,13 +662,16 @@ class TestLayoutSerialisation:
          "layout core id '12' is not an integer"),
         (lambda data: data["roles"].__setitem__("outlet", True),
          "layout outlet id True is not an integer"),
+        (lambda data: data["roles"]["tracks"][1].pop(),
+         "layout tracks are ragged: rows of 4 to 5 steps"),
     ])
     def test_role_ids_out_of_range_rejected(self, reference_counterexample, edit, message):
         # -1 would alias the outlet and 5000 would fail inside numpy.  k and
         # l are the tracks' shape: "l": 2 would fail two rules of a correct
         # instance, "k": 40 and a short tier would fail inside numpy, and
         # two-step tracks with an IndexError in the verifier.  A float, a
-        # string and true were read as relay 1595, core 12 and outlet 1.
+        # string and true were read as relay 1595, core 12 and outlet 1, and
+        # ragged tracks failed inside numpy.
         _, lay = reference_counterexample
         data = json.loads(lay.to_json())
         edit(data)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,17 @@ class TestArcListFormat:
         with pytest.raises(ValueError, match="range"):
             digraph_from_arc_list("3 1\n99999999999999999999 1\n")
 
+    @pytest.mark.parametrize("line, shown", [
+        ("99999999999999999999 1", "(99999999999999999999, 1)"),
+        ("2 -99999999999999999999", "(2, -99999999999999999999)"),
+        ("+00007 1", "(7, 1)"),
+    ])
+    def test_out_of_range_arc_named_as_written(self, line, shown):
+        # the parser saturates an id beyond int64; the message names the
+        # input's own id, not 9223372036854775807
+        with pytest.raises(ValueError, match=rf"^arc {re.escape(shown)} out of range for n=3$"):
+            digraph_from_arc_list(f"3 2\n0 1\n{line}\n")
+
     def test_hard_instance_roundtrip(self, reference_counterexample):
         d, _ = reference_counterexample
         text = digraph_to_arc_list(d)
@@ -357,9 +369,12 @@ class TestArcListFormat:
         assert results[1] == results[0] and results[2] == results[0]
 
     def test_from_arcs_id_beyond_int64_is_out_of_range(self):
-        # int64 conversion raised OverflowError; it saturates, as the parser does
-        with pytest.raises(ValueError, match=r"arc \(9223372036854775807, 1\) out of range"):
+        # int64 conversion raised OverflowError; it saturates, as the parser
+        # does, and the message names the caller's id
+        with pytest.raises(ValueError, match=r"^arc \(1180591620717411303424, 1\) out of range"):
             Digraph.from_arcs(3, [(0, 1), (2 ** 70, 1)])
+        with pytest.raises(ValueError, match=r"^arc \(0, -1180591620717411303424\) out of range"):
+            Digraph.from_arcs(3, [(0, -2 ** 70)])
 
     def test_from_arcs_checks_the_order_first(self, no_large_allocation):
         with pytest.raises(ValueError, match="exceeds the supported maximum"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import semilink.flows as flows
 from semilink.digraph import Digraph
-from semilink.dominators import (_in_scores, _picks, count_two_paths,
+from semilink.dominators import (_bad_counts, _in_scores, _picks, count_two_paths,
                                  find_nearly_in_dominating,
                                  find_nearly_out_dominating, goodness_scores,
                                  is_nearly_in_dominating_set,
@@ -502,12 +502,18 @@ def reference_picks(d, direction, within, count):
        st.integers(1, 8), st.sampled_from(["in", "out"]))
 @example(seed=1, n=12, density=0.5, kind="holes", pool_size=0, count=4, direction="in")
 @example(seed=2, n=9, density=0.3, kind="semicomplete", pool_size=3, count=5, direction="out")
+@example(seed=70, n=70, density=0.3, kind="semicomplete", pool_size=63, count=8, direction="in")
+@example(seed=130, n=130, density=0.0, kind="semicomplete", pool_size=0, count=8, direction="out")
+@example(seed=300, n=300, density=0.2, kind="semicomplete", pool_size=293, count=8, direction="in")
+@example(seed=300, n=300, density=0.5, kind="semicomplete", pool_size=0, count=8, direction="out")
 @settings(max_examples=300, deadline=None)
 def test_picks_match_reference_pick_by_pick(seed, n, density, kind, pool_size,
                                             count, direction):
     # general digraphs, semicomplete ones and semicomplete ones with holes
     # (both arcs of some pairs dropped); pool_size 0 means the whole digraph,
-    # and a pool smaller than count runs out of vertices
+    # and a pool smaller than count runs out of vertices.  Above n=64 the
+    # bitsets take several words, and above 256 pool vertices more than
+    # one packing band.
     rng = np.random.Generator(np.random.PCG64(seed))
     if kind == "general":
         d = random_digraph(n, density, seed)
@@ -544,6 +550,42 @@ def test_each_pick_checks_its_own_pool(monkeypatch, direction):
             c_max = (len(remaining) - 1) // 2 + 1
             assert bad == list(profile(d, u, c_max=c_max, within=remaining).bad_counts)
             remaining.remove(u)
+
+
+@pytest.mark.parametrize("direction", ["in", "out"])
+def test_first_failing_pick_is_named(monkeypatch, direction):
+    # Every pick is fixed before any check; the checks then run in pick
+    # order, and the first one that fails names its own pick.
+    import semilink.dominators as dominators
+    d = random_semicomplete(40, 0.3, seed=210)
+    picks = _picks(d, direction, None, 6)
+    real = dominators._nearly_dominates
+    calls = []
+
+    def third_fails(bad, *args):
+        calls.append(list(bad))
+        return len(calls) != 3 and real(bad, *args)
+
+    monkeypatch.setattr(dominators, "_nearly_dominates", third_fails)
+    with pytest.raises(AssertionError, match=rf"^max-degree vertex {picks[2]} fails "
+                                             rf"the nearly-{direction}-dominating check$"):
+        _picks(d, direction, None, 6)
+    assert len(calls) == 3
+
+
+def test_no_terminals_make_no_picks():
+    # 3k = 0 picks is the empty pool; the pick loop used to run on forever
+    d = rotational_tournament(7)
+    assert _picks(d, "in", None, 0) == []
+    assert build_dominating_set(d, [], [], LinkerTrace()) == []
+
+
+@given(st.lists(st.integers(0, 40), max_size=60), st.integers(1, 40), st.integers(1, 70))
+def test_bad_counts_match_sorted_search(scores, n, c_max):
+    # bad(c) counts the scores below min(c, n), with c_max below and above n
+    s = np.minimum(np.array(scores, dtype=np.int64), n)
+    want = np.searchsorted(np.sort(s), np.minimum(np.arange(1, c_max + 1), n))
+    assert _bad_counts(s, n, c_max).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p_bidirected", [0.0, 0.3])

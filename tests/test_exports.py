@@ -79,9 +79,9 @@ def test_dataclass_field_is_read(cls, field):
 
 def test_only_the_id_readers_import_operator():
     # digraph reads caller vertex ids for the whole library (operator.index
-    # rejects 0.5 where int() truncates it); oracle and certificates, the
-    # references that share no code with it, may keep readers of their own.
-    # Any other module importing operator is one more reader.
+    # rejects 0.5 where int() truncates it), the oracle's terminals included;
+    # certificates, the verifier that shares no code with it, keeps a reader
+    # of its own.  Any other module importing operator is one more reader.
     importers = set()
     for path in sorted((ROOT / "src" / "semilink").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -89,4 +89,4 @@ def test_only_the_id_readers_import_operator():
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             if "operator" in names:
                 importers.add(path.stem)
-    assert importers <= {"digraph", "oracle", "certificates"}, importers
+    assert importers <= {"digraph", "certificates"}, importers

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from semilink.certificates import verify_linkage_certificate
 from semilink.digraph import Digraph
+from semilink.flows import max_disjoint_paths
 from semilink.generators import (random_semicomplete, random_tournament,
                                  rotational_tournament)
 from semilink.oracle import (_DEPTH_LIMIT, OracleAnswer, OracleBudget,
@@ -176,6 +177,17 @@ class TestBruteforceCounts:
             max_disjoint_ST_paths_bruteforce(d, [0.5], [2])
         with pytest.raises(ValueError, match="not an integer"):
             max_disjoint_ST_paths_bruteforce(d, [0], ["2"])
+
+    def test_bool_terminals_rejected_like_the_flow(self):
+        # True is no vertex id: the reference rejects it as the flow does,
+        # where it counted as vertex 1 of the circulant.
+        d = rotational_tournament(7)
+        with pytest.raises(ValueError, match="terminal True is not an integer"):
+            max_disjoint_ST_paths_bruteforce(d, [True], [3])
+        with pytest.raises(ValueError, match="terminal True is not an integer"):
+            max_disjoint_paths(d, [True], [3])
+        with pytest.raises(ValueError, match="terminal True is not an integer"):
+            exists_disjoint_linkage(d, [(True, 3)])
 
     def test_instance_size_guard(self):
         with pytest.raises(ValueError, match="too large"):
