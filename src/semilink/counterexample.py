@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import (Digraph, Path, PathSystem, _check_order, _first_bad_band,
+from .digraph import (Digraph, Path, PathSystem, _check_order, _first_bad_row,
                       _upper_bands, _vertex_id, _vertex_ids, is_tournament)
 from .flows import _cut_value, _sample_pairs
 from .generators import _random_orientation, rotational_tournament
@@ -524,21 +524,26 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
     ``reservoir_regular``, is a list of :func:`_wiring` blocks
     ``(rows, cols, want)`` read by :func:`_orientation_witness`; the rule's
     witness is the first bad pair of its first failing block.  The
-    ``tournament`` rule is read first, band by band as
-    :func:`~semilink.digraph.is_tournament` reads it, and only the first
-    band whose count misses is searched for its row-major first bad pair.
-    When it passes and no vertex holds two roles, every other block is read
-    one-sided: adj[v, u] is the complement of adj[u, v], so a block's
-    orientation is its rows->cols arcs, a block that asks only for a
-    tournament passes unread, and the reservoir is regular once its
+    ``tournament`` rule is read first, from the digraph's packed rows and
+    columns as :func:`~semilink.digraph.is_tournament` counts them, and only
+    the first row whose count misses is searched for its first bad pair.
+    The reservoir's degrees are bit counts of its packed rows and columns.
+    When the tournament rule passes and no vertex holds two roles, every
+    other block is read one-sided: adj[v, u] is the complement of adj[u, v],
+    so a block's orientation is its rows->cols arcs, a block that asks only
+    for a tournament passes unread, and the reservoir is regular once its
     out-degrees are equal.  Verdicts and witnesses are those of the
     two-sided reads.
+
+    The packing is built on the first check of a digraph and kept with it
+    (0.25 n^2 bytes); a digraph from :meth:`~semilink.digraph.Digraph.with_flipped_arc`
+    inherits its parent's.
     """
     if d.n != layout.n:
         raise ValueError("layout does not match the digraph")
     adj = d.adjacency
     track = layout.track
-    found = {"tournament": _tournament_witness(adj)}
+    found = {"tournament": _tournament_witness(d)}
     tournament = found["tournament"] is None and _roles_distinct(layout)
     found.update((name, _rule_witness(adj, rule, tournament))
                  for name, rule in _wiring(layout).items())
@@ -550,22 +555,34 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
         u, v = int(track[i, t]), int(track[i, t + 1])
         found["track_paths"] = RuleWitness(u, v, f"{u}->{v} missing (track arc)")
 
-    # the reservoir's semidegrees, one heads/core block at a time; a count
-    # is at most n, and summing into the smallest type that holds n is the
-    # fastest.  In a tournament on m vertices each in-degree is m - 1 minus
-    # the out-degree.
-    parts = [_side(part, d.n).index for part in (layout.heads(), layout.core)]
-    count = np.min_scalar_type(d.n)
-    outs = np.concatenate([sum(adj[_block_index(r, c)].sum(axis=1, dtype=count)
-                               for c in parts) for r in parts])
+    # the reservoir's semidegrees: bit counts of its packed rows (out-arcs)
+    # and columns (in-arcs) against its packed ids.  An id listed t times is
+    # in the first t masks, so it counts t times, as in a gathered block.  A
+    # degree is at most res.size, and summing into the smallest type that
+    # holds it is the fastest.  In a tournament on m vertices each in-degree
+    # is m - 1 minus the out-degree.
+    res = layout.reservoir()
+    listed = np.bincount(res, minlength=d.n)
+    masks = [np.packbits(listed > t) for t in range(listed.max())]
+    count = np.min_scalar_type(res.size)
+
+    def degrees(bits: np.ndarray) -> np.ndarray:
+        block = bits[res]
+        total = 0
+        for mask in masks:
+            hits = np.bitwise_and(block, mask)
+            total = total + np.bitwise_count(hits, out=hits).sum(axis=1, dtype=count)
+        return total
+
+    rows, cols = d._packed()
+    outs = degrees(rows)
     regular = (outs == outs[0]).all()
     if regular and not tournament:
-        ins = np.concatenate([sum(adj[_block_index(r, c)].sum(axis=0, dtype=count)
-                                  for r in parts) for c in parts])
+        ins = degrees(cols)
         regular = (ins == ins[0]).all()
     found["reservoir_regular"] = None
     if not regular:
-        v = int(layout.reservoir()[int(np.argmax(outs != outs[0]))])
+        v = int(res[int(np.argmax(outs != outs[0]))])
         found["reservoir_regular"] = RuleWitness(
             v, v, "reservoir must induce a regular tournament")
 
@@ -573,17 +590,22 @@ def verify_construction_rules(d: Digraph, layout: CounterexampleLayout
                                     for name in CORE_RULES + EXTRA_CHECKS))
 
 
-def _tournament_witness(adj: np.ndarray) -> RuleWitness | None:
+def _tournament_witness(d: Digraph) -> RuleWitness | None:
     """The row-major first pair of the whole instance without exactly one arc.
 
-    It lies in the first band that :func:`~semilink.digraph._first_bad_band`
-    returns, since every pair of an earlier band has exactly one arc.
+    Its row u is the first that :func:`~semilink.digraph._first_bad_row`
+    returns, and its column the first vertex v != u whose bit of
+    ``rows[u] ^ cols[u]`` is 0.  Since "exactly one arc" is symmetric, no
+    earlier row pairs with v, so v > u.
     """
-    band = _first_bad_band(adj, np.logical_xor)
-    if band is None:
+    u = _first_bad_row(d, np.bitwise_xor)
+    if u is None:
         return None
-    everyone = np.arange(len(adj))
-    return _orientation_witness(adj, *(_side(everyone[b], len(adj)) for b in band), None)
+    rows, cols = d._packed()
+    bad = np.unpackbits(rows[u] ^ cols[u], count=d.n) == 0
+    bad[u] = False
+    v = int(bad.argmax())
+    return RuleWitness(u, v, "exactly one arc")
 
 
 def _rule_witness(adj: np.ndarray, rule: list[tuple], tournament: bool) -> RuleWitness | None:
@@ -620,8 +642,8 @@ def _orientation_witness(adj: np.ndarray, rows: _Side, cols: _Side, want,
         return None
     r, c = rows.index, cols.index
     if want is None:
-        # the mirror leads, as in digraph._first_bad_band, so that in a band
-        # of the upper triangle the strided operand walks only the band's rows
+        # the mirror leads, so that in a band of the upper triangle the
+        # strided operand walks only the band's own rows, which stay in cache
         bad = (adj[_block_index(c, r)] == adj[_block_index(r, c)].T).T
     else:
         bad = adj[_block_index(r, c)] != want

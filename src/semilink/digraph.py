@@ -4,6 +4,13 @@ The adjacency relation is a boolean n x n matrix; ``adj[u, v]`` means the arc
 u -> v is present.  Digraphs are immutable after construction, so every query
 is pure and safe for concurrent shared reads.
 
+The pair checks read a private bit packing of the adjacency, its rows and its
+columns, derived once, on first use, from the matrix the digraph holds.  With
+``copy=False`` that matrix is the caller's array, which must not be written
+afterwards: a packing already derived would no longer match it.  The build is
+idempotent, so two threads that race to it derive equal packings, and either
+one serves every later read.
+
 A caller's vertex id is a Python or numpy integer in 0..n-1, never a float
 (0.5 would be truncated), a string or a bool.  The library reads every caller
 id through :func:`_vertex_id` or :func:`_vertex_ids`, which raise ValueError
@@ -19,15 +26,16 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # Largest order the arc-list parser accepts, far above the paper's n = 1764.
-# Its adjacency matrix takes 400 MB.  Each flow query copies it once, and its
-# search blocks are boolean row subsets of that copy, never n x n floats.
+# Its adjacency matrix takes 400 MB, and 0.25 n^2 more (100 MB) once packed
+# for a pair check.  Each flow query copies it once, and its search blocks are
+# boolean row subsets of that copy, never n x n floats.
 _MAX_ORDER = 20_000
 
 
 class Digraph:
     """A simple digraph (no loops, at most one arc per ordered pair)."""
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_packing")
 
     def __init__(self, adjacency: np.ndarray, *, copy: bool = True):
         adj = np.asarray(adjacency, dtype=bool)
@@ -39,6 +47,7 @@ class Digraph:
             adj = adj.copy()
         adj.setflags(write=False)
         self._adj = adj
+        self._packing = None
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -99,13 +108,34 @@ class Digraph:
         return Digraph(self._adj[ids][:, ids], copy=False)
 
     def with_flipped_arc(self, u: int, v: int) -> "Digraph":
-        """Copy of this digraph with the arc between u and v reversed."""
+        """Copy of this digraph with the arc between u and v reversed.
+
+        A packed digraph hands the copy a copy of its packing, with rows u, v
+        and columns u, v packed anew; an unpacked one leaves the copy
+        unpacked.
+        """
         if not self.has_arc(u, v):
             raise ValueError(f"arc ({u}, {v}) not present")
         adj = self._adj.copy()
         adj[u, v] = False
         adj[v, u] = True
-        return Digraph(adj, copy=False)
+        child = Digraph(adj, copy=False)
+        if self._packing is not None:
+            rows, cols = (bits.copy() for bits in self._packing)
+            # the flip changes rows u, v and columns u, v only
+            rows[[u, v]] = np.packbits(adj[[u, v]], axis=1)
+            cols[[u, v]] = np.packbits(adj[:, [u, v]].T, axis=1)
+            child._packing = rows, cols
+        return child
+
+    def _packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and the columns of the adjacency as n x ceil(n/8) bytes,
+        ``np.packbits(a, axis=1)`` and ``np.packbits(a.T, axis=1)``, built on
+        first use and kept; a loop bit or a padding bit is 0."""
+        packing = self._packing
+        if packing is None:
+            packing = self._packing = _pack(self._adj)
+        return packing
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -119,8 +149,8 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
-# Pair checks read the upper triangle in row bands of this many rows, so a
-# compare holds about _BAND * n bytes at a time, not n^2.
+# Pair checks read rows in bands of this many, so a compare holds about
+# _BAND * n bytes at a time (_BAND * n / 8 once packed), not n^2.
 _BAND = 256
 
 
@@ -135,28 +165,78 @@ def _upper_bands(size: int) -> Iterator[tuple[slice, slice]]:
         yield slice(i, i + _BAND), slice(i, None)
 
 
-def _first_bad_band(a: np.ndarray, both) -> tuple[slice, slice] | None:
-    """The first band of :func:`_upper_bands` with a pair u != v for which the
-    symmetric ``both(a[u, v], a[v, u])`` fails, or None; ``a`` is an adjacency.
+# The three delta swaps, (shift, mask), that reflect an 8 x 8 bit tile held
+# in a uint64 word about its anti-diagonal: the 4 x 4 quarters, then the
+# 2 x 2 cells of each quarter, then single bits.  Byte r of the word is tile
+# row r, and np.packbits puts tile column c at bit 7 - c, so bit 8r + 7 - c
+# holds (r, c), and the transpose moves it to bit 8c + 7 - r.
+_ANTI_DIAGONAL_SWAPS = tuple((s, np.uint64(m)) for s, m in (
+    (36, 0x00000000_0F0F0F0F), (18, 0x00003333_00003333), (9, 0x00550055_00550055)))
+
+
+def _pack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The packed rows and columns of an adjacency, as :meth:`Digraph._packed`
+    returns them.
+
+    The columns are the rows transposed by 8 x 8 bit tiles (Warren, *Hacker's
+    Delight*, 2nd ed., section 7-3): the rows, padded to ceil(n/8) * 8, cut
+    into tiles of 8 rows by one byte, each tile transposed as one uint64
+    word, and the grid of tiles transposed.  This avoids packing the strided
+    columns of ``a``.  The rows are packed _BAND at a time, so the build
+    holds at most three arrays of n^2 / 8 bytes at once: the rows, the tiles
+    and either the swaps' delta words or the columns.
     """
-    for rows, cols in _upper_bands(len(a)):
-        # the band's mirror leads, so the strided operand walks only the
-        # band's own rows, which stay in cache (about 2.5x faster at n = 7081)
-        hit = both(a[cols, rows], a[rows, cols].T)
-        # a digraph has no loops, so the band's own diagonal is all False
-        if np.count_nonzero(hit) != hit.size - hit.shape[1]:
-            return rows, cols
+    n = len(a)
+    w = -(-n // 8)
+    rows = np.zeros((8 * w, w), dtype=np.uint8)
+    for i in range(0, n, _BAND):
+        rows[i:min(i + _BAND, n)] = np.packbits(a[i:i + _BAND], axis=1)
+    # tile (I, J): rows 8I .. 8I+7 of byte J, row r in byte r of one word
+    tiles = rows.reshape(w, 8, w).transpose(0, 2, 1).copy().view("<u8")
+    delta = np.empty_like(tiles)
+    for shift, mask in _ANTI_DIAGONAL_SWAPS:
+        np.right_shift(tiles, shift, out=delta)
+        delta ^= tiles
+        delta &= mask
+        tiles ^= delta
+        np.left_shift(delta, shift, out=delta)
+        tiles ^= delta
+    del delta
+    # tile (I, J) transposed is tile (J, I) of the columns; a contiguous
+    # copy, since a band read of the strided view takes about twice as long
+    cols = np.ascontiguousarray(tiles.view(np.uint8).reshape(w, w, 8).transpose(1, 2, 0))
+    return rows[:n], cols.reshape(8 * w, w)[:n]
+
+
+def _first_bad_row(d: Digraph, both) -> int | None:
+    """The first vertex u with a vertex v != u for which the symmetric bitwise
+    ``both(adj[u, v], adj[v, u])`` fails, or None; ``both`` maps two 0 bits
+    to 0, as ``np.bitwise_or`` and ``np.bitwise_xor`` do.
+
+    Row u of the packed rows against row u of the packed columns pairs
+    adj[u, v] with adj[v, u]; loop and padding bits are 0 in both, so a good
+    row counts n - 1 bits.  The rows are read _BAND at a time.
+    """
+    rows, cols = d._packed()
+    n = len(rows)
+    # summing into the smallest type that holds n is the fastest
+    count = np.min_scalar_type(n)
+    for i in range(0, n, _BAND):
+        bits = np.bitwise_count(both(rows[i:i + _BAND], cols[i:i + _BAND]))
+        miss = np.flatnonzero(bits.sum(axis=1, dtype=count) != n - 1)
+        if miss.size:
+            return i + int(miss[0])
     return None
 
 
 def is_semicomplete(d: Digraph) -> bool:
     """True iff every unordered pair of vertices has at least one arc."""
-    return _first_bad_band(d.adjacency, np.logical_or) is None
+    return _first_bad_row(d, np.bitwise_or) is None
 
 
 def is_tournament(d: Digraph) -> bool:
     """True iff every unordered pair has exactly one arc."""
-    return _first_bad_band(d.adjacency, np.logical_xor) is None
+    return _first_bad_row(d, np.bitwise_xor) is None
 
 
 class Path:

@@ -292,6 +292,17 @@ def test_orientation_witness_matches_reference(query):
         reference_orientation_witness(*query)
 
 
+def test_side_of_a_progression_from_n_is_its_ids():
+    # a descending progression that starts at n is out of range: read as
+    # slice(n, n - 3, -1) it would clip silently to rows n - 1 and n - 2
+    n = 10
+    side = counterexample._side(np.arange(n, n - 3, -1), n)
+    assert not isinstance(side.index, slice)
+    assert side.index.tolist() == [n, n - 1, n - 2]
+    with pytest.raises(IndexError):
+        np.zeros((n, n), dtype=bool)[counterexample._block_index(side.index, slice(None))]
+
+
 @st.composite
 def _write_queries(draw):
     # distinct ids, as a progression (either direction) or in any order;
@@ -355,7 +366,7 @@ def test_band_blocks_match_the_whole_block(n, seed, odd):
     assert next(filter(None, bands), None) == \
         reference_orientation_witness(adj, ids, ids, None)
     everyone = np.arange(n)
-    assert counterexample._tournament_witness(adj) == \
+    assert counterexample._tournament_witness(Digraph(adj, copy=False)) == \
         reference_orientation_witness(adj, everyone, everyone, None)
     d = Digraph(adj, copy=False)
     assert is_tournament(d) == (np.count_nonzero(adj ^ adj.T) == n * (n - 1))
@@ -385,7 +396,7 @@ def test_tournament_rule_at_band_edges(adj):
     # whole-block reference finds first, row-major.
     everyone = np.arange(adj.shape[0])
     with mock.patch.object(digraph, "_BAND", 4):
-        got = counterexample._tournament_witness(adj)
+        got = counterexample._tournament_witness(Digraph(adj, copy=False))
         assert is_tournament(Digraph(adj, copy=False)) == (got is None)
     assert got == reference_orientation_witness(adj, everyone, everyone, None)
 
@@ -475,13 +486,15 @@ def _relabelled(d, lay, ids):
                                                          outlet=int(ids[lay.outlet]))
 
 
-@pytest.mark.parametrize("relabel", ["reversed", "shuffled", "overlapping", "repeated"])
+@pytest.mark.parametrize("relabel", ["reversed", "shuffled", "overlapping", "repeated",
+                                     "reservoir_repeat"])
 def test_verifier_matches_reference_on_other_layouts(relabel):
     # Layouts read from JSON need not be arithmetic progressions, nor even
     # disjoint: descending roles that end at vertex 0, shuffled ids,
-    # targets that share half their ids with the relays, and a mesh vertex
+    # targets that share half their ids with the relays, a mesh vertex
     # listed twice, which pairs it with itself inside the mesh's one-arc
-    # blocks.
+    # blocks, and a head listed again in the core, which the reservoir's
+    # degrees count twice.
     d, lay = _instance(None)
     n, k = d.n, lay.k
     if relabel == "reversed":
@@ -491,6 +504,9 @@ def test_verifier_matches_reference_on_other_layouts(relabel):
         d, lay = _relabelled(d, lay, np.random.default_rng(5).permutation(n))
     elif relabel == "overlapping":
         lay = dataclasses.replace(lay, targets=lay.targets - k // 2)
+    elif relabel == "reservoir_repeat":
+        lay = dataclasses.replace(lay, core=np.append(lay.core, lay.heads()[0]))
+        assert not verify_construction_rules(d, lay).by_name("reservoir_regular").passed
     else:
         track = lay.track.copy()
         track[-1, 1] = track[-2, 1]
@@ -582,6 +598,28 @@ def test_pair_checks_allocate_bands_not_the_matrix():
     finally:
         tracemalloc.stop()
     assert max(peaks) <= 0.5 * n * n, [p / n ** 2 for p in peaks]
+
+
+@pytest.mark.parametrize("check", ["is_tournament", "is_semicomplete", "verify"])
+def test_first_check_packs_within_bounds(check):
+    # The first check of a fresh digraph packs its rows and columns and
+    # keeps both, 0.25 n^2 bytes and the padding rows; building them holds
+    # one more n^2 / 8 for the tile transpose.  The digraphs of _instance
+    # are packed by their builds, so the test above never packs.
+    n = 1764
+    d, lay = _instance(None)
+    run = {"is_tournament": is_tournament, "is_semicomplete": is_semicomplete,
+           "verify": lambda d: verify_construction_rules(d, lay).all_passed}[check]
+    fresh = Digraph(d.adjacency)
+    tracemalloc.start()
+    try:
+        assert run(fresh)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fresh._packing is not None
+    assert peak <= 0.5 * n * n, peak / n ** 2
+    assert kept <= 0.25 * n * n + 16 * n, (kept - 0.25 * n * n) / n
 
 
 class TestPropertyTwo:

@@ -383,6 +383,55 @@ class TestArcListFormat:
             Digraph.from_arcs(-1, [])
 
 
+@st.composite
+def loopless_matrices(draw):
+    # orders on either side of a whole number of bytes, and of a band of 256
+    # rows; pairs with both arcs or none are included
+    n = draw(st.one_of(st.integers(0, 70), st.integers(255, 257)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    np.fill_diagonal(a, False)
+    return a
+
+
+def assert_packing_is_fresh(d):
+    rows, cols = d._packed()
+    a = d.adjacency
+    assert rows.dtype == cols.dtype == np.uint8
+    np.testing.assert_array_equal(rows, np.packbits(a, axis=1), strict=True)
+    np.testing.assert_array_equal(cols, np.packbits(a.T, axis=1), strict=True)
+
+
+@given(loopless_matrices())
+@settings(max_examples=150, deadline=None)
+def test_packing_is_packbits_of_both_axes(a):
+    # the columns come from the tile transpose of the rows, not from a.T
+    assert_packing_is_fresh(Digraph(a, copy=False))
+
+
+@given(loopless_matrices(), st.lists(st.booleans(), min_size=2, max_size=2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_flipped_arcs_inherit_a_fresh_packing(a, pack_first, data):
+    # Two flips in a row, each from a packed or an unpacked parent: a
+    # packed parent hands its child a packing equal to a fresh one, and an
+    # unpacked parent leaves its child unpacked.
+    d = Digraph(a, copy=False)
+    for packed in pack_first:
+        arcs = np.argwhere(d.adjacency)
+        if not len(arcs):
+            break
+        if packed:
+            d._packed()
+        u, v = map(int, arcs[data.draw(st.integers(0, len(arcs) - 1))])
+        child = d.with_flipped_arc(u, v)
+        assert not child.has_arc(u, v) and child.has_arc(v, u)
+        assert (child._packing is None) == (d._packing is None)
+        if child._packing is not None:
+            assert_packing_is_fresh(child)
+        d = child
+    assert_packing_is_fresh(d)
+
+
 class TestImmutability:
     def test_adjacency_is_read_only(self):
         d = random_tournament(5, seed=7)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import semilink.flows as flows
 from semilink.digraph import Digraph
-from semilink.dominators import (_bad_counts, _in_scores, _picks, count_two_paths,
-                                 find_nearly_in_dominating,
+from semilink.dominators import (_bad_counts, _in_scores, _nearly_dominates, _picks,
+                                 count_two_paths, find_nearly_in_dominating,
                                  find_nearly_out_dominating, goodness_scores,
                                  is_nearly_in_dominating_set,
                                  nearly_in_dominating_profile,
@@ -162,6 +162,16 @@ class TestNearlyDominating:
         assert prof.pool_size // 2 + 1 == 4
         assert prof.bad_counts == (0, 0, 0, 0, 1, 1, 1)
         assert prof.is_nearly_dominating() and prof.satisfies_strict_bound()
+
+    def test_default_count_reaches_the_vacuity_bound(self):
+        # 30 candidates: bad(11), bad(12), bad(13) = 22, 24, 26 meet the 2c
+        # rule and bad(14) = 29 breaks it, below the vacuity bound 16 but
+        # above a third of the candidates
+        n = 31
+        scores = np.array([10] * 22 + [11] * 2 + [12] * 2 + [13] * 3 + [n])
+        bad = _bad_counts(scores, n)
+        assert bad.size == 16 and list(bad[10:14]) == [22, 24, 26, 29]
+        assert not _nearly_dominates(bad)
 
     def test_vacuous_region_shortcut(self):
         d = random_tournament(21, seed=9)

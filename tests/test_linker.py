@@ -11,7 +11,7 @@ from semilink.digraph import Digraph, Path
 from semilink.dominators import is_nearly_in_dominating_set
 from semilink.flows import _cut_value, is_k_connected, vertex_connectivity
 from semilink.generators import (near_regular_tournament, random_semicomplete,
-                                 random_tournament)
+                                 random_tournament, transitive_tournament)
 from semilink.instances import adjustment_stress_instance, planted_cut_instance
 from semilink.linker import (FailureReport, LinkageCertificate,
                              LinkageInstance, LinkerCheckError, LinkerTrace, _SPECIAL,
@@ -585,6 +585,12 @@ class TestCertificateVerifier:
         d = Digraph.from_arcs(3, [(0, 1)])
         with pytest.raises(CertificateError, match="missing arc"):
             verify_linkage_certificate(d, [(0, 2)], [(0, 2)])
+
+    def test_rejects_vertex_n(self):
+        # both endpoints match the pair, so only the range check stands
+        # between vertex 3 and numpy's IndexError on the arc (0, 3)
+        with pytest.raises(CertificateError, match="path 0 contains invalid vertex 3"):
+            verify_linkage_certificate(transitive_tournament(3), [(0, 3)], [(0, 3)])
 
     @pytest.mark.parametrize("entry", [1.5, True])
     def test_rejects_non_integer_entry(self, entry):
