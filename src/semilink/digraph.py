@@ -4,8 +4,10 @@ The adjacency relation is a boolean n x n matrix; ``adj[u, v]`` means the arc
 u -> v is present.  Digraphs are immutable after construction, so every query
 is pure and safe for concurrent shared reads.
 
-The pair checks read a private bit packing of the adjacency, its rows and its
-columns, derived once, on first use, from the matrix the digraph holds.  With
+The library's one bit packing of the adjacency, its rows and its columns, is
+derived once, on first use, from the matrix the digraph holds.  The pair
+checks, the hard-family verifier, the c-goodness scores (so the profiles and
+the connectivity deciders' star search) and the dominator picks read it.  With
 ``copy=False`` that matrix is the caller's array, which must not be written
 afterwards: a packing already derived would no longer match it.  The build is
 idempotent, so two threads that race to it derive equal packings, and either
@@ -26,9 +28,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # Largest order the arc-list parser accepts, far above the paper's n = 1764.
-# Its adjacency matrix takes 400 MB, and 0.25 n^2 more (100 MB) once packed
-# for a pair check.  Each flow query copies it once, and its search blocks are
-# boolean row subsets of that copy, never n x n floats.
+# Its adjacency matrix takes 400 MB, and 0.25 n^2 more (100 MB) once packed.
+# Each flow query copies it once, and its search blocks are boolean row
+# subsets of that copy, never n x n floats.
 _MAX_ORDER = 20_000
 
 
@@ -80,11 +82,12 @@ class Digraph:
         # len() is the cheapest read of n, and has_arc checks two vertices per call
         return _vertex_id(v, "vertex", len(self._adj))
 
+    # int32 sums take half the time of int64 ones, and n <= _MAX_ORDER fits
     def out_degrees(self) -> np.ndarray:
-        return self._adj.sum(axis=1)
+        return self._adj.sum(axis=1, dtype=np.int32)
 
     def in_degrees(self) -> np.ndarray:
-        return self._adj.sum(axis=0)
+        return self._adj.sum(axis=0, dtype=np.int32)
 
     def min_out_degree(self) -> int:
         if self.n == 0:
@@ -121,17 +124,18 @@ class Digraph:
         adj[v, u] = True
         child = Digraph(adj, copy=False)
         if self._packing is not None:
-            rows, cols = (bits.copy() for bits in self._packing)
+            packing = self._packing.copy()
             # the flip changes rows u, v and columns u, v only
-            rows[[u, v]] = np.packbits(adj[[u, v]], axis=1)
-            cols[[u, v]] = np.packbits(adj[:, [u, v]].T, axis=1)
-            child._packing = rows, cols
+            packing[0, [u, v]] = np.packbits(adj[[u, v]], axis=1)
+            packing[1, [u, v]] = np.packbits(adj[:, [u, v]].T, axis=1)
+            child._packing = packing
         return child
 
-    def _packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and the columns of the adjacency as n x ceil(n/8) bytes,
-        ``np.packbits(a, axis=1)`` and ``np.packbits(a.T, axis=1)``, built on
-        first use and kept; a loop bit or a padding bit is 0."""
+    def _packed(self) -> np.ndarray:
+        """The rows and the columns of the adjacency as one 2 x n x ceil(n/8)
+        byte array, ``np.packbits(a, axis=1)`` and ``np.packbits(a.T, axis=1)``,
+        built on first use and kept; a loop bit or a padding bit is 0.
+        ``rows, cols = d._packed()`` unpacks it."""
         packing = self._packing
         if packing is None:
             packing = self._packing = _pack(self._adj)
@@ -165,6 +169,8 @@ def _upper_bands(size: int) -> Iterator[tuple[slice, slice]]:
         yield slice(i, i + _BAND), slice(i, None)
 
 
+# The swaps of _pack run on this many tiles at a time, each with one delta word.
+_SWAP_WORDS = 1 << 13
 # The three delta swaps, (shift, mask), that reflect an 8 x 8 bit tile held
 # in a uint64 word about its anti-diagonal: the 4 x 4 quarters, then the
 # 2 x 2 cells of each quarter, then single bits.  Byte r of the word is tile
@@ -174,7 +180,7 @@ _ANTI_DIAGONAL_SWAPS = tuple((s, np.uint64(m)) for s, m in (
     (36, 0x00000000_0F0F0F0F), (18, 0x00003333_00003333), (9, 0x00550055_00550055)))
 
 
-def _pack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pack(a: np.ndarray) -> np.ndarray:
     """The packed rows and columns of an adjacency, as :meth:`Digraph._packed`
     returns them.
 
@@ -182,30 +188,39 @@ def _pack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Delight*, 2nd ed., section 7-3): the rows, padded to ceil(n/8) * 8, cut
     into tiles of 8 rows by one byte, each tile transposed as one uint64
     word, and the grid of tiles transposed.  This avoids packing the strided
-    columns of ``a``.  The rows are packed _BAND at a time, so the build
-    holds at most three arrays of n^2 / 8 bytes at once: the rows, the tiles
-    and either the swaps' delta words or the columns.
+    columns of ``a``.  The rows are packed _BAND at a time and the swaps run
+    on _SWAP_WORDS tiles at a time, so the build holds the packing and the
+    tiles, 3 n^2 / 8 bytes, and band-sized temporaries.
     """
     n = len(a)
     w = -(-n // 8)
-    rows = np.zeros((8 * w, w), dtype=np.uint8)
+    packed = np.empty((2, n, w), dtype=np.uint8)
+    rows, cols = packed
     for i in range(0, n, _BAND):
-        rows[i:min(i + _BAND, n)] = np.packbits(a[i:i + _BAND], axis=1)
-    # tile (I, J): rows 8I .. 8I+7 of byte J, row r in byte r of one word
-    tiles = rows.reshape(w, 8, w).transpose(0, 2, 1).copy().view("<u8")
-    delta = np.empty_like(tiles)
-    for shift, mask in _ANTI_DIAGONAL_SWAPS:
-        np.right_shift(tiles, shift, out=delta)
-        delta ^= tiles
-        delta &= mask
-        tiles ^= delta
-        np.left_shift(delta, shift, out=delta)
-        tiles ^= delta
-    del delta
-    # tile (I, J) transposed is tile (J, I) of the columns; a contiguous
-    # copy, since a band read of the strided view takes about twice as long
-    cols = np.ascontiguousarray(tiles.view(np.uint8).reshape(w, w, 8).transpose(1, 2, 0))
-    return rows[:n], cols.reshape(8 * w, w)[:n]
+        rows[i:i + _BAND] = np.packbits(a[i:i + _BAND], axis=1)
+    # tile (I, J): rows 8I .. 8I+7 of byte J, row r in byte r of one word,
+    # so entry (I, r, J) of grid; the rows past n are padding
+    q = n // 8
+    tiles = np.zeros((w, w, 8), dtype=np.uint8)
+    grid = tiles.transpose(0, 2, 1)
+    grid[:q] = rows[:8 * q].reshape(q, 8, w)
+    grid[q:, :n % 8] = rows[8 * q:]
+    words = tiles.view("<u8").reshape(-1)
+    for t in range(0, words.size, _SWAP_WORDS):
+        tile = words[t:t + _SWAP_WORDS]
+        delta = np.empty_like(tile)
+        for shift, mask in _ANTI_DIAGONAL_SWAPS:
+            np.right_shift(tile, shift, out=delta)
+            delta ^= tile
+            delta &= mask
+            tile ^= delta
+            np.left_shift(delta, shift, out=delta)
+            tile ^= delta
+    # tile (I, J) transposed is tile (J, I) of the columns
+    grid = tiles.transpose(1, 2, 0)
+    cols[:8 * q].reshape(q, 8, w)[...] = grid[:q]
+    cols[8 * q:] = grid[q:, :n % 8].reshape(n % 8, w)
+    return packed
 
 
 def _first_bad_row(d: Digraph, both) -> int | None:

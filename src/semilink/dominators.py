@@ -13,14 +13,14 @@ on that pool while keeping original vertex ids.  ``goodness_scores`` takes
 the pool as a ready boolean mask instead; the set check always works in the
 whole digraph.
 
-"Out" scores gather the rows of the centre's out-neighbours.  "In" scores
-would gather columns, each a strided read, so they AND the adjacency's
-bit-packed rows (``np.packbits(a, axis=1)``, packed once by each caller
-that scores many centres) with the packed pool in-neighbours of the centre
-and count the bits.
+Scores read the digraph's own bit packing (``Digraph._packed``: its rows
+and its columns, built once per digraph and kept).  "Out" scores AND every
+packed column with the packed pool out-neighbours of the centre and count
+the bits, "in" scores every packed row with its packed pool in-neighbours;
+no score gathers a strided column or packs the matrix again.
 
-The finders and the linker's 3k picks share ``_picks``.  It packs the
-pool's rows and columns into 64-bit bitsets once per call, takes the
+The finders and the linker's 3k picks share ``_picks``.  It gathers the
+pool's packed rows and columns into 64-bit bitsets once per call, takes the
 degrees, the bidirected pairs and the semicompleteness check from one pass
 of bit counts, fixes every pick from the degrees, and then scores all picks
 in one census of AND-ed bitsets, each in the pool left at its turn.
@@ -60,27 +60,25 @@ def count_two_paths(d: Digraph, src: int, dst: int,
     return int(np.count_nonzero(a[src] & a[:, dst] & mask))
 
 
-def _scores(lines: np.ndarray, u: int, pool: np.ndarray, n: int) -> np.ndarray:
-    """score[v] = n for an arc u->v of ``lines``, else #{m in pool: u->m->v}."""
-    row = lines[u]
-    # int32 sums take half the time of int64 ones and cannot overflow here
-    return np.where(row, n, lines[row & pool].sum(axis=0, dtype=np.int32))
+def _scores(d: Digraph, u: int, direction: str, pool: np.ndarray) -> np.ndarray:
+    """score[v] = n for an arc u->v ("out") or v->u ("in"), else the number
+    of pool middles m with u->m->v or v->m->u.
 
-
-def _in_scores(a: np.ndarray, rows: np.ndarray, u: int, pool: np.ndarray) -> np.ndarray:
-    """``_scores(a.T, u, pool, n)`` read from ``rows = np.packbits(a, axis=1)``.
-
-    score[v] = n for an arc v->u, else #{m in pool: v->m->u}: the set bits
-    of row v AND the packed pool in-neighbours of u (the pad bits are zero
-    in both).
+    The middles of v are the set bits of v's packed column ("out") or row
+    ("in") AND the packed pool out- or in-neighbours of u; the pad bits are
+    zero in both.
     """
-    col = a[:, u]
-    middles = np.bitwise_count(rows & np.packbits(col & pool)).sum(axis=1, dtype=np.int32)
-    return np.where(col, a.shape[0], middles)
+    a = d.adjacency
+    rows, cols = d._packed()
+    line, other = (a[u], cols) if direction == "out" else (a[:, u], rows)
+    bits = np.bitwise_and(other, np.packbits(line & pool))
+    # int32 sums take half the time of int64 ones and cannot overflow here
+    middles = np.bitwise_count(bits, out=bits).sum(axis=1, dtype=np.int32)
+    return np.where(line, d.n, middles)
 
 
 def goodness_scores(d: Digraph, u: int, direction: str,
-                     mask: np.ndarray) -> np.ndarray:
+                    mask: np.ndarray) -> np.ndarray:
     """Per-vertex goodness threshold: v is c-good iff score[v] >= c.
 
     Direct arcs count as infinitely good (score n); the score of u itself
@@ -93,12 +91,7 @@ def goodness_scores(d: Digraph, u: int, direction: str,
         raise ValueError(f"direction must be 'out' or 'in', not {direction!r}")
     if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (d.n,)):
         raise ValueError("mask must be a boolean array of length n")
-    a = d.adjacency
-    if direction == "out":
-        raw = _scores(a, u, mask, d.n)
-    else:
-        raw = _in_scores(a, np.packbits(a, axis=1), u, mask)
-    scores = np.where(mask, raw, -1)
+    scores = np.where(mask, _scores(d, u, direction, mask), -1)
     scores[u] = -1
     return scores
 
@@ -168,9 +161,7 @@ def nearly_in_dominating_profile(d: Digraph, u: int, c_max: int | None = None,
     return _profile(d, u, "in", c_max, within)
 
 
-# The pool's rows are packed _BAND at a time, and the census holds at most
-# _CENSUS words of AND products at once.
-_BAND = 256
+# The census holds at most _CENSUS words of AND products at once.
 _CENSUS = 1 << 17
 # A bitset is a row of np.packbits bytes read as 64-bit words, zero-padded
 # to whole words.  _PREFIX[r] has the first r bits of a word set, for
@@ -198,9 +189,9 @@ def _picks(d: Digraph, direction: str, within: Iterable[int] | None,
     pair of the pool has no arc or the pool has fewer than ``count``
     vertices, and AssertionError naming the first pick that fails.
 
-    The pool's rows and columns are packed once into bitsets.  One pass of
-    bit counts over them gives the degrees, the bidirected pairs and the
-    semicompleteness check, which passes to every sub-pool.  The picks
+    The pool's packed rows and columns are gathered once into bitsets.
+    One pass of bit counts over them gives the degrees, the bidirected pairs
+    and the semicompleteness check, which passes to every sub-pool.  The picks
     follow from the degrees alone, each removal updating them by one
     column.  Then one census reads every pick's scores in the pool left at
     its turn, and the picks are checked in pick order.
@@ -211,20 +202,15 @@ def _picks(d: Digraph, direction: str, within: Iterable[int] | None,
     if p < count:
         raise ValueError("empty pool" if p == 0 else "pool smaller than the number of picks")
     a = d.adjacency
+    rows, cols = d._packed()
     # lines[u, v]: u reaches v by one arc in the chosen direction
-    lines = a if direction == "out" else a.T
+    lines, outs, ins = (a, rows, cols) if direction == "out" else (a.T, cols, rows)
     # rows 0..p-1 of packed: the pool vertices' rows of lines, p..2p-1 their
-    # columns, 2p..3p-1 their bidirected pairs, and row 3p the pool; the
-    # rows of a go first for "out" and second for "in"
-    at_outs, at_ins = (0, p) if direction == "out" else (p, 0)
-    width = -(-n // 8)
+    # columns, 2p..3p-1 their bidirected pairs, and row 3p the pool
+    width = rows.shape[1]
     packed = np.zeros((3 * p + 1, -(-n // 64) * 8), dtype=np.uint8)
-    for r in range(0, p, _BAND):
-        band = ids[r:r + _BAND]
-        # the whole vertex set's out-rows need no gather
-        outs = a[r:r + _BAND] if p == n else a[band]
-        packed[at_outs + r:at_outs + r + band.size, :width] = np.packbits(outs, axis=1)
-        packed[at_ins + r:at_ins + r + band.size, :width] = np.packbits(a[:, band].T, axis=1)
+    packed[:p, :width] = outs[ids]
+    packed[p:2 * p, :width] = ins[ids]
     if p < n:
         packed[3 * p, :width] = np.packbits(mask)
     words = np.ascontiguousarray(packed.view(np.uint64).T)  # word-major
@@ -310,8 +296,6 @@ def is_nearly_in_dominating_set(d: Digraph, members: Iterable[int]) -> bool:
     outside[ids] = False
     if not outside.any():
         return True
-    a = d.adjacency
-    rows = np.packbits(a, axis=1)
     full = np.ones(d.n, dtype=bool)
-    scores = (_in_scores(a, rows, u, full)[outside] for u in ids)
+    scores = (_scores(d, u, "in", full)[outside] for u in ids)
     return all(_nearly_dominates(_bad_counts(s, d.n)) for s in scores)

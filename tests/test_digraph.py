@@ -43,6 +43,7 @@ class TestNeighbourhoods:
         tt4 = transitive_tournament(4)
         assert tt4.out_degrees().tolist() == [3, 2, 1, 0]
         assert tt4.in_degrees().tolist() == [0, 1, 2, 3]
+        assert tt4.out_degrees().dtype == tt4.in_degrees().dtype == np.int32
 
     def test_three_cycle_degrees(self):
         d = three_cycle()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import semilink.flows as flows
 from semilink.digraph import Digraph
-from semilink.dominators import (_bad_counts, _in_scores, _nearly_dominates, _picks,
+from semilink.dominators import (_bad_counts, _nearly_dominates, _picks, _scores,
                                  count_two_paths, find_nearly_in_dominating,
                                  find_nearly_out_dominating, goodness_scores,
                                  is_nearly_in_dominating_set,
@@ -284,85 +284,94 @@ def test_pool_of_numpy_integers_accepted():
         assert nearly_out_dominating_profile(d, 0, within=pool) == want
 
 
-def plain_in_scores(d, u, pool):
-    """The "in" scores as rows of the transposed view: strided column gathers."""
-    lines = d.adjacency.T
+def plain_scores(d, u, direction, pool):
+    """The scores as bool row sums: rows of the adjacency for "out", rows of
+    its transposed view (strided column gathers) for "in"."""
+    lines = d.adjacency if direction == "out" else d.adjacency.T
     row = lines[u]
     return np.where(row, d.n, lines[row & pool].sum(axis=0))
 
 
+def plain_goodness(d, u, direction, pool):
+    """``goodness_scores`` from ``plain_scores``."""
+    expect = np.where(pool, plain_scores(d, u, direction, pool), -1)
+    expect[u] = -1
+    return expect
+
+
 @given(st.integers(0, 10 ** 6), st.integers(1, 40),
-       st.sampled_from(["tournament", "semicomplete", "general"]))
+       st.sampled_from(["tournament", "semicomplete", "general"]),
+       st.sampled_from(["in", "out"]))
+@example(seed=1, n=5, kind="general", direction="out")
+@example(seed=2, n=13, kind="semicomplete", direction="out")
 @settings(max_examples=150, deadline=None)
-def test_packed_in_scores_match_strided_rows(seed, n, kind):
-    # n < 8 and n % 8 != 0 leave pad bits in every packed row
+def test_packed_scores_match_plain_rows(seed, n, kind, direction):
+    # n < 8 and n % 8 != 0 leave pad bits in every packed row and column,
+    # and the pool is a random part of the vertex set
     rng = np.random.Generator(np.random.PCG64(seed))
     d = {"tournament": lambda: random_tournament(n, seed),
          "semicomplete": lambda: random_semicomplete(n, 0.3, seed),
          "general": lambda: random_digraph(n, 0.5, seed)}[kind]()
-    a = d.adjacency
-    rows = np.packbits(a, axis=1)
     pool = rng.random(n) < rng.random()
+    profile = PROFILES[direction == "in"]
     for u in range(n):
-        plain = plain_in_scores(d, u, pool)
-        assert (_in_scores(a, rows, u, pool) == plain).all(), u
-        expect = np.where(pool, plain, -1)
-        expect[u] = -1
-        assert (goodness_scores(d, u, "in", pool) == expect).all(), u
+        assert (_scores(d, u, direction, pool) == plain_scores(d, u, direction, pool)).all(), u
+        expect = plain_goodness(d, u, direction, pool)
+        assert (goodness_scores(d, u, direction, pool) == expect).all(), u
         if pool[u]:
             candidates = expect[expect >= 0]
             bad = [int((candidates < min(c, n)).sum()) for c in range(1, n + 1)]
-            prof = nearly_in_dominating_profile(d, u, within=np.flatnonzero(pool))
+            prof = profile(d, u, within=np.flatnonzero(pool))
             assert list(prof.bad_counts) == bad, u
     members = np.flatnonzero(pool)
-    if members.size:
+    if members.size and direction == "in":
         full = np.ones(n, dtype=bool)
-        nearly = [plain_in_scores(d, u, full)[~pool] for u in members]
+        nearly = [plain_scores(d, u, "in", full)[~pool] for u in members]
         assert is_nearly_in_dominating_set(d, members) == \
             all((s < min(c, n)).sum() <= 2 * c for s in nearly for c in range(1, n + 1))
-    # the rows the connectivity deciders read, one packing per decision
+    # the scores the connectivity deciders read, both directions per centre
     read = []
 
-    def recording(a, rows, u, pool):
-        read.append((u, pool.copy(), _in_scores(a, rows, u, pool)))
-        return read[-1][2]
+    def recording(d, u, direction, pool):
+        read.append((u, direction, pool.copy(), goodness_scores(d, u, direction, pool)))
+        return read[-1][3]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flows, "_in_scores", recording)
+        mp.setattr(flows, "goodness_scores", recording)
         if n >= 2:
             flows.vertex_connectivity(d)
             flows.is_k_connected(d, min(3, n - 1))
-    for u, pool, scores in read:
-        assert pool.all() and (scores == plain_in_scores(d, u, pool)).all(), u
+    assert {side for _, side, _, _ in read} in (set(), {"in", "out"})
+    for u, side, pool, scores in read:
+        assert pool.all() and (scores == plain_goodness(d, u, side, pool)).all(), u
 
 
 def test_packed_in_scores_at_scale():
     # one row of a 7081-vertex tournament: 886 packed bytes per row
     d = rotational_tournament(7081)
     full = np.ones(d.n, dtype=bool)
-    expect = plain_in_scores(d, 5, full)
-    expect[5] = -1
-    assert (goodness_scores(d, 5, "in", full) == expect).all()
+    assert (goodness_scores(d, 5, "in", full) == plain_goodness(d, 5, "in", full)).all()
 
 
-def test_in_scores_allocate_no_transposed_copy():
-    # The packed rows, their AND with the packed column and its bit counts
-    # hold 3 n^2 / 8 bytes at the peak; a transposed copy would hold n^2
-    # and a float32 census 4 n^2.
+@pytest.mark.parametrize("direction", ["in", "out"])
+def test_in_scores_allocate_no_transposed_copy(direction):
+    # Once the digraph keeps its packing, a call ANDs the packed rows ("in")
+    # or columns ("out") with one packed line and counts the bits in place:
+    # n^2 / 8 bytes at the peak.  A transposed copy would hold n^2, and the
+    # gather of the centre's out-rows as bools about n^2 / 2.
     n = 1000
     d = random_tournament(n, seed=5)
     full = np.ones(n, dtype=bool)
-    goodness_scores(d, 7, "in", full)
+    goodness_scores(d, 7, direction, full)
     tracemalloc.start()
     try:
-        scores = goodness_scores(d, 7, "in", full)
+        scores = goodness_scores(d, 7, direction, full)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    expect = plain_in_scores(d, 7, full)
-    expect[7] = -1
-    assert (scores == expect).all()
+    assert (scores == plain_goodness(d, 7, direction, full)).all()
     assert peak <= 0.5 * n * n, peak / n ** 2
+    assert peak <= 0.2 * n * n, peak / n ** 2  # 0.16 n^2 measured
 
 
 def test_goodness_scores_reject_malformed_masks():
@@ -537,6 +546,32 @@ def test_picks_match_reference_pick_by_pick(seed, n, density, kind, pool_size,
         rng.choice(n, size=min(pool_size, n), replace=False).tolist()
     assert _outcome(_picks, d, direction, within, count) == \
         _outcome(reference_picks, d, direction, within, count)
+
+
+@pytest.mark.parametrize("direction", ["in", "out"])
+def test_flipped_children_read_their_inherited_packing(direction):
+    # Each child of a packed parent inherits the packing with two rows and
+    # two columns packed anew; every flip takes an arc from the vertex
+    # picked first, so a stale row or column would keep that pick.  The
+    # reference picks run on a fresh digraph, packed from its own matrix.
+    d = random_tournament(70, seed=11)
+    d._packed()
+    full = np.ones(d.n, dtype=bool)
+    pool = np.random.default_rng(11).random(d.n) < 0.7
+    for _ in range(4):
+        first = _picks(d, direction, None, 1)[0]
+        lines = d.adjacency if direction == "out" else d.adjacency.T
+        for v in np.flatnonzero(lines[first])[:6].tolist():
+            arc = (first, v) if direction == "out" else (v, first)
+            d = d.with_flipped_arc(*arc)
+        assert d._packing is not None
+        picks = _picks(d, direction, None, 5)
+        assert picks[0] != first
+        assert picks == reference_picks(Digraph(d.adjacency), direction, None, 5)
+        for u in range(d.n):
+            for mask in (full, pool):
+                assert (goodness_scores(d, u, direction, mask) ==
+                        plain_goodness(d, u, direction, mask)).all(), u
 
 
 @pytest.mark.parametrize("direction", ["in", "out"])

@@ -17,7 +17,7 @@ from semilink.linker import (FailureReport, LinkageCertificate,
                              LinkageInstance, LinkerCheckError, LinkerTrace, _SPECIAL,
                              _bipartite_matching, _first_swap, _reroute, adjust_paths,
                              build_bridges,
-                             build_dominating_set, check_hypotheses,
+                             build_dominating_set, build_launches, check_hypotheses,
                              classify_terminals, finalize_deliveries,
                              initial_path_system, link)
 
@@ -403,6 +403,28 @@ class TestBuildBridges:
         assert tr.events == [{"phase": "bridge", "start": 0, "target": 4,
                               "path": [0, 1, 2, 3], "anchored_out": 0,
                               "free_middles": 0}]
+
+
+class TestBuildLaunches:
+    # k = 1: start 0 launches in place towards target 1, and pool vertex 2
+    # anchors the 25 off-terminal vertices 3..27, each beaten by 0 as well
+    @staticmethod
+    def launch_from(d):
+        return build_launches(d, [0], [1], [2], matched={}, deliveries={},
+                              trace=LinkerTrace())
+
+    @staticmethod
+    def digraph():
+        return Digraph.from_arcs(28, [(u, v) for u in (0, 2) for v in range(3, 28)])
+
+    def test_terminal_with_exactly_25k_anchored_out_neighbours(self):
+        assert self.launch_from(self.digraph())[0].vertices == (0,)
+
+    def test_one_fewer_is_refused(self):
+        with pytest.raises(LinkerCheckError) as err:
+            self.launch_from(self.digraph().with_flipped_arc(0, 3))
+        assert err.value.step == "launches"
+        assert err.value.details == {"start": 0, "terminal": 0, "count": 24, "required": 25}
 
 
 class TestFinalizeDeliveries:
